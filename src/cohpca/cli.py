@@ -76,10 +76,6 @@ def _cases(text):
     return tuple(out)
 
 
-def _names(text):
-    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
-
-
 def _upsilon(text):
     if text == "auto":
         return None
@@ -147,7 +143,6 @@ def cmd_cop(ns):
         strategy=_build_strategy(ns),
         block=ns.block,
         seed=ns.seed,
-        backend=ns.backend,
     )
     if ns.passes > 1:
         res = cop_multipass(d, cfg, ns.passes)
@@ -261,24 +256,18 @@ def cmd_bench(ns):
         block=ns.block,
         runs=ns.runs,
         seed=ns.seed,
-        backends=ns.backends,
         csv_path=ns.csv,
     )
     for m, n in ns.cases:
-        for backend in sorted({row["backend"] for row in rows}):
-            picked = [
-                row
-                for row in rows
-                if row["m"] == m and row["n"] == n and row["backend"] == backend
-            ]
-            total = sum(row["seconds"] for row in picked) / max(
-                1, len({row["run"] for row in picked})
-            )
-            kern = [row["seconds"] for row in picked if row["stage"] == "coherence"]
-            print(
-                f"{m}x{n} {backend}: pipeline {total:.3f}s/run, "
-                f"coherence median {float(np.median(kern)):.3f}s"
-            )
+        picked = [row for row in rows if row["m"] == m and row["n"] == n]
+        total = sum(row["seconds"] for row in picked) / max(
+            1, len({row["run"] for row in picked})
+        )
+        kern = [row["seconds"] for row in picked if row["stage"] == "coherence"]
+        print(
+            f"{m}x{n}: pipeline {total:.3f}s/run, "
+            f"coherence median {float(np.median(kern)):.3f}s"
+        )
     return 0
 
 
@@ -358,8 +347,6 @@ def build_parser():
     sub.add_argument("--passes", type=int, default=1,
                      help="adaptive rounds to pool before the final truncation")
     sub.add_argument("--block", type=int, default=256, help="kernel block size")
-    sub.add_argument("--backend", default=None, choices=["numba", "numpy"],
-                     help="kernel backend override")
     sub.add_argument("--basis-out", required=True, help="recovered basis file")
     sub.add_argument("--profile-out", default=None,
                      help="coherence profile file (kept columns, one per row)")
@@ -438,7 +425,7 @@ def build_parser():
     sub.set_defaults(func=cmd_saliency)
     _add_common(sub)
 
-    sub = subparsers.add_parser("bench", help="time the pipeline stages per backend")
+    sub = subparsers.add_parser("bench", help="time the pipeline stages")
     registry["bench"] = sub
     sub.add_argument("--cases", type=_cases, default="1000x1000,2000x2000",
                      help="comma separated MxN sizes")
@@ -446,8 +433,6 @@ def build_parser():
     sub.add_argument("--p", type=int, default=2, choices=[1, 2])
     sub.add_argument("--block", type=int, default=256)
     sub.add_argument("--runs", type=int, default=1)
-    sub.add_argument("--backends", type=_names, default=None,
-                     help="subset of numba,numpy (default: all available)")
     sub.add_argument("--csv", default=None)
     sub.set_defaults(func=cmd_bench)
     _add_common(sub)

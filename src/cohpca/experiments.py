@@ -3,7 +3,7 @@
 Every runner is a pure function of its parameters; randomness flows
 from one base seed into per-cell, per-trial sub-streams, so a run is
 reproducible column for column and any single trial can be replayed.
-Runners optionally write CSV files (first line is a "# cohpca <name> v1"
+Runners optionally write CSV files (first line is a "# cohpca <name> v<N>"
 schema comment, then a header row) and, where it makes sense, PGM
 heatmaps.
 """
@@ -51,10 +51,14 @@ __all__ = [
 ]
 
 
+# schema version of each CSV whose columns have changed; the rest are v1
+_SCHEMA_VERSIONS = {"bench": 2}
+
+
 def write_rows_csv(path, tag, header, rows):
     """Write dict rows to CSV with a schema comment line on top."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# cohpca {tag} v1\n")
+        fh.write(f"# cohpca {tag} v{_SCHEMA_VERSIONS.get(tag, 1)}\n")
         writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         for row in rows:
@@ -350,13 +354,13 @@ def saliency(image, patch=10, r=2, q=0.5, p=2):
     return SaliencyResult(grid, out, cropped, basis)
 
 
-def _bench_pipeline(d, r, p, block, backend):
+def _bench_pipeline(d, r, p, block):
     timings = {}
     t0 = time.perf_counter()
     x, _ = normalize_columns(d, strict=False)
     timings["normalize"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    prof = coherence(x, p, block=block, backend=backend)
+    prof = coherence(x, p, block=block)
     timings["coherence"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     picked = greedy_rank_sampling(x, prof, r)
@@ -374,27 +378,16 @@ def run_bench(
     block=kernels.DEFAULT_BLOCK,
     runs=1,
     seed=0,
-    backends=None,
     csv_path=None,
 ):
     """Stage timings of the full pipeline on unstructured data.
 
     ``cases`` lists (m, n) sizes; each gets n1 = n/5 inliers and the
-    rest outliers.  Every available kernel backend runs the identical
-    pipeline on identical data, one row per (case, run, backend, stage),
-    seconds in the last column.  All non-timing columns are
-    deterministic for a fixed seed.
+    rest outliers.  One row per (case, run, stage), seconds in the last
+    column.  All non-timing columns are deterministic for a fixed seed.
     """
-    if backends is None:
-        backends = ("numba", "numpy") if kernels.HAS_NUMBA else ("numpy",)
     if runs < 1:
         raise DataError(f"runs={runs} must be >= 1")
-    if any(bk == "numba" for bk in backends):
-        # trigger jit compilation outside the timed region
-        warm = gen_unstructured(8, 2, 4, 4, seed=(seed, 999)).d
-        x, _ = normalize_columns(warm)
-        coherence(x, p, backend="numba")
-        coherence(x, 1, backend="numba")
     rows = []
     for ci, (m, n) in enumerate(cases):
         n1 = n // 5
@@ -402,24 +395,22 @@ def run_bench(
         r_eff = min(r, n1)
         for run in range(runs):
             ds = gen_unstructured(m, r_eff, n1, n2, seed=(seed, ci, run))
-            for backend in backends:
-                timings = _bench_pipeline(ds.d, r_eff, p, block, backend)
-                for stage, seconds in timings.items():
-                    rows.append(
-                        {
-                            "m": m,
-                            "n": n,
-                            "n1": n1,
-                            "n2": n2,
-                            "r": r_eff,
-                            "p": p,
-                            "block": block,
-                            "run": run,
-                            "backend": backend,
-                            "stage": stage,
-                            "seconds": seconds,
-                        }
-                    )
+            timings = _bench_pipeline(ds.d, r_eff, p, block)
+            for stage, seconds in timings.items():
+                rows.append(
+                    {
+                        "m": m,
+                        "n": n,
+                        "n1": n1,
+                        "n2": n2,
+                        "r": r_eff,
+                        "p": p,
+                        "block": block,
+                        "run": run,
+                        "stage": stage,
+                        "seconds": seconds,
+                    }
+                )
     if csv_path:
         write_rows_csv(csv_path, "bench", list(rows[0]), rows)
     return rows

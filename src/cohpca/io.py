@@ -52,7 +52,7 @@ def read_matrix(path):
         if m < 1 or n < 1:
             raise DataError(f"{path}: dimensions must be positive, got {m} x {n}")
         try:
-            data = np.loadtxt(fh, dtype=np.float64, ndmin=2, max_rows=m)
+            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
         except ValueError as exc:
             raise DataError(f"{path}: unparseable matrix body: {exc}")
     if data.shape != (m, n):

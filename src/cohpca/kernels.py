@@ -1,80 +1,31 @@
-"""Blocked coherence kernels: numba-accelerated with a pure-numpy twin.
+"""Blocked coherence kernel.
 
 The hot loop of the whole package is the column-coherence sum
 
     s(i) = sum_k |x_i' x_k|^p,   p in {1, 2},
 
 which is O(m n^2) and would need an n-by-n Gram matrix if done naively.
-Both backends here walk the Gram in column blocks (peak extra memory
-O(n * block)) and reduce each block on the fly; they differ only in who
-runs the reduction.  Backend choice: the COHPCA_BACKEND environment
-variable ("numba" or "numpy") wins, otherwise numba is used when
-importable.  Both paths produce the same numbers to float64 roundoff,
-which the test suite pins down.
+The kernel walks the Gram in column blocks (peak extra memory
+O(n * block)): one BLAS product per slab, reduced on the fly.
 """
-
-import os
 
 import numpy as np
 
 from .errors import DataError
 
-__all__ = ["DEFAULT_BLOCK", "HAS_NUMBA", "active_backend", "block_power_sums"]
+__all__ = ["DEFAULT_BLOCK", "block_power_sums"]
 
 DEFAULT_BLOCK = 256
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):  # pragma: no cover - trivial shim
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-@njit(cache=True)
-def _power_sums_slab_numba(xbt, x, p):
-    # xbt is one C-contiguous slab of the transposed data
-    g = np.dot(xbt, x)
-    rows, n = g.shape
-    out = np.empty(rows)
-    for k in range(rows):
-        acc = 0.0
-        if p == 1:
-            for j in range(n):
-                acc += abs(g[k, j])
-        else:
-            for j in range(n):
-                acc += g[k, j] * g[k, j]
-        out[k] = acc
-    return out
-
-
-def _power_sums_slab_numpy(xbt, x, p):
+def _power_sums_slab(xbt, x, p):
     g = xbt @ x
     if p == 1:
         return np.abs(g).sum(axis=1)
     return np.einsum("ij,ij->i", g, g)
 
 
-def active_backend(override=None):
-    """Resolve the backend name: explicit override > env var > auto."""
-    choice = override or os.environ.get("COHPCA_BACKEND", "").strip().lower()
-    if choice in ("", "auto"):
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice not in ("numba", "numpy"):
-        raise DataError(f"unknown kernel backend {choice!r}")
-    if choice == "numba" and not HAS_NUMBA:
-        raise DataError("numba backend requested but numba is not importable")
-    return choice
-
-
-def block_power_sums(x, p, block=DEFAULT_BLOCK, backend=None):
+def block_power_sums(x, p, block=DEFAULT_BLOCK):
     """Per-column sums sum_k |x_i' x_k|^p including the k = i self term.
 
     ``x`` is m-by-n with float64 columns; ``p`` must be 1 or 2; ``block``
@@ -88,13 +39,8 @@ def block_power_sums(x, p, block=DEFAULT_BLOCK, backend=None):
     xt = np.ascontiguousarray(x.T)
     n = x.shape[1]
     block = min(int(block), n)
-    slab = (
-        _power_sums_slab_numba
-        if active_backend(backend) == "numba"
-        else _power_sums_slab_numpy
-    )
     out = np.empty(n)
     for lo in range(0, n, block):
         # the slice of a C-contiguous array stays contiguous, no copy
-        out[lo : lo + block] = slab(xt[lo : lo + block], x, p)
+        out[lo : lo + block] = _power_sums_slab(xt[lo : lo + block], x, p)
     return out

@@ -91,7 +91,7 @@ def normalize_columns(d, strict=True):
     return Normalized(x, kept)
 
 
-def coherence(x, p=2, block=kernels.DEFAULT_BLOCK, backend=None):
+def coherence(x, p=2, block=kernels.DEFAULT_BLOCK):
     """Coherence profile of a matrix with unit columns.
 
     ``x`` must already have unit columns (within 1e-8); use
@@ -108,7 +108,7 @@ def coherence(x, p=2, block=kernels.DEFAULT_BLOCK, backend=None):
         raise DataError(
             f"column {bad} has norm {norms[bad]:.12f}; coherence requires unit columns"
         )
-    sums = kernels.block_power_sums(x, p, block=block, backend=backend)
+    sums = kernels.block_power_sums(x, p, block=block)
     return CoherenceProfile(np.maximum(sums - 1.0, 0.0), p)
 
 

@@ -23,7 +23,7 @@ columns than r and truncate by SVD, which is also what the noisy /
 multi-pass variants need.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .errors import DataError, NumericalError
 from .kernels import DEFAULT_BLOCK
 from .linalg import (
     CoherenceProfile,
+    _require_orthonormal,
     coherence,
     normalize_columns,
     orthonormal_basis,
@@ -55,19 +56,36 @@ __all__ = [
 ]
 
 
+# Every strategy's select(x, profile, cfg) returns (picked, basis,
+# unique): the chosen columns of x, the orthonormal span cop returns, and
+# whether that span was determined by the chosen columns alone.
+
+
 @dataclass(frozen=True)
 class GreedyRank:
     rank_tol: float = 1e-10
+
+    def select(self, x, profile, cfg):
+        picked = greedy_rank_sampling(x, profile, cfg.r, self.rank_tol)
+        return _finish_exact(x, picked, cfg.r)
 
 
 @dataclass(frozen=True)
 class TopFraction:
     q: float = 0.5
 
+    def select(self, x, profile, cfg):
+        return _finish_svd(x, top_fraction_sampling(profile, self.q), cfg.r)
+
 
 @dataclass(frozen=True)
 class FixedCount:
     count: int = 20
+
+    def select(self, x, profile, cfg):
+        if self.count < 1:
+            raise DataError(f"column count {self.count} must be >= 1")
+        return _finish_svd(x, _top_k(profile, self.count), cfg.r)
 
 
 @dataclass(frozen=True)
@@ -83,14 +101,17 @@ class Adaptive:
     k: int = 2
     upsilon: float | None = 0.0
 
+    def select(self, x, profile, cfg):
+        picked = adaptive_sampling(x, profile, cfg.r, self.k, self.upsilon, cfg.seed)
+        return _finish_exact(x, picked, cfg.r)
+
 
 @dataclass(frozen=True)
 class CopConfig:
     """Everything cop() needs besides the data.
 
     ``seed`` feeds the sketch of the Adaptive strategy; the other
-    strategies are deterministic.  ``backend`` overrides the coherence
-    kernel choice ("numba"/"numpy", default: COHPCA_BACKEND or auto).
+    strategies are deterministic.
     """
 
     r: int
@@ -98,7 +119,6 @@ class CopConfig:
     strategy: object = GreedyRank()
     block: int = DEFAULT_BLOCK
     seed: int = 0
-    backend: str | None = None
 
 
 @dataclass(frozen=True)
@@ -157,22 +177,19 @@ def top_fraction_sampling(profile, q):
     """
     if not 0.0 < q < 1.0:
         raise DataError(f"fraction q={q} must lie strictly between 0 and 1")
-    values = np.asarray(profile.values)
-    keep = int(np.ceil((1.0 - q) * len(values)))
-    return np.argsort(-values, kind="stable")[:keep]
+    keep = int(np.ceil((1.0 - q) * len(profile.values)))
+    return _top_k(profile, keep)
 
 
-def _fixed_count_sampling(profile, count):
-    if count < 1:
-        raise DataError(f"column count {count} must be >= 1")
-    values = np.asarray(profile.values)
-    return np.argsort(-values, kind="stable")[: min(count, len(values))]
+def _top_k(profile, k):
+    # the k largest values (all of them when k > n), ties to the lower index
+    return np.argsort(-np.asarray(profile.values), kind="stable")[:k]
 
 
 def adaptive_sampling(x, profile, r, k=2, upsilon=0.0, seed=0, phi=None):
     """Sketch-and-deflate selection of r independent columns.
 
-    The data is sketched to k*r dimensions (Gaussian, seeded; pass
+    The data is sketched to k*r <= m dimensions (Gaussian, seeded; pass
     ``phi`` to pin the sketch, e.g. the identity in tests).  Then r
     times: columns whose current sketched norm is at most ``upsilon``
     are retired, the highest-coherence live column is picked (ties to
@@ -182,6 +199,11 @@ def adaptive_sampling(x, profile, r, k=2, upsilon=0.0, seed=0, phi=None):
     """
     if k < 1:
         raise DataError(f"sketch factor k={k} must be >= 1")
+    m = x.shape[0]
+    if k * r > m:
+        raise DataError(
+            f"sketch dimension k*r = {k}*{r} = {k * r} must not exceed m={m}"
+        )
     values = np.array(profile.values, dtype=np.float64, copy=True)
     n = x.shape[1]
     if values.shape != (n,):
@@ -212,26 +234,13 @@ def adaptive_sampling(x, profile, r, k=2, upsilon=0.0, seed=0, phi=None):
     return np.array(picked)
 
 
-def _sample(x, prof, cfg):
-    s = cfg.strategy
-    if isinstance(s, GreedyRank):
-        return greedy_rank_sampling(x, prof, cfg.r, s.rank_tol), "exact"
-    if isinstance(s, TopFraction):
-        return top_fraction_sampling(prof, s.q), "svd"
-    if isinstance(s, FixedCount):
-        return _fixed_count_sampling(prof, s.count), "svd"
-    if isinstance(s, Adaptive):
-        return adaptive_sampling(x, prof, cfg.r, s.k, s.upsilon, cfg.seed), "exact"
-    raise DataError(f"unknown sampling strategy {s!r}")
-
-
 def _finish_exact(x, picked, r):
     basis = orthonormal_basis(x[:, picked])
     if basis.shape[1] != r:
         raise NumericalError(
             f"sampled columns span {basis.shape[1]} dimensions, need r={r}"
         )
-    return basis, True
+    return picked, basis, True
 
 
 def _finish_svd(x, picked, r):
@@ -239,7 +248,23 @@ def _finish_svd(x, picked, r):
     if min(y.shape) < r:
         raise NumericalError(f"sampled set of {y.shape[1]} columns cannot span r={r}")
     top = top_r_singular_subspace(y, r)
-    return top.basis, top.unique
+    return picked, top.basis, top.unique
+
+
+def _profiled(d, cfg, need, shortfall):
+    """Normalize ``d``, drop its numerically zero columns and profile the rest.
+
+    Returns ``(x, kept, dropped, profile)``.  Fewer than ``need`` usable
+    columns raise ``NumericalError`` with ``shortfall.format(count)``,
+    before the kernel runs.
+    """
+    if cfg.r < 1:
+        raise DataError(f"target rank r={cfg.r} must be >= 1")
+    x, kept = normalize_columns(d, strict=False)
+    dropped = np.setdiff1d(np.arange(np.asarray(d).shape[1]), kept)
+    if x.shape[1] < need:
+        raise NumericalError(shortfall.format(x.shape[1]))
+    return x, kept, dropped, coherence(x, cfg.p, block=cfg.block)
 
 
 def cop(d, cfg):
@@ -250,21 +275,12 @@ def cop(d, cfg):
     ``cfg.strategy``, and returns the span of the selection.  Indices in
     the result refer to columns of ``d`` as given.
     """
-    if cfg.r < 1:
-        raise DataError(f"target rank r={cfg.r} must be >= 1")
-    x, kept = normalize_columns(d, strict=False)
-    n_all = np.asarray(d).shape[1]
-    dropped = np.setdiff1d(np.arange(n_all), kept)
-    if x.shape[1] < cfg.r:
-        raise NumericalError(
-            f"only {x.shape[1]} usable columns for target rank r={cfg.r}"
-        )
-    prof = coherence(x, cfg.p, block=cfg.block, backend=cfg.backend)
-    picked, finish = _sample(x, prof, cfg)
-    if finish == "exact":
-        basis, unique = _finish_exact(x, picked, cfg.r)
-    else:
-        basis, unique = _finish_svd(x, picked, cfg.r)
+    if not hasattr(cfg.strategy, "select"):
+        raise DataError(f"unknown sampling strategy {cfg.strategy!r}")
+    x, kept, dropped, prof = _profiled(
+        d, cfg, cfg.r, f"only {{}} usable columns for target rank r={cfg.r}"
+    )
+    picked, basis, unique = cfg.strategy.select(x, prof, cfg)
     return CopResult(basis, kept[picked], prof, dropped, unique)
 
 
@@ -281,16 +297,9 @@ def cop_multipass(d, cfg, h):
         raise DataError("cop_multipass requires an Adaptive strategy")
     if h < 1:
         raise DataError(f"pass count h={h} must be >= 1")
-    if cfg.r < 1:
-        raise DataError(f"target rank r={cfg.r} must be >= 1")
-    x, kept = normalize_columns(d, strict=False)
-    n_all = np.asarray(d).shape[1]
-    dropped = np.setdiff1d(np.arange(n_all), kept)
-    if x.shape[1] < h * cfg.r:
-        raise NumericalError(
-            f"{x.shape[1]} usable columns cannot supply h*r = {h * cfg.r} picks"
-        )
-    prof = coherence(x, cfg.p, block=cfg.block, backend=cfg.backend)
+    x, kept, dropped, prof = _profiled(
+        d, cfg, h * cfg.r, f"{{}} usable columns cannot supply h*r = {h * cfg.r} picks"
+    )
     pool = np.arange(x.shape[1])
     picked_all = []
     s = cfg.strategy
@@ -301,8 +310,7 @@ def cop_multipass(d, cfg, h):
         )
         picked_all.extend(pool[local])
         pool = np.setdiff1d(pool, pool[local])
-    picked_all = np.array(picked_all)
-    basis, unique = _finish_svd(x, picked_all, cfg.r)
+    picked_all, basis, unique = _finish_svd(x, np.array(picked_all), cfg.r)
     return CopResult(basis, kept[picked_all], prof, dropped, unique)
 
 
@@ -322,19 +330,20 @@ def residual_outliers(d, basis, threshold=0.2):
 
     Returns an int array with 0 for inliers and 1 for outliers (the
     labeling convention of the data models).  Columns of numerically
-    zero norm count as outliers.
+    zero norm count as outliers.  ``basis`` must be orthonormal with one
+    row per row of ``d``.
     """
     d = np.asarray(d, dtype=np.float64)
     if not 0.0 <= threshold:
         raise DataError(f"threshold {threshold} must be >= 0")
+    basis = _require_orthonormal(basis, "basis")
+    if basis.shape[0] != d.shape[0]:
+        raise DataError(
+            f"basis rows {basis.shape[0]} do not match data rows {d.shape[0]}"
+        )
     norms = np.linalg.norm(d, axis=0)
     resid = np.linalg.norm(d - basis @ (basis.T @ d), axis=0)
     out = np.ones(d.shape[1], dtype=np.int64)
     alive = norms > 1e-14
     out[alive] = (resid[alive] / norms[alive] > threshold).astype(np.int64)
     return out
-
-
-def with_strategy(cfg, strategy):
-    """Convenience: copy of ``cfg`` with a different sampling strategy."""
-    return replace(cfg, strategy=strategy)

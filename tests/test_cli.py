@@ -149,8 +149,8 @@ def test_saliency_round_trip(tmp_path, capsys):
 
 def test_bench_runs_on_one_backend(tmp_path, capsys):
     assert run("bench", "--cases", "30x40", "--r", 3, "--runs", 1,
-               "--backends", "numpy", "--csv", tmp_path / "b.csv") == 0
-    assert "30x40 numpy" in capsys.readouterr().out
+               "--csv", tmp_path / "b.csv") == 0
+    assert "30x40: pipeline" in capsys.readouterr().out
 
 
 def test_check_condition_report(tmp_path, capsys):

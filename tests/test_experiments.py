@@ -217,25 +217,16 @@ def test_saliency_degenerate_images():
 def test_bench_row_structure(tmp_path):
     csv_path = tmp_path / "bench.csv"
     rows = run_bench(
-        cases=((40, 50),), r=3, runs=2, seed=0, backends=("numpy",),
-        csv_path=csv_path,
+        cases=((40, 50),), r=3, runs=2, seed=0, csv_path=csv_path,
     )
-    assert len(rows) == 2 * 1 * 4  # runs x backends x stages
+    assert len(rows) == 2 * 4  # runs x stages
     stages = {row["stage"] for row in rows}
     assert stages == {"normalize", "coherence", "sampling", "basis"}
     for row in rows:
-        assert row["backend"] == "numpy"
         assert row["seconds"] >= 0.0
         assert (row["m"], row["n"], row["n1"], row["n2"]) == (40, 50, 10, 40)
     schema, _ = read_csv_rows(csv_path)
-    assert schema == "# cohpca bench v1"
-
-
-def test_bench_runs_both_backends_by_default():
-    rows = run_bench(cases=((20, 30),), r=2, runs=1, seed=0)
-    backends = {row["backend"] for row in rows}
-    assert "numpy" in backends  # numba joins when importable
-    assert len(rows) == 4 * len(backends)
+    assert schema == "# cohpca bench v2"
 
 
 def test_bench_validation():

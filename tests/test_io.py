@@ -65,6 +65,13 @@ def test_matrix_reader_rejects_malformed_files(tmp_path):
             read_matrix(path)
 
 
+def test_matrix_reader_rejects_rows_beyond_the_header(tmp_path):
+    path = tmp_path / "extra-rows.txt"
+    path.write_text("2 2\n1 2\n3 4\n5 6\n")
+    with pytest.raises(DataError, match=r"body shape \(3, 2\) does not match"):
+        read_matrix(path)
+
+
 def test_matrix_reader_reports_the_path(tmp_path):
     path = tmp_path / "named.txt"
     path.write_text("bogus\n")

@@ -45,12 +45,9 @@ def test_oracle_identical_columns():
 
 
 @pytest.mark.parametrize("p", [1, 2])
-@pytest.mark.parametrize("backend", ["numpy", "numba"])
-def test_block_power_sums_match_oracle(p, backend):
-    if backend == "numba" and not kernels.HAS_NUMBA:
-        pytest.skip("numba not importable")
+def test_block_power_sums_match_oracle(p):
     x = unit_columns(7, 23, seed=1)
-    got = kernels.block_power_sums(x, p, block=5, backend=backend)
+    got = kernels.block_power_sums(x, p, block=5)
     # the kernel includes the self term, which is exactly 1 for unit columns
     want = naive_coherence(x, p) + 1.0
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -66,26 +63,9 @@ def test_block_power_sums_match_oracle(p, backend):
 )
 def test_block_size_never_changes_the_result(m, n, block, p, seed):
     x = unit_columns(m, n, seed)
-    full = kernels.block_power_sums(x, p, block=n, backend="numpy")
-    blocked = kernels.block_power_sums(x, p, block=block, backend="numpy")
+    full = kernels.block_power_sums(x, p, block=n)
+    blocked = kernels.block_power_sums(x, p, block=block)
     np.testing.assert_allclose(blocked, full, rtol=0, atol=1e-12)
-
-
-@settings(max_examples=20, deadline=None)
-@given(
-    m=st.integers(2, 12),
-    n=st.integers(1, 30),
-    block=st.integers(1, 40),
-    p=st.sampled_from([1, 2]),
-    seed=st.integers(0, 10_000),
-)
-def test_backends_agree(m, n, block, p, seed):
-    if not kernels.HAS_NUMBA:
-        pytest.skip("numba not importable")
-    x = unit_columns(m, n, seed)
-    a = kernels.block_power_sums(x, p, block=block, backend="numba")
-    b = kernels.block_power_sums(x, p, block=block, backend="numpy")
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
 
 def test_non_contiguous_and_float32_inputs_are_handled():
@@ -113,28 +93,3 @@ def test_invalid_power_and_block_are_rejected():
         kernels.block_power_sums(x, 3)
     with pytest.raises(DataError):
         kernels.block_power_sums(x, 1, block=0)
-
-
-def test_active_backend_resolution(monkeypatch):
-    monkeypatch.delenv("COHPCA_BACKEND", raising=False)
-    auto = kernels.active_backend()
-    assert auto == ("numba" if kernels.HAS_NUMBA else "numpy")
-    monkeypatch.setenv("COHPCA_BACKEND", "numpy")
-    assert kernels.active_backend() == "numpy"
-    assert kernels.active_backend("numpy") == "numpy"
-    monkeypatch.setenv("COHPCA_BACKEND", "auto")
-    assert kernels.active_backend() == auto
-    monkeypatch.setenv("COHPCA_BACKEND", "bogus")
-    with pytest.raises(DataError):
-        kernels.active_backend()
-
-
-def test_explicit_override_beats_environment(monkeypatch):
-    monkeypatch.setenv("COHPCA_BACKEND", "numpy")
-    x = unit_columns(5, 6, seed=6)
-    # the override is honored: numpy env + numpy override both fine
-    out = kernels.block_power_sums(x, 2, backend="numpy")
-    assert out.shape == (6,)
-    if not kernels.HAS_NUMBA:
-        with pytest.raises(DataError):
-            kernels.block_power_sums(x, 2, backend="numba")

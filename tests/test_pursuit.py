@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohpca import pursuit
 from cohpca.errors import DataError, NumericalError
 from cohpca.linalg import CoherenceProfile, coherence, normalize_columns, recovery_error
 from cohpca.models import gen_noisy, gen_unstructured, sigma_for_tau
@@ -20,7 +21,6 @@ from cohpca.pursuit import (
     residual_outliers,
     spca,
     top_fraction_sampling,
-    with_strategy,
 )
 
 
@@ -144,6 +144,15 @@ def test_adaptive_auto_threshold_and_validation():
         adaptive_sampling(x, prof, r=3, upsilon=-1.0)
 
 
+def test_adaptive_sketch_larger_than_m_is_rejected():
+    ds = gen_unstructured(5, 2, 10, 10, seed=13)
+    cfg = CopConfig(r=2, strategy=Adaptive(k=3))
+    with pytest.raises(DataError, match=r"k\*r = 3\*2 = 6 must not exceed m=5"):
+        cop(ds.d, cfg)
+    with pytest.raises(DataError, match=r"k\*r = 3\*2 = 6 must not exceed m=5"):
+        cop_multipass(ds.d, cfg, h=2)
+
+
 def test_adaptive_is_deterministic_per_seed():
     ds = gen_unstructured(40, 3, 25, 80, seed=3)
     x, _ = normalize_columns(ds.d)
@@ -193,6 +202,16 @@ def test_cop_rejects_unusable_setups():
         cop(ds.d, CopConfig(r=2, strategy="greedy"))
 
 
+def test_cop_rejects_a_non_strategy_before_the_kernel(monkeypatch):
+    def kernel_must_not_run(*args, **kwargs):
+        raise AssertionError("coherence ran before the strategy was checked")
+
+    monkeypatch.setattr(pursuit, "coherence", kernel_must_not_run)
+    ds = gen_unstructured(10, 2, 5, 0, seed=6)
+    with pytest.raises(DataError, match="strategy"):
+        cop(ds.d, CopConfig(r=2, strategy="greedy"))
+
+
 def test_cop_flags_non_unique_svd_truncation():
     # two orthogonal columns with equal weight: sigma_1 = sigma_2, so a
     # rank-1 truncation is not determined by the data
@@ -208,14 +227,6 @@ def test_cop_profile_matches_direct_computation():
     x, _ = normalize_columns(ds.d)
     np.testing.assert_allclose(res.profile.values, coherence(x, 1).values, atol=1e-12)
     assert res.profile.p == 1
-
-
-def test_with_strategy_replaces_only_the_strategy():
-    cfg = CopConfig(r=5, p=1, seed=9)
-    new = with_strategy(cfg, FixedCount(count=3))
-    assert new.strategy == FixedCount(count=3)
-    assert (new.r, new.p, new.seed) == (5, 1, 9)
-    assert cfg.strategy == GreedyRank()
 
 
 @settings(max_examples=15, deadline=None)
@@ -297,6 +308,14 @@ def test_residual_outliers_frozen_case():
     assert residual_outliers(d, basis, threshold=0.8).tolist() == [0, 0, 0, 1]
     with pytest.raises(DataError):
         residual_outliers(d, basis, threshold=-0.1)
+
+
+def test_residual_outliers_validates_the_basis():
+    d = np.column_stack([E[:, 0], E[:, 1]])
+    with pytest.raises(DataError, match="basis rows 3 do not match data rows 4"):
+        residual_outliers(d, np.eye(3)[:, :2])
+    with pytest.raises(DataError, match="orthonormal"):
+        residual_outliers(d, 2.0 * E[:, :2])
 
 
 def test_residual_outliers_recovers_model_labels():
