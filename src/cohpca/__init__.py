@@ -9,7 +9,7 @@ and structured corruption regimes.
 
 from .errors import DataError, NumericalError
 from .rng import stream
-from .kernels import DEFAULT_BLOCK, block_power_sums
+from .kernels import block_power_sums
 from .linalg import (
     CoherenceProfile,
     Normalized,
@@ -87,7 +87,6 @@ __all__ = [
     "DataError",
     "NumericalError",
     "stream",
-    "DEFAULT_BLOCK",
     "block_power_sums",
     "CoherenceProfile",
     "Normalized",

@@ -141,10 +141,9 @@ def cmd_cop(ns):
         r=ns.r,
         p=ns.p,
         strategy=_build_strategy(ns),
-        block=ns.block,
         seed=ns.seed,
     )
-    if ns.passes > 1:
+    if ns.passes != 1:
         res = cop_multipass(d, cfg, ns.passes)
     else:
         res = cop(d, cfg)
@@ -253,7 +252,6 @@ def cmd_bench(ns):
         cases=ns.cases,
         r=ns.r,
         p=ns.p,
-        block=ns.block,
         runs=ns.runs,
         seed=ns.seed,
         csv_path=ns.csv,
@@ -346,7 +344,6 @@ def build_parser():
                      help="residual tolerance for greedy")
     sub.add_argument("--passes", type=int, default=1,
                      help="adaptive rounds to pool before the final truncation")
-    sub.add_argument("--block", type=int, default=256, help="kernel block size")
     sub.add_argument("--basis-out", required=True, help="recovered basis file")
     sub.add_argument("--profile-out", default=None,
                      help="coherence profile file (kept columns, one per row)")
@@ -431,7 +428,6 @@ def build_parser():
                      help="comma separated MxN sizes")
     sub.add_argument("--r", type=int, default=10)
     sub.add_argument("--p", type=int, default=2, choices=[1, 2])
-    sub.add_argument("--block", type=int, default=256)
     sub.add_argument("--runs", type=int, default=1)
     sub.add_argument("--csv", default=None)
     sub.set_defaults(func=cmd_bench)

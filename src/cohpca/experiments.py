@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .errors import DataError, NumericalError
 from .linalg import coherence, normalize_columns, orthonormal_basis, recovery_error
 from .models import (
@@ -52,7 +51,7 @@ __all__ = [
 
 
 # schema version of each CSV whose columns have changed; the rest are v1
-_SCHEMA_VERSIONS = {"bench": 2}
+_SCHEMA_VERSIONS = {"bench": 3}
 
 
 def write_rows_csv(path, tag, header, rows):
@@ -63,6 +62,13 @@ def write_rows_csv(path, tag, header, rows):
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
+
+
+def _nonempty(name, values):
+    values = tuple(values)
+    if not values:
+        raise DataError(f"{name} must hold at least one value")
+    return values
 
 
 @dataclass(frozen=True)
@@ -104,8 +110,8 @@ def run_phase_transition(
     value, and pixel round(255 * fraction), so 255 means every trial
     succeeded.
     """
-    n1_over_r = tuple(n1_over_r)
-    n2_over_m = tuple(n2_over_m)
+    n1_over_r = _nonempty("n1_over_r", n1_over_r)
+    n2_over_m = _nonempty("n2_over_m", n2_over_m)
     if trials < 1:
         raise DataError(f"trials={trials} must be >= 1")
     cfg = CopConfig(r=r, p=p, strategy=FixedCount(count))
@@ -171,6 +177,7 @@ def run_noise_sweep(
         raise DataError("the sweep needs at least one outlier column")
     if seeds < 1:
         raise DataError(f"seeds={seeds} must be >= 1")
+    taus = _nonempty("taus", taus)
     rows = []
     for ti, tau in enumerate(taus):
         sigma = sigma_for_tau(tau)
@@ -222,6 +229,7 @@ def run_structured_sweep(
     """
     if seeds < 1:
         raise DataError(f"seeds={seeds} must be >= 1")
+    mus = _nonempty("mus", mus)
     cfg = CopConfig(r=r, p=p, strategy=GreedyRank())
     rows = []
     for mi, mu in enumerate(mus):
@@ -265,6 +273,8 @@ def run_cluster_correction(
         raise DataError("the correction loop fits one common rank; dims must be equal")
     if not 0.0 <= corruption < 1.0:
         raise DataError(f"corruption={corruption} must lie in [0, 1)")
+    if seeds < 1:
+        raise DataError(f"seeds={seeds} must be >= 1")
     r = dims[0]
     n = int(sum(sizes))
     n_clusters = len(dims)
@@ -354,13 +364,13 @@ def saliency(image, patch=10, r=2, q=0.5, p=2):
     return SaliencyResult(grid, out, cropped, basis)
 
 
-def _bench_pipeline(d, r, p, block):
+def _bench_pipeline(d, r, p):
     timings = {}
     t0 = time.perf_counter()
     x, _ = normalize_columns(d, strict=False)
     timings["normalize"] = time.perf_counter() - t0
     t0 = time.perf_counter()
-    prof = coherence(x, p, block=block)
+    prof = coherence(x, p)
     timings["coherence"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     picked = greedy_rank_sampling(x, prof, r)
@@ -375,7 +385,6 @@ def run_bench(
     cases=((1000, 1000), (2000, 2000)),
     r=10,
     p=2,
-    block=kernels.DEFAULT_BLOCK,
     runs=1,
     seed=0,
     csv_path=None,
@@ -388,6 +397,7 @@ def run_bench(
     """
     if runs < 1:
         raise DataError(f"runs={runs} must be >= 1")
+    cases = _nonempty("cases", cases)
     rows = []
     for ci, (m, n) in enumerate(cases):
         n1 = n // 5
@@ -395,7 +405,7 @@ def run_bench(
         r_eff = min(r, n1)
         for run in range(runs):
             ds = gen_unstructured(m, r_eff, n1, n2, seed=(seed, ci, run))
-            timings = _bench_pipeline(ds.d, r_eff, p, block)
+            timings = _bench_pipeline(ds.d, r_eff, p)
             for stage, seconds in timings.items():
                 rows.append(
                     {
@@ -405,7 +415,6 @@ def run_bench(
                         "n2": n2,
                         "r": r_eff,
                         "p": p,
-                        "block": block,
                         "run": run,
                         "stage": stage,
                         "seconds": seconds,

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import numpy as np
 from scipy.integrate import quad
 
 from .errors import DataError

@@ -91,15 +91,15 @@ def normalize_columns(d, strict=True):
     return Normalized(x, kept)
 
 
-def coherence(x, p=2, block=kernels.DEFAULT_BLOCK):
+def coherence(x, p=2):
     """Coherence profile of a matrix with unit columns.
 
     ``x`` must already have unit columns (within 1e-8); use
     ``normalize_columns`` first.  The Gram matrix is never materialized:
-    the kernel walks it in column blocks of width ``block``, so peak
-    extra memory is O(n * block).  The diagonal self term is excluded by
-    subtraction, and tiny negative results of that subtraction are
-    clamped to zero.
+    ``kernels.block_power_sums`` walks it in slabs of ``kernels.BLOCK``
+    rows, so peak extra memory is O(n * BLOCK).  The diagonal self term,
+    1 for a unit column, is excluded by subtraction, and tiny negative
+    results of that subtraction are clamped to zero.
     """
     x = _as_matrix(x)
     norms = np.linalg.norm(x, axis=0)
@@ -108,25 +108,21 @@ def coherence(x, p=2, block=kernels.DEFAULT_BLOCK):
         raise DataError(
             f"column {bad} has norm {norms[bad]:.12f}; coherence requires unit columns"
         )
-    sums = kernels.block_power_sums(x, p, block=block)
+    sums = kernels.block_power_sums(x, p)
     return CoherenceProfile(np.maximum(sums - 1.0, 0.0), p)
 
 
 def coherence_gram(d, p=2):
-    """Coherence profile straight from the full Gram matrix.
+    """Coherence profile of raw, unnormalized columns.
 
-    Reference implementation: forms G = D'D, zeroes the diagonal, sums
-    |G|^p down each column.  Columns need not be normalized, which is
-    what the recovery-condition validators require; memory is O(n^2), so
-    keep it to moderate n.
+    The form the recovery-condition validators need.  It runs on the same
+    blocked kernel as ``coherence``, subtracting the self term
+    ||d_i||^(2p) in place of 1, with the same clamp at zero.
     """
     d = _as_matrix(d)
-    if p not in (1, 2):
-        raise DataError(f"power p must be 1 or 2, got {p}")
-    g = d.T @ d
-    np.fill_diagonal(g, 0.0)
-    vals = np.abs(g).sum(axis=0) if p == 1 else (g * g).sum(axis=0)
-    return CoherenceProfile(vals, p)
+    sums = kernels.block_power_sums(d, p)
+    own = np.einsum("ij,ij->j", d, d) ** p
+    return CoherenceProfile(np.maximum(sums - own, 0.0), p)
 
 
 def orthonormal_basis(y, tol=RANK_REL_TOL):

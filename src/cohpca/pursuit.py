@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .kernels import DEFAULT_BLOCK
 from .linalg import (
     CoherenceProfile,
     _require_orthonormal,
@@ -83,8 +82,8 @@ class FixedCount:
     count: int = 20
 
     def select(self, x, profile, cfg):
-        if self.count < 1:
-            raise DataError(f"column count {self.count} must be >= 1")
+        if self.count < cfg.r:
+            raise DataError(f"column count {self.count} must be >= r={cfg.r}")
         return _finish_svd(x, _top_k(profile, self.count), cfg.r)
 
 
@@ -117,7 +116,6 @@ class CopConfig:
     r: int
     p: int = 2
     strategy: object = GreedyRank()
-    block: int = DEFAULT_BLOCK
     seed: int = 0
 
 
@@ -146,6 +144,8 @@ def greedy_rank_sampling(x, profile, r, rank_tol=1e-10):
     norm.  Ties in coherence break toward the lower index.  Raises when
     the candidates are exhausted before r picks.
     """
+    if not rank_tol >= 0:
+        raise DataError(f"rank tolerance rank_tol={rank_tol} must be >= 0")
     values = np.asarray(profile.values, dtype=np.float64)
     n = x.shape[1]
     if values.shape != (n,):
@@ -212,7 +212,7 @@ def adaptive_sampling(x, profile, r, k=2, upsilon=0.0, seed=0, phi=None):
     norms0 = np.linalg.norm(sketch, axis=0)
     if upsilon is None:
         upsilon = 0.2 * float(np.median(norms0))
-    if upsilon < 0:
+    if not upsilon >= 0:
         raise DataError(f"threshold upsilon={upsilon} must be >= 0")
     picked = []
     for _ in range(r):
@@ -264,7 +264,7 @@ def _profiled(d, cfg, need, shortfall):
     dropped = np.setdiff1d(np.arange(np.asarray(d).shape[1]), kept)
     if x.shape[1] < need:
         raise NumericalError(shortfall.format(x.shape[1]))
-    return x, kept, dropped, coherence(x, cfg.p, block=cfg.block)
+    return x, kept, dropped, coherence(x, cfg.p)
 
 
 def cop(d, cfg):
@@ -293,10 +293,10 @@ def cop_multipass(d, cfg, h):
     computed once up front.  Requires an Adaptive strategy and h*r
     available columns.
     """
-    if not isinstance(cfg.strategy, Adaptive):
-        raise DataError("cop_multipass requires an Adaptive strategy")
     if h < 1:
         raise DataError(f"pass count h={h} must be >= 1")
+    if not isinstance(cfg.strategy, Adaptive):
+        raise DataError("cop_multipass requires an Adaptive strategy")
     x, kept, dropped, prof = _profiled(
         d, cfg, h * cfg.r, f"{{}} usable columns cannot supply h*r = {h * cfg.r} picks"
     )

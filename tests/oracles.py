@@ -28,6 +28,18 @@ def naive_coherence(x, p):
     return out
 
 
+def gram_coherence(d, p):
+    """Per-column coherence of raw columns from the full n-by-n Gram matrix.
+
+    Forms G = D'D in one product, zeroes the diagonal and sums |G|^p down
+    each column: O(n^2) memory, so keep n moderate.
+    """
+    d = np.asarray(d, dtype=np.float64)
+    g = d.T @ d
+    np.fill_diagonal(g, 0.0)
+    return np.abs(g).sum(axis=0) if p == 1 else (g * g).sum(axis=0)
+
+
 def subspace_distance(u, v):
     """Relative distance of span(u) from span(v) via explicit least squares."""
     total = 0.0

@@ -96,6 +96,49 @@ def test_rank_collapse_exits_2_and_names_the_failure(tmp_path, capsys):
     assert "need r=5" in err
 
 
+def test_cop_rejects_a_pass_count_below_1(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    run("gen", "--model", "unstructured", "--m", 20, "--r", 2, "--n1", 10,
+        "--n2", 10, "--out", data)
+    for passes in (0, -3):
+        capsys.readouterr()
+        assert run("cop", "--in", data, "--r", 2, "--passes", passes,
+                   "--basis-out", tmp_path / "b.txt") == 1
+        assert f"pass count h={passes} must be >= 1" in capsys.readouterr().err
+
+
+def test_impossible_strategy_parameters_exit_1(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    run("gen", "--model", "unstructured", "--m", 20, "--r", 2, "--n1", 10,
+        "--n2", 10, "--out", data)
+    cases = [
+        (("--rank-tol", "nan"), "rank_tol"),
+        (("--rank-tol", "-1"), "rank_tol"),
+        (("--strategy", "adaptive", "--upsilon", "nan"), "upsilon"),
+        (("--strategy", "fixed-count", "--count", 1), "count"),
+    ]
+    for flags, name in cases:
+        capsys.readouterr()
+        assert run("cop", "--in", data, "--r", 2, *flags,
+                   "--basis-out", tmp_path / "b.txt") == 1, flags
+        assert name in capsys.readouterr().err
+
+
+def test_empty_experiment_grids_exit_1(tmp_path, capsys):
+    csv_path = tmp_path / "out.csv"
+    cases = [
+        (("phase", "--n1-over-r", "", "--csv", csv_path), "n1_over_r"),
+        (("phase", "--n2-over-m", "", "--pgm", tmp_path / "out.pgm"), "n2_over_m"),
+        (("noise-sweep", "--taus", "", "--csv", csv_path), "taus"),
+        (("structured-sweep", "--mus", "", "--csv", csv_path), "mus"),
+        (("cluster-correct", "--seeds", 0, "--csv", csv_path), "seeds"),
+    ]
+    for args, name in cases:
+        capsys.readouterr()
+        assert run(*args) == 1, args
+        assert name in capsys.readouterr().err
+
+
 def test_help_exits_0(capsys):
     assert run("--help") == 0
     assert "cohpca" in capsys.readouterr().out

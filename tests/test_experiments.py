@@ -65,16 +65,20 @@ def test_phase_writes_csv_and_pgm(tmp_path):
 
 
 def test_phase_failure_names_the_cell():
-    # count=2 kept columns cannot span r=3
-    with pytest.raises(NumericalError, match=r"phase cell n1/r=1 n2/m=0 trial=0"):
+    # n1 = round(0.5 * 3) = 2 columns and no outliers cannot span r=3
+    with pytest.raises(NumericalError, match=r"phase cell n1/r=0.5 n2/m=0 trial=0"):
         run_phase_transition(
-            m=10, r=3, n1_over_r=(1,), n2_over_m=(0,), trials=1, count=2
+            m=10, r=3, n1_over_r=(0.5,), n2_over_m=(0,), trials=1, count=9
         )
 
 
 def test_phase_rejects_bad_trials():
     with pytest.raises(DataError):
         run_phase_transition(trials=0)
+    with pytest.raises(DataError, match="n1_over_r"):
+        run_phase_transition(n1_over_r=())
+    with pytest.raises(DataError, match="n2_over_m"):
+        run_phase_transition(n2_over_m=())
 
 
 # ---- noise sweep ----
@@ -99,6 +103,8 @@ def test_noise_sweep_validation():
         run_noise_sweep((0.5,), n2=0)
     with pytest.raises(DataError):
         run_noise_sweep((0.5,), seeds=0)
+    with pytest.raises(DataError, match="taus"):
+        run_noise_sweep(())
 
 
 # ---- structured sweep ----
@@ -118,6 +124,13 @@ def test_structured_sweep_recovers_exactly(tmp_path):
     assert schema == "# cohpca structured-sweep v1"
     assert [r["mu"] for r in back] == ["5.0"] * 3 + ["0.5"] * 3
     assert "error_spca" in back[0]
+
+
+def test_structured_sweep_validation():
+    with pytest.raises(DataError, match="seeds"):
+        run_structured_sweep((5.0,), seeds=0)
+    with pytest.raises(DataError, match="mus"):
+        run_structured_sweep(())
 
 
 # ---- cluster correction ----
@@ -150,6 +163,8 @@ def test_cluster_correction_validation():
         run_cluster_correction(corruption=1.0, seeds=1)
     with pytest.raises(DataError, match="corruption"):
         run_cluster_correction(corruption=-0.1, seeds=1)
+    with pytest.raises(DataError, match="seeds"):
+        run_cluster_correction(seeds=0)
 
 
 # ---- saliency ----
@@ -226,12 +241,15 @@ def test_bench_row_structure(tmp_path):
         assert row["seconds"] >= 0.0
         assert (row["m"], row["n"], row["n1"], row["n2"]) == (40, 50, 10, 40)
     schema, _ = read_csv_rows(csv_path)
-    assert schema == "# cohpca bench v2"
+    assert "block" not in rows[0]
+    assert schema == "# cohpca bench v3"
 
 
 def test_bench_validation():
     with pytest.raises(DataError):
         run_bench(cases=((20, 30),), runs=0)
+    with pytest.raises(DataError, match="cases"):
+        run_bench(cases=())
 
 
 # ---- csv writer ----

@@ -1,4 +1,4 @@
-"""Blocked kernel against the hand-verified double-loop oracle."""
+"""Blocked kernel against the hand-verified double-loop and full-Gram oracles."""
 
 import math
 
@@ -8,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from cohpca import kernels
 from cohpca.errors import DataError
+from cohpca.linalg import coherence, coherence_gram
 
-from oracles import naive_coherence
+from oracles import gram_coherence, naive_coherence
 
 
 def unit_columns(m, n, seed):
@@ -47,7 +48,7 @@ def test_oracle_identical_columns():
 @pytest.mark.parametrize("p", [1, 2])
 def test_block_power_sums_match_oracle(p):
     x = unit_columns(7, 23, seed=1)
-    got = kernels.block_power_sums(x, p, block=5)
+    got = kernels.block_power_sums(x, p)
     # the kernel includes the self term, which is exactly 1 for unit columns
     want = naive_coherence(x, p) + 1.0
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
@@ -56,40 +57,40 @@ def test_block_power_sums_match_oracle(p):
 @settings(max_examples=20, deadline=None)
 @given(
     m=st.integers(2, 12),
-    n=st.integers(1, 30),
-    block=st.integers(1, 40),
+    slabs=st.integers(0, 2),
+    tail=st.integers(1, kernels.BLOCK),
     p=st.sampled_from([1, 2]),
     seed=st.integers(0, 10_000),
 )
-def test_block_size_never_changes_the_result(m, n, block, p, seed):
+def test_every_slab_walk_matches_the_gram_oracle(m, slabs, tail, p, seed):
+    # one, two or three slabs; the last one is ragged unless tail == BLOCK
+    n = slabs * kernels.BLOCK + tail
     x = unit_columns(m, n, seed)
-    full = kernels.block_power_sums(x, p, block=n)
-    blocked = kernels.block_power_sums(x, p, block=block)
-    np.testing.assert_allclose(blocked, full, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        coherence(x, p).values, gram_coherence(x, p), rtol=0, atol=1e-12 * n
+    )
+    # raw columns with norms from 1e-4 to 1e4; the rounding of any Gram
+    # route is bounded relative to ||d_i||^p * sum_k ||d_k||^p, not to the
+    # value itself, which is tiny for a column nearly orthogonal to the rest
+    d = x * 10.0 ** np.random.default_rng(seed).uniform(-4.0, 4.0, n)
+    scale = np.linalg.norm(d, axis=0) ** p
+    err = np.abs(coherence_gram(d, p).values - gram_coherence(d, p))
+    assert np.all(err <= 1e-12 * scale * scale.sum())
 
 
 def test_non_contiguous_and_float32_inputs_are_handled():
     x = unit_columns(9, 40, seed=2)
     strided = np.asfortranarray(x)[:, ::2]
     renorm = strided / np.linalg.norm(strided, axis=0)
-    got = kernels.block_power_sums(renorm, 2, block=3)
-    want = kernels.block_power_sums(np.ascontiguousarray(renorm), 2, block=3)
+    got = kernels.block_power_sums(renorm, 2)
+    want = kernels.block_power_sums(np.ascontiguousarray(renorm), 2)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
     x32 = unit_columns(6, 8, seed=3).astype(np.float32)
     out = kernels.block_power_sums(x32, 1)
     assert out.dtype == np.float64
 
 
-def test_block_larger_than_n_is_clamped():
-    x = unit_columns(5, 4, seed=4)
-    a = kernels.block_power_sums(x, 2, block=1000)
-    b = kernels.block_power_sums(x, 2, block=4)
-    np.testing.assert_allclose(a, b, rtol=0, atol=1e-15)
-
-
-def test_invalid_power_and_block_are_rejected():
+def test_invalid_power_is_rejected():
     x = unit_columns(4, 4, seed=5)
     with pytest.raises(DataError):
         kernels.block_power_sums(x, 3)
-    with pytest.raises(DataError):
-        kernels.block_power_sums(x, 1, block=0)

@@ -1,6 +1,7 @@
 """Numeric core: normalization, coherence, bases, recovery error."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ def test_coherence_requires_unit_columns():
 def test_coherence_matches_oracle(p):
     x, _ = normalize_columns(random_matrix(8, 21, seed=0))
     want = naive_coherence(x, p)
-    np.testing.assert_allclose(coherence(x, p, block=4).values, want, atol=1e-10)
+    np.testing.assert_allclose(coherence(x, p).values, want, atol=1e-10)
     np.testing.assert_allclose(coherence_gram(x, p).values, want, atol=1e-10)
 
 
@@ -91,6 +92,18 @@ def test_coherence_gram_accepts_unnormalized_columns():
     np.testing.assert_allclose(
         coherence_gram(d, 1).values, naive_coherence(d, 1), atol=1e-9
     )
+
+
+def test_coherence_gram_never_forms_the_gram_matrix():
+    n = 5000
+    d = random_matrix(20, n, seed=3)
+    tracemalloc.start()
+    try:
+        coherence_gram(d, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 4, f"peak {peak / 1e6:.0f} MB"
 
 
 def test_coherence_values_are_non_negative_and_profile_checks_p():

@@ -75,6 +75,13 @@ def test_greedy_validates_input():
         greedy_rank_sampling(x, profile([1.0, 2.0]), r=5)
 
 
+def test_greedy_rejects_a_nan_or_negative_rank_tol():
+    x = np.column_stack([E[:, 0], E[:, 1]])
+    for tol in (np.nan, -1e-10):
+        with pytest.raises(DataError, match="rank_tol"):
+            greedy_rank_sampling(x, profile([2.0, 1.0]), r=1, rank_tol=tol)
+
+
 # ---- top fraction / fixed count ----
 
 
@@ -100,6 +107,12 @@ def test_fixed_count_via_cop_caps_at_n():
     assert len(res.sampled) == 10
     with pytest.raises(DataError):
         cop(ds.d, CopConfig(r=2, strategy=FixedCount(count=0)))
+
+
+def test_fixed_count_below_r_is_a_parameter_error():
+    ds = gen_unstructured(20, 2, 10, 0, seed=0)
+    with pytest.raises(DataError, match="column count 1 must be >= r=2"):
+        cop(ds.d, CopConfig(r=2, strategy=FixedCount(count=1)))
 
 
 # ---- adaptive sampling ----
@@ -142,6 +155,12 @@ def test_adaptive_auto_threshold_and_validation():
         adaptive_sampling(x, prof, r=3, k=0)
     with pytest.raises(DataError):
         adaptive_sampling(x, prof, r=3, upsilon=-1.0)
+
+
+def test_adaptive_rejects_a_nan_upsilon():
+    x = np.column_stack([E[:, 0], E[:, 1]])
+    with pytest.raises(DataError, match="upsilon"):
+        adaptive_sampling(x, profile([2.0, 1.0]), r=2, upsilon=np.nan, phi=np.eye(4))
 
 
 def test_adaptive_sketch_larger_than_m_is_rejected():
