@@ -11,9 +11,9 @@ Cluster labels are integers 0..L-1 throughout.
 """
 
 from dataclasses import dataclass
-from itertools import permutations
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, NumericalError
 from .pursuit import CopConfig, TopFraction, cop
@@ -26,15 +26,13 @@ __all__ = [
     "correct_clustering",
 ]
 
-MAX_EXHAUSTIVE_CLUSTERS = 8
 
-
-def assign_to_subspaces(d, bases, strict=True, fallback=None):
+def assign_to_subspaces(d, bases, fallback=None):
     """Assign every column to the basis it projects onto most strongly.
 
-    Scores are ||U_k' x||_2; ties go to the lowest cluster id.  Columns
-    of numerically zero norm are an error in strict mode; in lenient
-    mode they keep their ``fallback`` label, which must then be given.
+    Scores are ||U_k' x||_2; ties go to the lowest cluster id.  A column
+    of numerically zero norm keeps its label from ``fallback`` (one label
+    per column); without ``fallback`` it is an error that names it.
     """
     d = np.asarray(d, dtype=np.float64)
     if not bases:
@@ -43,10 +41,8 @@ def assign_to_subspaces(d, bases, strict=True, fallback=None):
     labels = np.argmax(scores, axis=0)
     dead = np.linalg.norm(d, axis=0) <= 1e-14
     if np.any(dead):
-        if strict:
-            raise DataError(f"column {int(np.flatnonzero(dead)[0])} has zero norm")
         if fallback is None:
-            raise DataError("lenient assignment needs fallback labels")
+            raise DataError(f"column {int(np.flatnonzero(dead)[0])} has zero norm, no fallback")
         labels[dead] = np.asarray(fallback)[dead]
     return labels
 
@@ -54,23 +50,21 @@ def assign_to_subspaces(d, bases, strict=True, fallback=None):
 def clustering_error(pred, truth):
     """Smallest misclassified fraction over all relabelings of ``pred``.
 
-    Labels must be 0..L-1 with L taken from ``truth``; L is capped at 8
-    because the search over label permutations is exhaustive.
+    Labels must be 0..L-1 with L taken from ``truth``.  The best
+    relabeling is found exactly, for any L, as a maximum-weight matching
+    on the L x L table of (pred, truth) label co-occurrence counts.
     """
     pred = np.asarray(pred)
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise DataError(f"label vectors differ in length: {pred.shape} vs {truth.shape}")
     n_clusters = int(truth.max()) + 1
-    if n_clusters > MAX_EXHAUSTIVE_CLUSTERS:
-        raise DataError(f"exhaustive matching handles at most 8 clusters, got {n_clusters}")
-    if pred.min() < 0 or pred.max() >= n_clusters:
-        raise DataError("predicted labels fall outside the truth's label range")
-    best = len(truth)
-    for perm in permutations(range(n_clusters)):
-        table = np.array(perm)
-        best = min(best, int(np.sum(table[pred] != truth)))
-    return best / len(truth)
+    if min(pred.min(), truth.min()) < 0 or pred.max() >= n_clusters:
+        raise DataError(f"labels fall outside 0..{n_clusters - 1}, the truth's label range")
+    counts = np.zeros((n_clusters, n_clusters), dtype=np.int64)
+    np.add.at(counts, (pred, truth), 1)
+    rows, cols = linear_sum_assignment(counts, maximize=True)
+    return (len(truth) - int(counts[rows, cols].sum())) / len(truth)
 
 
 def ace(pred, truth):
@@ -140,7 +134,7 @@ def correct_clustering(d, labels, r, iterations, cfg=None, truth=None):
                 f" (< r={r}) at iteration {it}"
             )
         bases = tuple(cop(d[:, labels == k], cfg).basis for k in range(n_clusters))
-        new_labels = assign_to_subspaces(d, bases, strict=False, fallback=labels)
+        new_labels = assign_to_subspaces(d, bases, fallback=labels)
         if truth is not None:
             trajectory.append(clustering_error(new_labels, truth))
         if np.array_equal(new_labels, labels):

@@ -183,7 +183,7 @@ def run_noise_sweep(
         sigma = sigma_for_tau(tau)
         for s in range(seeds):
             ds = gen_noisy(m, r, n1, n2, sigma, seed=(seed, ti, s))
-            x, kept = normalize_columns(ds.d, strict=False)
+            x, kept = normalize_columns(ds.d)
             prof = coherence(x, p).values
             labels = ds.labels[kept]
             min_inlier = float(prof[labels == INLIER].min())
@@ -348,7 +348,7 @@ def saliency(image, patch=10, r=2, q=0.5, p=2):
         .reshape(gh * gw, patch * patch)
         .T
     )
-    x, kept = normalize_columns(tiles, strict=False)
+    x, kept = normalize_columns(tiles)
     prof = coherence(x, p)
     values = np.zeros(gh * gw)
     values[kept] = prof.values
@@ -358,7 +358,7 @@ def saliency(image, patch=10, r=2, q=0.5, p=2):
     upsampled = np.kron(grid, np.ones((patch, patch)))
     out = np.rint(255 * upsampled).astype(np.uint8)
     try:
-        basis = cop(tiles, CopConfig(r=r, p=p, strategy=TopFraction(q))).basis
+        _, basis, _ = TopFraction(q).select(x, prof, CopConfig(r=r, p=p))
     except NumericalError:
         basis = None
     return SaliencyResult(grid, out, cropped, basis)
@@ -367,7 +367,7 @@ def saliency(image, patch=10, r=2, q=0.5, p=2):
 def _bench_pipeline(d, r, p):
     timings = {}
     t0 = time.perf_counter()
-    x, _ = normalize_columns(d, strict=False)
+    x, _ = normalize_columns(d)
     timings["normalize"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     prof = coherence(x, p)

@@ -18,9 +18,8 @@ worst-case bounds control.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
-from scipy.integrate import quad
+from scipy.special import betaincc
 
 from .errors import DataError
 from .linalg import coherence_gram
@@ -343,47 +342,20 @@ def expected_coherence(role, p, m, r, n1, n2):
     return CoherenceBound(n1 * math.sqrt(r / m) + (n2 - 1) * math.sqrt(1 / m), "upper")
 
 
-def _beta_half_integrand(b_exp):
-    def f(u):
-        if u >= 1.0:
-            return 0.0
-        return math.exp(b_exp * math.log1p(-u * u)) if b_exp != 0.0 else 1.0
-
-    return f
-
-
-def _tail_integral(lo, m):
-    # integral over [lo, 1] of (1 - u^2)^((m-3)/2), restricted to the
-    # window where the integrand is non-negligible so the adaptive rule
-    # never misses a narrow spike at large m.
-    b_exp = (m - 3) / 2.0
-    width = 40.0 / math.sqrt(b_exp) if b_exp > 1.0 else 2.0
-    hi = min(1.0, lo + width)
-    if hi <= lo:
-        return 0.0
-    value, _ = quad(_beta_half_integrand(b_exp), lo, hi, epsabs=0.0, epsrel=1e-12, limit=200)
-    return value
-
-
-@lru_cache(maxsize=None)
-def _tail_norm(m):
-    return _tail_integral(0.0, m)
-
-
 def tail_f(t, m):
     """P(m * (u'v)^2 > t) for independent uniform unit vectors in R^m.
 
-    The squared inner product follows a Beta(1/2, (m-1)/2) law; the tail
-    is computed by adaptive quadrature of that density (relative
-    tolerance 1e-12), normalized by the same quadrature so that
-    tail_f(0, m) is exactly 1.
+    The squared inner product follows a Beta(1/2, (m-1)/2) law, so the
+    tail is that law's upper regularized incomplete beta function at
+    t/m.  It stays accurate deep into the tail, where 1 - CDF would
+    round to zero, and tail_f(0, m) is exactly 1.
     """
     m = int(m)
     _require(m >= 3, f"tail probability needs m >= 3, got m={m}")
     _require(t >= 0, f"threshold t={t} must be >= 0")
     if t >= m:
         return 0.0
-    return _tail_integral(math.sqrt(t / m), m) / _tail_norm(m)
+    return float(betaincc(0.5, (m - 1) / 2.0, t / m))
 
 
 def t_delta(delta, m):

@@ -70,24 +70,27 @@ def _as_matrix(d, name="matrix"):
     return d
 
 
-def normalize_columns(d, strict=True):
+def normalize_columns(d):
     """Scale every column to the unit sphere.
 
     Returns ``Normalized(x, kept)`` where ``kept`` maps columns of ``x``
-    back to columns of ``d``.  A column with norm below 1e-14 is an error
-    in strict mode; in lenient mode it is dropped and absent from
-    ``kept``.
+    back to columns of ``d``.  A column with norm below 1e-14 is dropped
+    and absent from ``kept``; if every column is dropped that is an
+    error.  Any finite column can be normalized: one whose sum of
+    squares overflows is first divided by its largest magnitude.
     """
     d = _as_matrix(d)
-    norms = np.linalg.norm(d, axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(d, axis=0)
     alive = norms > ZERO_COLUMN_TOL
-    if strict and not np.all(alive):
-        bad = int(np.flatnonzero(~alive)[0])
-        raise DataError(f"column {bad} has norm {norms[bad]:.3e}, below 1e-14")
     if not np.any(alive):
         raise DataError("all columns have norm below 1e-14")
     kept = np.flatnonzero(alive)
     x = d[:, kept] / norms[kept]
+    huge = np.flatnonzero(np.isinf(norms[kept]))
+    if huge.size:
+        y = d[:, kept[huge]] / np.max(np.abs(d[:, kept[huge]]), axis=0)
+        x[:, huge] = y / np.linalg.norm(y, axis=0)
     return Normalized(x, kept)
 
 
@@ -125,16 +128,16 @@ def coherence_gram(d, p=2):
     return CoherenceProfile(np.maximum(sums - own, 0.0), p)
 
 
-def orthonormal_basis(y, tol=RANK_REL_TOL):
+def orthonormal_basis(y):
     """Orthonormal basis for the column span of ``y`` at numerical rank.
 
-    Singular directions with sigma_i <= tol * sigma_1 are discarded.
+    Singular directions with sigma_i <= 1e-10 * sigma_1 are discarded.
     """
     y = _as_matrix(y)
     u, s, _ = np.linalg.svd(y, full_matrices=False)
     if s[0] <= ZERO_COLUMN_TOL:
         raise NumericalError("matrix is numerically zero, no basis exists")
-    rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > RANK_REL_TOL * s[0]))
     return u[:, :rank]
 
 

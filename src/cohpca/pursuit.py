@@ -260,7 +260,7 @@ def _profiled(d, cfg, need, shortfall):
     """
     if cfg.r < 1:
         raise DataError(f"target rank r={cfg.r} must be >= 1")
-    x, kept = normalize_columns(d, strict=False)
+    x, kept = normalize_columns(d)
     dropped = np.setdiff1d(np.arange(np.asarray(d).shape[1]), kept)
     if x.shape[1] < need:
         raise NumericalError(shortfall.format(x.shape[1]))
@@ -319,7 +319,7 @@ def spca(d, r):
 
     Same normalization path as cop(), no outlier handling at all.
     """
-    x, _ = normalize_columns(d, strict=False)
+    x, _ = normalize_columns(d)
     if min(x.shape) < r:
         raise NumericalError(f"cannot extract r={r} directions from shape {x.shape}")
     return top_r_singular_subspace(x, r).basis

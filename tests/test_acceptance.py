@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from cohpca.experiments import (
-    run_bench,
     run_cluster_correction,
     run_noise_sweep,
     run_phase_transition,
@@ -204,13 +203,19 @@ def test_label_correction_converges():
 
 def test_kernel_cost_scales_quadratically():
     # doubling n at fixed m should cost ~4x; n=2000 keeps each timing
-    # far above scheduler jitter
-    rows = run_bench(cases=((1000, 2000), (1000, 4000)), r=10, runs=5, seed=0)
-    med = {}
-    for n in (2000, 4000):
-        med[n] = float(np.median(
-            [r["seconds"] for r in rows if r["n"] == n and r["stage"] == "coherence"]
-        ))
+    # far above scheduler jitter, and the two sizes alternate so that a
+    # burst of load from elsewhere hits both alike
+    xs = {
+        n: normalize_columns(gen_unstructured(1000, 10, n // 5, n - n // 5, seed=(0, n)).d).x
+        for n in (2000, 4000)
+    }
+    seconds = {n: [] for n in xs}
+    for _ in range(5):
+        for n, x in xs.items():
+            t0 = time.perf_counter()
+            coherence(x, 2)
+            seconds[n].append(time.perf_counter() - t0)
+    med = {n: float(np.median(t)) for n, t in seconds.items()}
     ratio = med[4000] / med[2000]
     report(
         "kernel-cost-scaling",

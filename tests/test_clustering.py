@@ -49,16 +49,14 @@ def test_assign_ties_go_to_the_lowest_cluster():
     assert assign_to_subspaces(d, bases).tolist() == [0, 0]
 
 
-def test_assign_zero_columns_strict_and_lenient():
+def test_assign_zero_columns_keep_their_fallback_label():
     e = np.eye(3)
     bases = [e[:, :1], e[:, 1:2]]
     d = np.column_stack([e[:, 0], np.zeros(3)])
-    with pytest.raises(DataError, match="column 1"):
-        assign_to_subspaces(d, bases)
-    got = assign_to_subspaces(d, bases, strict=False, fallback=np.array([1, 1]))
+    got = assign_to_subspaces(d, bases, fallback=np.array([1, 1]))
     assert got.tolist() == [0, 1]
-    with pytest.raises(DataError, match="fallback"):
-        assign_to_subspaces(d, bases, strict=False)
+    with pytest.raises(DataError, match="column 1 .*fallback"):
+        assign_to_subspaces(d, bases)
     with pytest.raises(DataError):
         assign_to_subspaces(d, [])
 
@@ -77,7 +75,7 @@ def test_clustering_error_hand_cases():
 def test_clustering_error_matches_oracle():
     rng = stream(77)
     for _ in range(20):
-        L = int(rng.integers(2, 5))
+        L = int(rng.integers(2, 7))
         truth = rng.integers(0, L, 30)
         truth[: L] = np.arange(L)  # every cluster present
         pred = rng.integers(0, L, 30)
@@ -102,7 +100,18 @@ def test_clustering_error_validation():
     with pytest.raises(DataError):
         clustering_error(np.array([0, 5]), np.array([0, 1]))
     with pytest.raises(DataError):
-        clustering_error(np.arange(9), np.arange(9))  # 9 clusters > 8
+        clustering_error(np.array([0, 1]), np.array([-1, 1]))
+    # no cap on the cluster count: a relabeled truth is free at any L
+    rng = stream(78)
+    for L in (9, 20):
+        truth = np.repeat(np.arange(L), 3)
+        assert clustering_error(rng.permutation(L)[truth], truth) == 0.0
+    # L=12, 4 columns each, relabeled k -> 11-k; one column of each of
+    # clusters 0-4 moves to label 0, which cluster 11 keeps: 5 mismatches
+    truth = np.repeat(np.arange(12), 4)
+    pred = 11 - truth
+    pred[[0, 4, 8, 12, 16]] = 0
+    assert clustering_error(pred, truth) == pytest.approx(5 / 48)
 
 
 # ---- average classification error ----

@@ -42,22 +42,16 @@ def test_normalize_divides_by_column_norms():
     assert kept.tolist() == [0, 1]
 
 
-def test_normalize_strict_rejects_zero_column():
-    d = np.array([[1.0, 0.0], [0.0, 0.0]])
-    with pytest.raises(DataError, match="column 1"):
-        normalize_columns(d)
-
-
 def test_normalize_lenient_drops_and_maps_indices():
     d = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 0.0]])
-    x, kept = normalize_columns(d, strict=False)
+    x, kept = normalize_columns(d)
     assert kept.tolist() == [0, 2]
     np.testing.assert_allclose(x, [[1.0, 1.0], [0.0, 0.0]])
 
 
 def test_normalize_rejects_all_zero_and_non_finite():
     with pytest.raises(DataError, match="all columns"):
-        normalize_columns(np.zeros((3, 2)), strict=False)
+        normalize_columns(np.zeros((3, 2)))
     with pytest.raises(DataError, match="NaN or Inf"):
         normalize_columns(np.array([[1.0, np.nan]]))
     with pytest.raises(DataError):

@@ -1,5 +1,7 @@
 """Sampling strategies and the full recovery pipeline."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +211,19 @@ def test_cop_maps_indices_past_dropped_columns():
     # sampled indices address the original matrix, zero columns included
     back = [j - (j > 2) - (j > 8) for j in res.sampled]
     assert back == clean.sampled.tolist()
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+def test_cop_is_scale_invariant_where_the_sum_of_squares_overflows(scale):
+    ds = gen_unstructured(20, 2, 10, 30, seed=0)
+    base = cop(ds.d, CopConfig(r=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        moved = cop(ds.d * scale, CopConfig(r=2))
+    assert moved.sampled.tolist() == base.sampled.tolist()
+    np.testing.assert_allclose(moved.profile.values, base.profile.values,
+                               rtol=1e-9, atol=1e-12)
+    assert moved.dropped.size == 0
 
 
 def test_cop_rejects_unusable_setups():
