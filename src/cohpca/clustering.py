@@ -37,6 +37,15 @@ def assign_to_subspaces(d, bases, fallback=None):
     d = np.asarray(d, dtype=np.float64)
     if not bases:
         raise DataError("need at least one basis")
+    for k, u in enumerate(bases):
+        if np.ndim(u) != 2 or np.shape(u)[0] != d.shape[0]:
+            raise DataError(
+                f"basis {k} has shape {np.shape(u)}, need {d.shape[0]} rows like the data"
+            )
+    if fallback is not None and np.shape(fallback) != (d.shape[1],):
+        raise DataError(
+            f"fallback has shape {np.shape(fallback)}, need one label per column ({d.shape[1]})"
+        )
     scores = np.stack([np.linalg.norm(u.T @ d, axis=0) for u in bases])
     labels = np.argmax(scores, axis=0)
     dead = np.linalg.norm(d, axis=0) <= 1e-14
@@ -58,6 +67,8 @@ def clustering_error(pred, truth):
     truth = np.asarray(truth)
     if pred.shape != truth.shape:
         raise DataError(f"label vectors differ in length: {pred.shape} vs {truth.shape}")
+    if truth.size == 0:
+        raise DataError("label vectors are empty")
     n_clusters = int(truth.max()) + 1
     if min(pred.min(), truth.min()) < 0 or pred.max() >= n_clusters:
         raise DataError(f"labels fall outside 0..{n_clusters - 1}, the truth's label range")

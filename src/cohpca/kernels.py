@@ -1,13 +1,25 @@
-"""Blocked coherence kernel.
+"""Coherence kernel.
 
 The hot loop of the whole package is the column-coherence sum
 
     s(i) = sum_k |x_i' x_k|^p,   p in {1, 2},
 
-which is O(m n^2) and would need an n-by-n Gram matrix if done naively.
-The kernel walks the Gram in slabs of ``BLOCK`` rows (peak extra memory
-O(n * BLOCK)): one BLAS product per slab, reduced on the fly.  Both
-``linalg.coherence`` and ``linalg.coherence_gram`` run on it.
+which would need an n-by-n Gram matrix if done naively.  The kernel
+picks one of two paths from the shape of the m-by-n input, with nothing
+for the caller to choose:
+
+* covariance form, for p = 2 with m < n: s(i) = x_i' (X X') x_i.  One
+  m-by-m product (m^2 n flops; BLAS computes one triangle) and one
+  m-by-n product (2 m^2 n flops), so O(m^2 n) time and O(m^2 + m n)
+  extra memory.
+* half-Gram walk, for p = 1 and for p = 2 with m >= n: the Gram is
+  walked in slabs of ``BLOCK`` columns, each slab multiplied only
+  against itself and the columns after it, so every symmetric entry is
+  computed once: about m n (n + BLOCK) flops, O(m n^2) time, and
+  O(n * BLOCK) extra memory.
+
+Both ``linalg.coherence`` and ``linalg.coherence_gram`` run on this
+kernel.
 """
 
 import numpy as np
@@ -19,13 +31,6 @@ __all__ = ["BLOCK", "block_power_sums"]
 BLOCK = 256
 
 
-def _power_sums_slab(xbt, x, p):
-    g = xbt @ x
-    if p == 1:
-        return np.abs(g).sum(axis=1)
-    return np.einsum("ij,ij->i", g, g)
-
-
 def block_power_sums(x, p):
     """Per-column sums sum_k |x_i' x_k|^p including the k = i self term.
 
@@ -35,10 +40,22 @@ def block_power_sums(x, p):
     if p not in (1, 2):
         raise DataError(f"power p must be 1 or 2, got {p}")
     x = np.ascontiguousarray(x, dtype=np.float64)
-    xt = np.ascontiguousarray(x.T)
-    n = x.shape[1]
-    out = np.empty(n)
+    m, n = x.shape
+    if p == 2 and m < n:
+        cov = x @ x.T
+        return np.einsum("ij,ij->j", x, cov @ x)
+    out = np.zeros(n)
     for lo in range(0, n, BLOCK):
-        # the slice of a C-contiguous array stays contiguous, no copy
-        out[lo : lo + BLOCK] = _power_sums_slab(xt[lo : lo + BLOCK], x, p)
+        hi = min(lo + BLOCK, n)
+        # rows lo:hi of the Gram from column lo on; the transposed view
+        # and the column slice both go to BLAS without a copy
+        g = x[:, lo:hi].T @ x[:, lo:]
+        if p == 1:
+            np.abs(g, out=g)
+        else:
+            np.square(g, out=g)
+        out[lo:hi] += g.sum(axis=1)
+        # the entries right of the diagonal block also belong to the
+        # later columns' sums
+        out[hi:] += g[:, hi - lo :].sum(axis=0)
     return out

@@ -74,23 +74,24 @@ def normalize_columns(d):
     """Scale every column to the unit sphere.
 
     Returns ``Normalized(x, kept)`` where ``kept`` maps columns of ``x``
-    back to columns of ``d``.  A column with norm below 1e-14 is dropped
-    and absent from ``kept``; if every column is dropped that is an
-    error.  Any finite column can be normalized: one whose sum of
-    squares overflows is first divided by its largest magnitude.
+    back to columns of ``d``.  A column that is zero, or whose norm is
+    below 1e-14 times the largest column norm, is dropped and absent
+    from ``kept``; if every column is zero that is an error.  Any finite
+    matrix can be normalized: the norms are taken after multiplying by
+    the power of two that brings its largest magnitude into [0.5, 1),
+    which is exact, so no sum of squares overflows or, in a column that
+    is kept, underflows, and unit-scale data normalizes as if unscaled.
     """
     d = _as_matrix(d)
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(d, axis=0)
-    alive = norms > ZERO_COLUMN_TOL
-    if not np.any(alive):
-        raise DataError("all columns have norm below 1e-14")
-    kept = np.flatnonzero(alive)
-    x = d[:, kept] / norms[kept]
-    huge = np.flatnonzero(np.isinf(norms[kept]))
-    if huge.size:
-        y = d[:, kept[huge]] / np.max(np.abs(d[:, kept[huge]]), axis=0)
-        x[:, huge] = y / np.linalg.norm(y, axis=0)
+    top = max(d.max(), -d.min())
+    if top == 0.0:
+        raise DataError("all columns are zero")
+    x = np.ldexp(d, -np.frexp(top)[1])
+    norms = np.linalg.norm(x, axis=0)
+    kept = np.flatnonzero(norms > ZERO_COLUMN_TOL * norms.max())
+    if kept.size < x.shape[1]:
+        x = x[:, kept]
+    x /= norms[kept]
     return Normalized(x, kept)
 
 
@@ -99,10 +100,11 @@ def coherence(x, p=2):
 
     ``x`` must already have unit columns (within 1e-8); use
     ``normalize_columns`` first.  The Gram matrix is never materialized:
-    ``kernels.block_power_sums`` walks it in slabs of ``kernels.BLOCK``
-    rows, so peak extra memory is O(n * BLOCK).  The diagonal self term,
-    1 for a unit column, is excluded by subtraction, and tiny negative
-    results of that subtraction are clamped to zero.
+    ``kernels.block_power_sums`` uses the m-by-m covariance for p=2 with
+    m < n and walks half the Gram in slabs of ``kernels.BLOCK`` columns
+    otherwise.  The diagonal self term, 1 for a unit column, is excluded
+    by subtraction, and tiny negative results of that subtraction are
+    clamped to zero.
     """
     x = _as_matrix(x)
     norms = np.linalg.norm(x, axis=0)
@@ -119,8 +121,8 @@ def coherence_gram(d, p=2):
     """Coherence profile of raw, unnormalized columns.
 
     The form the recovery-condition validators need.  It runs on the same
-    blocked kernel as ``coherence``, subtracting the self term
-    ||d_i||^(2p) in place of 1, with the same clamp at zero.
+    kernel as ``coherence``, subtracting the self term ||d_i||^(2p) in
+    place of 1, with the same clamp at zero.
     """
     d = _as_matrix(d)
     sums = kernels.block_power_sums(d, p)

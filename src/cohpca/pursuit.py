@@ -271,9 +271,9 @@ def cop(d, cfg):
     """Recover an r-dimensional subspace from outlier-ridden columns.
 
     Normalizes columns (dropping numerically zero ones), computes the
-    coherence profile with the blocked kernel, selects columns per
-    ``cfg.strategy``, and returns the span of the selection.  Indices in
-    the result refer to columns of ``d`` as given.
+    coherence profile, selects columns per ``cfg.strategy``, and returns
+    the span of the selection.  Indices in the result refer to columns
+    of ``d`` as given.
     """
     if not hasattr(cfg.strategy, "select"):
         raise DataError(f"unknown sampling strategy {cfg.strategy!r}")

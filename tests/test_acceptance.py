@@ -201,27 +201,47 @@ def test_label_correction_converges():
     )
 
 
-def test_kernel_cost_scales_quadratically():
-    # doubling n at fixed m should cost ~4x; n=2000 keeps each timing
-    # far above scheduler jitter, and the two sizes alternate so that a
-    # burst of load from elsewhere hits both alike
-    xs = {
-        n: normalize_columns(gen_unstructured(1000, 10, n // 5, n - n // 5, seed=(0, n)).d).x
-        for n in (2000, 4000)
-    }
-    seconds = {n: [] for n in xs}
-    for _ in range(5):
-        for n, x in xs.items():
+def alternating_medians(fn, xs, reps=5):
+    # the inputs take turns, so that a burst of load from elsewhere hits
+    # every size alike; one median per input, no retries
+    seconds = {key: [] for key in xs}
+    for _ in range(reps):
+        for key, x in xs.items():
             t0 = time.perf_counter()
-            coherence(x, 2)
-            seconds[n].append(time.perf_counter() - t0)
-    med = {n: float(np.median(t)) for n, t in seconds.items()}
-    ratio = med[4000] / med[2000]
+            fn(x)
+            seconds[key].append(time.perf_counter() - t0)
+    return {key: float(np.median(t)) for key, t in seconds.items()}
+
+
+def unit_data(m, n):
+    return normalize_columns(gen_unstructured(m, 10, n // 5, n - n // 5, seed=(0, n)).d).x
+
+
+def test_kernel_cost_scales_quadratically():
+    # p=1 always walks the Gram, O(m n^2): doubling n at fixed m should
+    # cost ~4x; n=5000 keeps each timing far above scheduler jitter
+    xs = {n: unit_data(200, n) for n in (5000, 10000)}
+    med = alternating_medians(lambda x: coherence(x, 1), xs)
+    ratio = med[10000] / med[5000]
     report(
         "kernel-cost-scaling",
         3.0 <= ratio <= 6.0,
-        f"coherence medians {med[2000]:.3f}s -> {med[4000]:.3f}s, "
+        f"p=1 coherence medians {med[5000]:.3f}s -> {med[10000]:.3f}s, "
         f"ratio {ratio:.2f} in [3, 6]",
+    )
+
+
+def test_covariance_kernel_cost_scales_linearly():
+    # p=2 with m < n takes the covariance form, O(m^2 n): doubling n at
+    # fixed m should cost ~2x, where the Gram walk would cost ~4x
+    xs = {n: unit_data(300, n) for n in (10000, 20000)}
+    med = alternating_medians(lambda x: coherence(x, 2), xs)
+    ratio = med[20000] / med[10000]
+    report(
+        "covariance-kernel-cost-scaling",
+        1.5 <= ratio <= 3.0,
+        f"p=2 coherence medians {med[10000]:.3f}s -> {med[20000]:.3f}s, "
+        f"ratio {ratio:.2f} in [1.5, 3]",
     )
 
 

@@ -61,6 +61,18 @@ def test_assign_zero_columns_keep_their_fallback_label():
         assign_to_subspaces(d, [])
 
 
+def test_assign_rejects_a_fallback_or_basis_of_the_wrong_shape():
+    e = np.eye(3)
+    bases = [e[:, :1], e[:, 1:2]]
+    d = np.column_stack([e[:, 0], np.zeros(3)])
+    with pytest.raises(DataError, match="fallback"):
+        assign_to_subspaces(d, bases, fallback=np.array([1]))
+    with pytest.raises(DataError, match="basis 1 .*3 rows"):
+        assign_to_subspaces(d, [e[:, :1], np.eye(4)[:, :1]])
+    with pytest.raises(DataError, match="basis 0"):
+        assign_to_subspaces(d, [e[:, 0]])
+
+
 # ---- clustering error ----
 
 
@@ -112,6 +124,12 @@ def test_clustering_error_validation():
     pred = 11 - truth
     pred[[0, 4, 8, 12, 16]] = 0
     assert clustering_error(pred, truth) == pytest.approx(5 / 48)
+
+
+def test_clustering_error_rejects_empty_label_vectors():
+    empty = np.array([], dtype=np.int64)
+    with pytest.raises(DataError, match="empty"):
+        clustering_error(empty, empty)
 
 
 # ---- average classification error ----

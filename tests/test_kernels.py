@@ -1,4 +1,4 @@
-"""Blocked kernel against the hand-verified double-loop and full-Gram oracles."""
+"""Coherence kernel against the hand-verified double-loop and full-Gram oracles."""
 
 import math
 
@@ -54,6 +54,20 @@ def test_block_power_sums_match_oracle(p):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
+def assert_matches_the_gram_oracle(x, p, seed):
+    n = x.shape[1]
+    np.testing.assert_allclose(
+        coherence(x, p).values, gram_coherence(x, p), rtol=0, atol=1e-12 * n
+    )
+    # raw columns with norms from 1e-4 to 1e4; the rounding of any Gram
+    # route is bounded relative to ||d_i||^p * sum_k ||d_k||^p, not to the
+    # value itself, which is tiny for a column nearly orthogonal to the rest
+    d = x * 10.0 ** np.random.default_rng(seed).uniform(-4.0, 4.0, n)
+    scale = np.linalg.norm(d, axis=0) ** p
+    err = np.abs(coherence_gram(d, p).values - gram_coherence(d, p))
+    assert np.all(err <= 1e-12 * scale * scale.sum())
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     m=st.integers(2, 12),
@@ -65,17 +79,32 @@ def test_block_power_sums_match_oracle(p):
 def test_every_slab_walk_matches_the_gram_oracle(m, slabs, tail, p, seed):
     # one, two or three slabs; the last one is ragged unless tail == BLOCK
     n = slabs * kernels.BLOCK + tail
-    x = unit_columns(m, n, seed)
-    np.testing.assert_allclose(
-        coherence(x, p).values, gram_coherence(x, p), rtol=0, atol=1e-12 * n
-    )
-    # raw columns with norms from 1e-4 to 1e4; the rounding of any Gram
-    # route is bounded relative to ||d_i||^p * sum_k ||d_k||^p, not to the
-    # value itself, which is tiny for a column nearly orthogonal to the rest
-    d = x * 10.0 ** np.random.default_rng(seed).uniform(-4.0, 4.0, n)
-    scale = np.linalg.norm(d, axis=0) ** p
-    err = np.abs(coherence_gram(d, p).values - gram_coherence(d, p))
-    assert np.all(err <= 1e-12 * scale * scale.sum())
+    assert_matches_the_gram_oracle(unit_columns(m, n, seed), p, seed)
+
+
+# m as a function of n and a shift in {-1, 0, 1}: for p=2 the kernel takes
+# the covariance form when m < n and walks the Gram otherwise, so "m~n"
+# straddles the switch and the other shapes sit well inside one path
+SHAPES = {
+    "n>>m": lambda n, shift: 3 + shift,
+    "m~n": lambda n, shift: max(1, n + shift),
+    "m>>n": lambda n, shift: 2 * n + 8 + shift,
+}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("slabs", [0, 1, 2])
+@pytest.mark.parametrize("p", [1, 2])
+@settings(max_examples=6, deadline=None)
+@given(
+    tail=st.integers(1, kernels.BLOCK),
+    shift=st.integers(-1, 1),
+    seed=st.integers(0, 10_000),
+)
+def test_every_dispatch_path_matches_the_gram_oracle(p, slabs, shape, tail, shift, seed):
+    # one, two or three slabs; the last one is ragged unless tail == BLOCK
+    n = slabs * kernels.BLOCK + tail
+    assert_matches_the_gram_oracle(unit_columns(SHAPES[shape](n, shift), n, seed), p, seed)
 
 
 def test_non_contiguous_and_float32_inputs_are_handled():

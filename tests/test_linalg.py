@@ -49,6 +49,14 @@ def test_normalize_lenient_drops_and_maps_indices():
     np.testing.assert_allclose(x, [[1.0, 1.0], [0.0, 0.0]])
 
 
+def test_normalize_drops_columns_relative_to_the_largest():
+    d = np.array([[1e-200, 3e-215, 1e-213, 0.0], [0.0, 4e-215, 0.0, 0.0]])
+    x, kept = normalize_columns(d)
+    # 5e-215 is below 1e-14 * 1e-200, 1e-213 is not
+    assert kept.tolist() == [0, 2]
+    np.testing.assert_array_equal(x, [[1.0, 1.0], [0.0, 0.0]])
+
+
 def test_normalize_rejects_all_zero_and_non_finite():
     with pytest.raises(DataError, match="all columns"):
         normalize_columns(np.zeros((3, 2)))

@@ -213,8 +213,7 @@ def test_cop_maps_indices_past_dropped_columns():
     assert back == clean.sampled.tolist()
 
 
-@pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
-def test_cop_is_scale_invariant_where_the_sum_of_squares_overflows(scale):
+def assert_cop_is_scale_invariant(scale):
     ds = gen_unstructured(20, 2, 10, 30, seed=0)
     base = cop(ds.d, CopConfig(r=2))
     with warnings.catch_warnings():
@@ -224,6 +223,16 @@ def test_cop_is_scale_invariant_where_the_sum_of_squares_overflows(scale):
     np.testing.assert_allclose(moved.profile.values, base.profile.values,
                                rtol=1e-9, atol=1e-12)
     assert moved.dropped.size == 0
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e160, 1e300])
+def test_cop_is_scale_invariant_where_the_sum_of_squares_overflows(scale):
+    assert_cop_is_scale_invariant(scale)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-160, 1e-200, 1e-300])
+def test_cop_is_scale_invariant_where_the_sum_of_squares_underflows(scale):
+    assert_cop_is_scale_invariant(scale)
 
 
 def test_cop_rejects_unusable_setups():
