@@ -255,17 +255,19 @@ def cmd_bench(ns):
         runs=ns.runs,
         seed=ns.seed,
         csv_path=ns.csv,
+        json_path=ns.json,
     )
-    for m, n in ns.cases:
-        picked = [row for row in rows if row["m"] == m and row["n"] == n]
-        total = sum(row["seconds"] for row in picked) / max(
-            1, len({row["run"] for row in picked})
+    per_case = len(rows) // len(ns.cases)  # run_bench emits the cases in order
+    for i, (m, n) in enumerate(ns.cases):
+        picked = rows[i * per_case : (i + 1) * per_case]
+        total = sum(row["seconds"] for row in picked) / ns.runs
+        by_stage = {}
+        for row in picked:
+            by_stage.setdefault(row["stage"], []).append(row["seconds"])
+        medians = ", ".join(
+            f"{stage} {float(np.median(s)):.3f}s" for stage, s in by_stage.items()
         )
-        kern = [row["seconds"] for row in picked if row["stage"] == "coherence"]
-        print(
-            f"{m}x{n}: pipeline {total:.3f}s/run, "
-            f"coherence median {float(np.median(kern)):.3f}s"
-        )
+        print(f"{m}x{n}: pipeline {total:.3f}s/run; stage medians: {medians}")
     return 0
 
 
@@ -430,6 +432,8 @@ def build_parser():
     sub.add_argument("--p", type=int, default=2, choices=[1, 2])
     sub.add_argument("--runs", type=int, default=1)
     sub.add_argument("--csv", default=None)
+    sub.add_argument("--json", default=None,
+                     help="write the environment and per-stage medians and IQRs")
     sub.set_defaults(func=cmd_bench)
     _add_common(sub)
 

@@ -16,6 +16,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, NumericalError
+from .linalg import ZERO_COLUMN_TOL
 from .pursuit import CopConfig, TopFraction, cop
 
 __all__ = [
@@ -31,8 +32,9 @@ def assign_to_subspaces(d, bases, fallback=None):
     """Assign every column to the basis it projects onto most strongly.
 
     Scores are ||U_k' x||_2; ties go to the lowest cluster id.  A column
-    of numerically zero norm keeps its label from ``fallback`` (one label
-    per column); without ``fallback`` it is an error that names it.
+    whose norm is at most 1e-14 times the largest column norm keeps its
+    label from ``fallback`` (one label per column); without ``fallback``
+    it is an error that names it.
     """
     d = np.asarray(d, dtype=np.float64)
     if not bases:
@@ -48,7 +50,8 @@ def assign_to_subspaces(d, bases, fallback=None):
         )
     scores = np.stack([np.linalg.norm(u.T @ d, axis=0) for u in bases])
     labels = np.argmax(scores, axis=0)
-    dead = np.linalg.norm(d, axis=0) <= 1e-14
+    norms = np.linalg.norm(d, axis=0)
+    dead = norms <= ZERO_COLUMN_TOL * norms.max(initial=0.0)
     if np.any(dead):
         if fallback is None:
             raise DataError(f"column {int(np.flatnonzero(dead)[0])} has zero norm, no fallback")

@@ -9,11 +9,17 @@ heatmaps.
 """
 
 import csv
+import json
+import os
+import platform
+import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 
+from . import io
 from .errors import DataError, NumericalError
 from .linalg import coherence, normalize_columns, orthonormal_basis, recovery_error
 from .models import (
@@ -364,21 +370,54 @@ def saliency(image, patch=10, r=2, q=0.5, p=2):
     return SaliencyResult(grid, out, cropped, basis)
 
 
-def _bench_pipeline(d, r, p):
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _bench_pipeline(d, r, p, path):
     timings = {}
-    t0 = time.perf_counter()
-    x, _ = normalize_columns(d)
-    timings["normalize"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    prof = coherence(x, p)
-    timings["coherence"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    picked = greedy_rank_sampling(x, prof, r)
-    timings["sampling"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    orthonormal_basis(x[:, picked])
-    timings["basis"] = time.perf_counter() - t0
+
+    def timed(stage, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        timings[stage] = time.perf_counter() - t0
+        return out
+
+    timed("write", io.write_matrix, path, d)
+    d = timed("read", io.read_matrix, path)
+    x, _ = timed("normalize", normalize_columns, d)
+    prof = timed("coherence", coherence, x, p)
+    picked = timed("sampling", greedy_rank_sampling, x, prof, r)
+    timed("basis", orthonormal_basis, x[:, picked])
     return timings
+
+
+def _blas_version():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.25 cannot return its config
+        return "unknown"
+    return f"{blas.get('name')} {blas.get('version')}"
+
+
+def _bench_environment():
+    """Versions, CPU count and BLAS thread settings that a timing depends on."""
+    if hasattr(os, "sched_getaffinity"):
+        nproc = len(os.sched_getaffinity(0))
+    else:
+        nproc = os.cpu_count()
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": _blas_version(),
+        "nproc": nproc,
+        "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
+    }
+
+
+def _spread(seconds):
+    q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+    return {"median_s": float(median), "iqr_s": float(q3 - q1), "seconds": seconds}
 
 
 def run_bench(
@@ -388,38 +427,47 @@ def run_bench(
     runs=1,
     seed=0,
     csv_path=None,
+    json_path=None,
 ):
     """Stage timings of the full pipeline on unstructured data.
 
     ``cases`` lists (m, n) sizes; each gets n1 = n/5 inliers and the
-    rest outliers.  One row per (case, run, stage), seconds in the last
+    rest outliers.  Each run writes the data matrix to a text file in a
+    temporary directory, reads it back, and profiles and samples the
+    matrix it read.  One row per (case, run, stage), seconds in the last
     column.  All non-timing columns are deterministic for a fixed seed.
+    ``json_path`` receives the environment and, per case and stage, the
+    median and interquartile range of the seconds over the runs.
     """
     if runs < 1:
         raise DataError(f"runs={runs} must be >= 1")
     cases = _nonempty("cases", cases)
     rows = []
-    for ci, (m, n) in enumerate(cases):
-        n1 = n // 5
-        n2 = n - n1
-        r_eff = min(r, n1)
-        for run in range(runs):
-            ds = gen_unstructured(m, r_eff, n1, n2, seed=(seed, ci, run))
-            timings = _bench_pipeline(ds.d, r_eff, p)
-            for stage, seconds in timings.items():
-                rows.append(
-                    {
-                        "m": m,
-                        "n": n,
-                        "n1": n1,
-                        "n2": n2,
-                        "r": r_eff,
-                        "p": p,
-                        "run": run,
-                        "stage": stage,
-                        "seconds": seconds,
-                    }
-                )
+    summary = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "d.txt")
+        for ci, (m, n) in enumerate(cases):
+            n1 = n // 5
+            n2 = n - n1
+            case = {"m": m, "n": n, "n1": n1, "n2": n2, "r": min(r, n1), "p": p}
+            seconds = {}
+            for run in range(runs):
+                ds = gen_unstructured(m, case["r"], n1, n2, seed=(seed, ci, run))
+                for stage, s in _bench_pipeline(ds.d, case["r"], p, path).items():
+                    rows.append({**case, "run": run, "stage": stage, "seconds": s})
+                    seconds.setdefault(stage, []).append(s)
+            stages = {stage: _spread(s) for stage, s in seconds.items()}
+            summary.append({**case, "stages": stages})
     if csv_path:
         write_rows_csv(csv_path, "bench", list(rows[0]), rows)
+    if json_path:
+        report = {
+            "schema": "cohpca bench-json v1",
+            "environment": _bench_environment(),
+            "settings": {"runs": runs, "seed": seed},
+            "cases": summary,
+        }
+        with open(json_path, "w") as fh:
+            json.dump(report, fh, indent=2)
+            fh.write("\n")
     return rows

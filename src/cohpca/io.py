@@ -1,14 +1,21 @@
-"""Plain-text matrix, label, and PGM image files.
+"""Matrix, label, and PGM image files.
 
 Matrix format: a header line "m n", then m lines of n space-separated
 decimal floats.  Values are written with 17 significant digits so a
-write/read round trip reproduces float64 exactly.  Readers reject NaN
-and Inf, as does the writer; nothing downstream can cope with them.
+write/read round trip reproduces float64 exactly.  The writer formats a
+whole row with one bytes ``%`` call, converting one row at a time to
+Python floats, so it never holds more than a row of them.  A path
+ending in ".npy" selects NumPy's binary format instead (``np.save`` /
+``np.load`` without pickles), which holds only 2-d float64 arrays and
+is bit-exact too.  Readers reject NaN and Inf, as does the writer;
+nothing downstream can cope with them.
 
 Label files carry one integer per line.  Images use PGM: the reader
 accepts both ASCII (P2) and binary (P5) with maxval up to 255, the
 writer emits P2.
 """
+
+import os
 
 import numpy as np
 
@@ -29,18 +36,44 @@ def _check_finite(a, where):
         raise DataError(f"{where} contains NaN or Inf")
 
 
+def _is_npy(path):
+    return os.fspath(path).endswith(".npy")
+
+
 def write_matrix(path, a):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DataError(f"matrix must be 2-d, got shape {a.shape}")
     _check_finite(a, "matrix")
-    with open(path, "w") as fh:
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
+    with open(path, "wb") as fh:
+        if _is_npy(path):
+            np.save(fh, a)
+            return
+        fh.write(b"%d %d\n" % a.shape)
+        row_format = b" ".join([b"%.17g"] * a.shape[1]) + b"\n"
         for row in a:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+            fh.write(row_format % tuple(row.tolist()))
 
 
-def read_matrix(path):
+def _read_npy(path):
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise DataError(f"{path}: unparseable .npy matrix: {exc}")
+    if not isinstance(data, np.ndarray):
+        data.close()
+        raise DataError(f"{path}: expected one .npy array, got an .npz archive")
+    if data.ndim != 2:
+        raise DataError(f"{path}: matrix must be 2-d, got shape {data.shape}")
+    if data.dtype != np.float64:
+        raise DataError(f"{path}: matrix must be float64, got {data.dtype}")
+    if data.size == 0:
+        m, n = data.shape
+        raise DataError(f"{path}: dimensions must be positive, got {m} x {n}")
+    return data
+
+
+def _read_text(path):
     with open(path) as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -57,6 +90,11 @@ def read_matrix(path):
             raise DataError(f"{path}: unparseable matrix body: {exc}")
     if data.shape != (m, n):
         raise DataError(f"{path}: body shape {data.shape} does not match header {m} x {n}")
+    return data
+
+
+def read_matrix(path):
+    data = _read_npy(path) if _is_npy(path) else _read_text(path)
     if not np.all(np.isfinite(data)):
         raise DataError(f"{path}: matrix contains NaN or Inf")
     return data

@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .linalg import (
+    ZERO_COLUMN_TOL,
     CoherenceProfile,
     _require_orthonormal,
     coherence,
@@ -329,9 +330,9 @@ def residual_outliers(d, basis, threshold=0.2):
     """Flag columns far from a subspace: relative residual > threshold.
 
     Returns an int array with 0 for inliers and 1 for outliers (the
-    labeling convention of the data models).  Columns of numerically
-    zero norm count as outliers.  ``basis`` must be orthonormal with one
-    row per row of ``d``.
+    labeling convention of the data models).  Columns whose norm is at
+    most 1e-14 times the largest column norm count as outliers.
+    ``basis`` must be orthonormal with one row per row of ``d``.
     """
     d = np.asarray(d, dtype=np.float64)
     if not 0.0 <= threshold:
@@ -344,6 +345,6 @@ def residual_outliers(d, basis, threshold=0.2):
     norms = np.linalg.norm(d, axis=0)
     resid = np.linalg.norm(d - basis @ (basis.T @ d), axis=0)
     out = np.ones(d.shape[1], dtype=np.int64)
-    alive = norms > 1e-14
+    alive = norms > ZERO_COLUMN_TOL * norms.max(initial=0.0)
     out[alive] = (resid[alive] / norms[alive] > threshold).astype(np.int64)
     return out

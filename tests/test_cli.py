@@ -1,11 +1,14 @@
 """End-to-end command line behavior, including exit codes and config files."""
 
+import json
+
 import numpy as np
 import pytest
 
 from cohpca.cli import main
 from cohpca.io import read_labels, read_matrix, read_pgm, write_pgm
 from cohpca.linalg import recovery_error
+from cohpca.models import gen_unstructured
 
 
 def run(*args):
@@ -29,6 +32,30 @@ def test_gen_cop_round_trip(tmp_path, capsys):
     assert read_labels(labels).tolist() == [0] * 30 + [1] * 60
     assert run("cop", "--in", data, "--r", 3, "--basis-out", basis) == 0
     assert recovery_error(read_matrix(truth), read_matrix(basis)) <= 1e-9
+
+
+def test_npy_gen_cop_round_trip_is_bit_exact(tmp_path):
+    gen = ["gen", "--model", "unstructured", "--m", 30, "--r", 2, "--n1", 20,
+           "--n2", 40, "--seed", 4]
+    outputs = {}
+    for ext in ("txt", "npy"):
+        data, truth, basis = (tmp_path / f"{name}.{ext}" for name in ("d", "t", "b"))
+        assert run(*gen, "--out", data, "--basis-out", truth) == 0
+        assert run("cop", "--in", data, "--r", 2, "--basis-out", basis) == 0
+        outputs[ext] = [read_matrix(path) for path in (data, truth, basis)]
+    assert (tmp_path / "d.npy").read_bytes().startswith(b"\x93NUMPY")
+    ds = gen_unstructured(30, 2, 20, 40, seed=4)
+    np.testing.assert_array_equal(outputs["npy"][0], ds.d)
+    np.testing.assert_array_equal(outputs["npy"][1], ds.basis)
+    for got, want in zip(outputs["npy"], outputs["txt"]):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_cop_rejects_a_npy_that_is_not_float64(tmp_path, capsys):
+    data = tmp_path / "d.npy"
+    np.save(data, np.ones((4, 6), np.float32))
+    assert run("cop", "--in", data, "--r", 1, "--basis-out", tmp_path / "b.npy") == 1
+    assert "float64" in capsys.readouterr().err
 
 
 def test_cop_side_outputs_and_multipass(tmp_path):
@@ -192,8 +219,11 @@ def test_saliency_round_trip(tmp_path, capsys):
 
 def test_bench_runs_on_one_backend(tmp_path, capsys):
     assert run("bench", "--cases", "30x40", "--r", 3, "--runs", 1,
-               "--csv", tmp_path / "b.csv") == 0
-    assert "30x40: pipeline" in capsys.readouterr().out
+               "--csv", tmp_path / "b.csv", "--json", tmp_path / "b.json") == 0
+    out = capsys.readouterr().out
+    assert "30x40: pipeline" in out and "write" in out and "read" in out
+    report = json.loads((tmp_path / "b.json").read_text())
+    assert [(case["m"], case["n"]) for case in report["cases"]] == [(30, 40)]
 
 
 def test_check_condition_report(tmp_path, capsys):

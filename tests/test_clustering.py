@@ -61,6 +61,14 @@ def test_assign_zero_columns_keep_their_fallback_label():
         assign_to_subspaces(d, [])
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_assign_zero_columns_are_relative_to_the_largest(scale):
+    e = np.eye(3)
+    d = np.column_stack([e[:, 0], e[:, 1], 1e-15 * e[:, 0]]) * scale
+    got = assign_to_subspaces(d, [e[:, :1], e[:, 1:2]], fallback=np.array([1, 0, 1]))
+    assert got.tolist() == [0, 1, 1]
+
+
 def test_assign_rejects_a_fallback_or_basis_of_the_wrong_shape():
     e = np.eye(3)
     bases = [e[:, :1], e[:, 1:2]]

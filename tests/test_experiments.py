@@ -1,5 +1,6 @@
 """Experiment runners: grids, sweeps, label correction, saliency, timing."""
 
+import json
 from collections import defaultdict
 
 import numpy as np
@@ -234,15 +235,46 @@ def test_bench_row_structure(tmp_path):
     rows = run_bench(
         cases=((40, 50),), r=3, runs=2, seed=0, csv_path=csv_path,
     )
-    assert len(rows) == 2 * 4  # runs x stages
-    stages = {row["stage"] for row in rows}
-    assert stages == {"normalize", "coherence", "sampling", "basis"}
+    assert len(rows) == 2 * 6  # runs x stages
+    stages = [row["stage"] for row in rows[:6]]
+    assert stages == ["write", "read", "normalize", "coherence", "sampling", "basis"]
     for row in rows:
         assert row["seconds"] >= 0.0
         assert (row["m"], row["n"], row["n1"], row["n2"]) == (40, 50, 10, 40)
     schema, _ = read_csv_rows(csv_path)
     assert "block" not in rows[0]
     assert schema == "# cohpca bench v3"
+
+
+def test_bench_json_report(tmp_path):
+    json_path = tmp_path / "bench.json"
+    rows = run_bench(cases=((20, 30), (10, 25)), r=2, runs=3, seed=1, json_path=json_path)
+    report = json.loads(json_path.read_text())
+    assert set(report) == {"schema", "environment", "settings", "cases"}
+    assert report["schema"] == "cohpca bench-json v1"
+    env = report["environment"]
+    assert set(env) == {"python", "numpy", "scipy", "blas", "nproc", "threads"}
+    assert env["numpy"] == np.__version__ and env["nproc"] >= 1
+    assert set(env["threads"]) == {
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
+    }
+    assert report["settings"] == {"runs": 3, "seed": 1}
+    assert [(c["m"], c["n"], c["n1"], c["r"]) for c in report["cases"]] == [
+        (20, 30, 6, 2), (10, 25, 5, 2)
+    ]
+    for case in report["cases"]:
+        assert list(case["stages"]) == [
+            "write", "read", "normalize", "coherence", "sampling", "basis"
+        ]
+        for stage, spread in case["stages"].items():
+            seconds = [
+                row["seconds"] for row in rows
+                if (row["m"], row["n"], row["stage"]) == (case["m"], case["n"], stage)
+            ]
+            assert spread["seconds"] == seconds
+            q1, median, q3 = np.percentile(seconds, [25, 50, 75])
+            assert spread["median_s"] == median
+            assert spread["iqr_s"] == q3 - q1 >= 0.0
 
 
 def test_bench_validation():

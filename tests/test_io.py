@@ -1,4 +1,6 @@
-"""File formats: text matrices, label lists, PGM images."""
+"""File formats: text and .npy matrices, label lists, PGM images."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -76,6 +78,105 @@ def test_matrix_reader_reports_the_path(tmp_path):
     path = tmp_path / "named.txt"
     path.write_text("bogus\n")
     with pytest.raises(DataError, match="named.txt"):
+        read_matrix(path)
+
+
+# the extremes of float64 and values whose shortest repr is not 17 digits
+EDGE_VALUES = [
+    -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
+    1e-300, -1e-300, 1e300, -1e300, 0.1, 1 / 3, 0.0, -2.5, 123456789.0,
+]
+
+
+def per_value_bytes(a):
+    # the reference writer: one f-string per value
+    lines = [f"{a.shape[0]} {a.shape[1]}"]
+    lines += [" ".join(f"{v:.17g}" for v in row) for row in a]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array(EDGE_VALUES).reshape(2, 7),
+        np.array([[-0.0]]),
+        np.resize(EDGE_VALUES, (3, 600)) * np.linspace(-1.0, 1.0, 600),
+    ],
+    ids=["edges", "1x1", "3x600"],
+)
+def test_matrix_writer_bytes_match_the_per_value_reference(tmp_path, a):
+    path = tmp_path / "a.txt"
+    write_matrix(path, a)
+    assert path.read_bytes() == per_value_bytes(a)
+    back = read_matrix(path)
+    np.testing.assert_array_equal(back, a)
+    np.testing.assert_array_equal(np.signbit(back), np.signbit(a))
+
+
+def test_matrix_writer_never_converts_the_whole_matrix(tmp_path):
+    a = np.random.default_rng(5).standard_normal((400, 5050))
+    tracemalloc.start()
+    try:
+        write_matrix(tmp_path / "big.txt", a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < a.nbytes / 4, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_npy_matrix_round_trip_is_bit_exact(tmp_path):
+    a = np.array(EDGE_VALUES).reshape(7, 2)
+    path = tmp_path / "a.npy"
+    write_matrix(path, a)
+    assert path.read_bytes().startswith(b"\x93NUMPY")
+    back = read_matrix(path)
+    assert back.dtype == np.float64
+    np.testing.assert_array_equal(back, a)
+    np.testing.assert_array_equal(np.signbit(back), np.signbit(a))
+
+
+def test_npy_writer_rejects_what_the_text_writer_rejects(tmp_path):
+    with pytest.raises(DataError, match="2-d"):
+        write_matrix(tmp_path / "v.npy", np.arange(3.0))
+    with pytest.raises(DataError, match="NaN or Inf"):
+        write_matrix(tmp_path / "n.npy", np.array([[np.inf]]))
+
+
+def test_npy_reader_rejects_all_but_finite_2d_float64(tmp_path):
+    cases = {
+        "vector.npy": (np.arange(3.0), r"matrix must be 2-d, got shape \(3,\)"),
+        "cube.npy": (np.zeros((2, 2, 2)), "matrix must be 2-d"),
+        "float32.npy": (np.ones((2, 2), np.float32), "matrix must be float64, got float32"),
+        "int.npy": (np.ones((2, 2), np.int64), "matrix must be float64, got int64"),
+        "empty.npy": (np.zeros((0, 3)), "dimensions must be positive, got 0 x 3"),
+        "nan.npy": (np.array([[1.0, np.nan]]), "matrix contains NaN or Inf"),
+        "inf.npy": (np.array([[-np.inf]]), "matrix contains NaN or Inf"),
+    }
+    for name, (arr, message) in cases.items():
+        path = tmp_path / name
+        np.save(path, arr)
+        with pytest.raises(DataError, match=f"{name}: {message}"):
+            read_matrix(path)
+
+
+def test_npy_reader_rejects_files_that_are_not_one_array(tmp_path):
+    path = tmp_path / "objects.npy"
+    np.save(path, np.array([[1.0, None]], dtype=object), allow_pickle=True)
+    with pytest.raises(DataError, match="objects.npy: unparseable"):
+        read_matrix(path)
+    path = tmp_path / "text.npy"
+    path.write_text("1 1\n2.0\n")
+    with pytest.raises(DataError, match="text.npy: unparseable"):
+        read_matrix(path)
+    path = tmp_path / "truncated.npy"
+    write_matrix(path, np.ones((3, 3)))
+    path.write_bytes(path.read_bytes()[:-8])
+    with pytest.raises(DataError, match="truncated.npy: unparseable"):
+        read_matrix(path)
+    path = tmp_path / "archive.npy"
+    with open(path, "wb") as fh:
+        np.savez(fh, a=np.ones((2, 2)))
+    with pytest.raises(DataError, match="archive.npy: .*npz"):
         read_matrix(path)
 
 

@@ -353,6 +353,13 @@ def test_residual_outliers_frozen_case():
         residual_outliers(d, basis, threshold=-0.1)
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_residual_outliers_zero_columns_are_relative_to_the_largest(scale):
+    mixed = (E[:, 0] + E[:, 2]) / np.sqrt(2.0)
+    d = np.column_stack([E[:, 0], mixed, 1e-15 * E[:, 1]]) * scale
+    assert residual_outliers(d, E[:, :2]).tolist() == [0, 1, 1]
+
+
 def test_residual_outliers_validates_the_basis():
     d = np.column_stack([E[:, 0], E[:, 1]])
     with pytest.raises(DataError, match="basis rows 3 do not match data rows 4"):
