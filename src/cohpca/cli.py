@@ -5,10 +5,13 @@ values, unusable parameter combinations), 2 when the data defeats the
 numerics (rank collapse, exhausted candidate pools); the failing case is
 named on stderr.
 
-Every subcommand accepts ``--config FILE`` holding ``key=value`` lines
+Every subcommand accepts ``--config FILE`` holding ``key = value`` lines
 (keys are the long option names with dashes or underscores, '#' starts a
-comment).  Values from the file replace built-in defaults; options given
-on the command line win over the file.
+comment).  Each line is read as the argument ``--key=value`` and placed
+before the command line's own arguments, so the file gets the same types,
+choices and prefix abbreviations as the command line, options given on
+the command line win over the file, and required options must still be
+given on the command line.
 """
 
 import argparse
@@ -83,6 +86,17 @@ def _upsilon(text):
         return float(text)
     except ValueError:
         raise DataError(f"upsilon must be a number or 'auto', got {text!r}")
+
+
+_FLAG_WORDS = {"true": True, "yes": True, "1": True,
+               "false": False, "no": False, "0": False}
+
+
+def _flag(text):
+    try:
+        return _FLAG_WORDS[text.lower()]
+    except KeyError:
+        raise DataError(f"expected true/false, yes/no or 1/0, got {text!r}")
 
 
 def _build_strategy(ns):
@@ -299,10 +313,8 @@ def _add_common(sub):
 def build_parser():
     parser = _Parser(prog="cohpca", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     sub = subparsers.add_parser("gen", help="generate a synthetic dataset")
-    registry["gen"] = sub
     sub.add_argument("--model", required=True,
                      choices=["unstructured", "structured", "noisy", "clustered", "union"])
     sub.add_argument("--m", type=int, default=100, help="ambient dimension")
@@ -318,7 +330,8 @@ def build_parser():
                      help="cluster the inliers of the structured model too")
     sub.add_argument("--dims", type=_ints, default=None, help="union ranks, e.g. 3,3")
     sub.add_argument("--sizes", type=_ints, default=None, help="union cluster sizes")
-    sub.add_argument("--shuffle", action="store_true", help="shuffle column order")
+    sub.add_argument("--shuffle", type=_flag, nargs="?", const=True, default=False,
+                     help="shuffle column order")
     sub.add_argument("--out", required=True, help="output matrix file")
     sub.add_argument("--labels-out", default=None, help="output labels file")
     sub.add_argument("--basis-out", default=None,
@@ -327,7 +340,6 @@ def build_parser():
     _add_common(sub)
 
     sub = subparsers.add_parser("cop", help="recover a subspace from a matrix file")
-    registry["cop"] = sub
     sub.add_argument("--in", required=True, help="input matrix file")
     sub.add_argument("--r", type=int, required=True, help="target rank")
     sub.add_argument("--p", type=int, default=2, choices=[1, 2],
@@ -355,7 +367,6 @@ def build_parser():
     _add_common(sub)
 
     sub = subparsers.add_parser("phase", help="success grid over inlier/outlier ratios")
-    registry["phase"] = sub
     sub.add_argument("--m", type=int, default=100)
     sub.add_argument("--r", type=int, default=10)
     sub.add_argument("--n1-over-r", type=_ints, default="1,2,3,4,5,6,7,8,9,10")
@@ -370,7 +381,6 @@ def build_parser():
     _add_common(sub)
 
     sub = subparsers.add_parser("noise-sweep", help="coherence gap under noise")
-    registry["noise-sweep"] = sub
     sub.add_argument("--taus", type=_floats, default="0,0.5,1")
     sub.add_argument("--m", type=int, default=400)
     sub.add_argument("--r", type=int, default=5)
@@ -384,7 +394,6 @@ def build_parser():
 
     sub = subparsers.add_parser("structured-sweep",
                                 help="recovery against clustered outliers")
-    registry["structured-sweep"] = sub
     sub.add_argument("--mus", type=_floats, default="5,0.5,0.2,0.1")
     sub.add_argument("--m", type=int, default=200)
     sub.add_argument("--r", type=int, default=5)
@@ -400,7 +409,6 @@ def build_parser():
 
     sub = subparsers.add_parser("cluster-correct",
                                 help="fix corrupted subspace clustering labels")
-    registry["cluster-correct"] = sub
     sub.add_argument("--m", type=int, default=50)
     sub.add_argument("--dims", type=_ints, default="3,3")
     sub.add_argument("--sizes", type=_ints, default="250,250")
@@ -414,7 +422,6 @@ def build_parser():
     _add_common(sub)
 
     sub = subparsers.add_parser("saliency", help="patch saliency map of a PGM image")
-    registry["saliency"] = sub
     sub.add_argument("--image", required=True, help="input PGM image")
     sub.add_argument("--patch", type=int, default=10, help="patch edge in pixels")
     sub.add_argument("--r", type=int, default=2, help="background basis rank")
@@ -425,7 +432,6 @@ def build_parser():
     _add_common(sub)
 
     sub = subparsers.add_parser("bench", help="time the pipeline stages")
-    registry["bench"] = sub
     sub.add_argument("--cases", type=_cases, default="1000x1000,2000x2000",
                      help="comma separated MxN sizes")
     sub.add_argument("--r", type=int, default=10)
@@ -439,7 +445,6 @@ def build_parser():
 
     sub = subparsers.add_parser("check-condition",
                                 help="evaluate a recovery guarantee condition")
-    registry["check-condition"] = sub
     sub.add_argument("--kind", required=True, choices=list(guarantees.KINDS))
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
@@ -456,20 +461,17 @@ def build_parser():
     sub.set_defaults(func=cmd_check_condition)
     _add_common(sub)
 
-    return parser, registry
+    return parser
 
 
-_CONFIG_BOOL = {"true": True, "false": False, "1": True, "0": False,
-                "yes": True, "no": False}
-
-
-def _load_config(path):
+def _config_args(path):
+    """Read a ``key = value`` file as the arguments ``--key=value``, in file order."""
     try:
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}")
-    pairs = {}
+    args = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -477,49 +479,23 @@ def _load_config(path):
         if "=" not in line:
             raise DataError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
-        pairs[key.strip().replace("-", "_")] = value.strip()
-    return pairs
-
-
-def _convert_config(pairs, sub):
-    actions = {act.dest: act for act in sub._actions}
-    converted = {}
-    for key, value in pairs.items():
-        if key in ("config", "func", "command") or key not in actions:
-            raise DataError(f"unknown config key {key!r}")
-        act = actions[key]
-        if isinstance(act.default, bool):
-            if value.lower() not in _CONFIG_BOOL:
-                raise DataError(f"config key {key!r} expects true/false, got {value!r}")
-            converted[key] = _CONFIG_BOOL[value.lower()]
-        elif act.type is not None:
-            try:
-                converted[key] = act.type(value)
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"config key {key!r}: {exc}")
-        else:
-            converted[key] = value
-        if act.choices is not None and converted[key] not in act.choices:
-            raise DataError(
-                f"config key {key!r} must be one of {list(act.choices)}, "
-                f"got {value!r}"
-            )
-    return converted
+        key = key.strip().replace("_", "-")
+        # "config" and its prefixes, the empty key among them, reach --config
+        if "config".startswith(key):
+            raise DataError(f"{path}:{lineno}: a config file cannot set {raw!r}")
+        args.append(f"--{key}={value.strip()}")
+    return args
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
     try:
-        parser, registry = build_parser()
+        parser = build_parser()
         ns = parser.parse_args(argv)
         if ns.config:
-            pairs = _load_config(ns.config)
-            parser, registry = build_parser()
-            registry[ns.command].set_defaults(
-                **_convert_config(pairs, registry[ns.command])
-            )
-            ns = parser.parse_args(argv)
+            # file values go first so the command line's own flags win
+            ns = parser.parse_args(argv[:1] + _config_args(ns.config) + argv[1:])
         return ns.func(ns)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 0

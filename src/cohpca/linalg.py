@@ -133,12 +133,13 @@ def coherence_gram(d, p=2):
 def orthonormal_basis(y):
     """Orthonormal basis for the column span of ``y`` at numerical rank.
 
-    Singular directions with sigma_i <= 1e-10 * sigma_1 are discarded.
+    Singular directions with sigma_i <= 1e-10 * sigma_1 are discarded;
+    only an all-zero matrix has no basis.
     """
     y = _as_matrix(y)
     u, s, _ = np.linalg.svd(y, full_matrices=False)
-    if s[0] <= ZERO_COLUMN_TOL:
-        raise NumericalError("matrix is numerically zero, no basis exists")
+    if s[0] == 0.0:
+        raise NumericalError("matrix is zero, no basis exists")
     rank = int(np.sum(s > RANK_REL_TOL * s[0]))
     return u[:, :rank]
 
@@ -147,15 +148,15 @@ def top_r_singular_subspace(y, r):
     """Span of the top r left singular vectors of ``y``.
 
     Returns ``TopSubspace(basis, unique)``; ``unique`` is False when
-    sigma_r and sigma_{r+1} coincide within 1e-12, meaning the subspace
-    is not determined by ``y`` alone.
+    sigma_r - sigma_{r+1} is at most 1e-12 * sigma_1, meaning the subspace
+    is not determined by ``y`` alone; scaling ``y`` does not change it.
     """
     y = _as_matrix(y)
     r = int(r)
     if r < 1 or r > min(y.shape):
         raise DataError(f"r={r} out of range for shape {y.shape}")
     u, s, _ = np.linalg.svd(y, full_matrices=False)
-    unique = r == len(s) or bool(s[r - 1] - s[r] > SIGMA_GAP_TOL)
+    unique = r == len(s) or bool(s[r - 1] - s[r] > SIGMA_GAP_TOL * s[0])
     return TopSubspace(u[:, :r], unique)
 
 

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from cohpca import cli
 from cohpca.cli import main
 from cohpca.io import read_labels, read_matrix, read_pgm, write_pgm
 from cohpca.linalg import recovery_error
@@ -274,3 +275,58 @@ def test_config_error_cases(tmp_path):
     wrong_choice = tmp_path / "choice.cfg"
     wrong_choice.write_text("p = 7\n")
     assert run("phase", "--config", wrong_choice) == 1
+
+
+_REQUIRED = {
+    "gen": ["--model", "structured", "--out", "d.txt"],
+    "cop": ["--in", "d.txt", "--r", "2", "--basis-out", "b.txt"],
+}
+
+
+@pytest.fixture
+def parsed(monkeypatch):
+    """Capture the Namespace each subcommand would run on, without running it."""
+    seen = []
+
+    def capture(ns):
+        seen.append(ns)
+        return 0
+
+    for name in ("cmd_gen", "cmd_cop", "cmd_phase", "cmd_noise_sweep", "cmd_bench"):
+        monkeypatch.setattr(cli, name, capture)
+    return seen
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("phase", "trials", "3"),
+    ("gen", "mu", "0.25"),
+    ("phase", "n1_over_r", "2,4"),
+    ("noise-sweep", "taus", "0,0.5"),
+    ("bench", "cases", "10x20,30x40"),
+    ("cop", "upsilon", "auto"),
+    ("cop", "upsilon", "0.3"),
+    ("cop", "strategy", "adaptive"),
+    ("gen", "labels-out", "a=b.txt"),
+    ("gen", "shuffle", "true"),
+    ("gen", "shuffle", "false"),
+    ("gen", "shuffle", "yes"),
+    ("gen", "shuffle", "0"),
+])
+def test_config_line_parses_like_its_flag(tmp_path, parsed, command, key, value):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {value}\n")
+    base = [command] + _REQUIRED.get(command, [])
+    assert main(base + ["--config", str(cfg)]) == 0
+    assert main(base + ["--" + key.replace("_", "-"), value]) == 0
+    from_file, from_flag = (vars(ns) for ns in parsed)
+    assert from_file.pop("config") == str(cfg)
+    assert from_flag.pop("config") is None
+    assert from_file == from_flag
+
+
+@pytest.mark.parametrize("line", ["help = 1", "config = other.cfg", "bogus = 3"])
+def test_config_lines_the_command_line_would_reject_exit_1(tmp_path, parsed, line):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(line + "\n")
+    assert run("phase", "--config", cfg) == 1
+    assert parsed == []

@@ -136,6 +136,16 @@ def test_orthonormal_basis_rejects_zero_matrix():
         orthonormal_basis(np.zeros((4, 2)))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-20, 1.0, 1e20, 1e300])
+def test_orthonormal_basis_is_scale_free(scale):
+    y = random_matrix(6, 3, seed=12)
+    base = orthonormal_basis(y)
+    basis = orthonormal_basis(y * scale)
+    assert basis.shape == (6, 3)
+    np.testing.assert_allclose(basis.T @ basis, np.eye(3), atol=1e-12)
+    np.testing.assert_allclose(basis @ basis.T, base @ base.T, atol=1e-12)
+
+
 def test_top_r_singular_subspace_frozen_case():
     y = np.diag([3.0, 2.0, 1.0])
     top = top_r_singular_subspace(y, 2)
@@ -150,6 +160,14 @@ def test_top_r_singular_subspace_flags_ties():
         top_r_singular_subspace(np.eye(3), 4)
     with pytest.raises(DataError):
         top_r_singular_subspace(np.eye(3), 0)
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+def test_top_r_singular_subspace_tie_test_is_scale_free(scale):
+    # sigma_1 - sigma_2 = 1e-13 * sigma_1 is a tie at every scale
+    y = np.diag([1.0, 1.0 + 1e-13, 0.5]) * scale
+    assert not top_r_singular_subspace(y, 1).unique
+    assert top_r_singular_subspace(y, 2).unique
 
 
 # ---- projection and deflation ----
