@@ -50,18 +50,19 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
+# argparse prints an ArgumentTypeError's message; other ValueErrors lose it
 def _ints(text):
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise DataError(f"expected comma separated integers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma separated integers, got {text!r}")
 
 
 def _floats(text):
     try:
         return tuple(float(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
-        raise DataError(f"expected comma separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected comma separated numbers, got {text!r}")
 
 
 def _cases(text):
@@ -70,12 +71,13 @@ def _cases(text):
         tok = tok.strip()
         if not tok:
             continue
-        parts = tok.split("x")
-        if len(parts) != 2:
-            raise DataError(f"expected MxN case syntax, got {tok!r}")
-        out.append((int(parts[0]), int(parts[1])))
+        try:
+            m, n = (int(v) for v in tok.split("x"))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected MxN case syntax, got {tok!r}")
+        out.append((m, n))
     if not out:
-        raise DataError(f"no cases in {text!r}")
+        raise argparse.ArgumentTypeError(f"no cases in {text!r}")
     return tuple(out)
 
 
@@ -85,7 +87,7 @@ def _upsilon(text):
     try:
         return float(text)
     except ValueError:
-        raise DataError(f"upsilon must be a number or 'auto', got {text!r}")
+        raise argparse.ArgumentTypeError(f"upsilon must be a number or 'auto', got {text!r}")
 
 
 _FLAG_WORDS = {"true": True, "yes": True, "1": True,
@@ -96,7 +98,7 @@ def _flag(text):
     try:
         return _FLAG_WORDS[text.lower()]
     except KeyError:
-        raise DataError(f"expected true/false, yes/no or 1/0, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected true/false, yes/no or 1/0, got {text!r}")
 
 
 def _build_strategy(ns):

@@ -52,7 +52,6 @@ __all__ = [
     "SaliencyResult",
     "saliency",
     "run_bench",
-    "write_rows_csv",
 ]
 
 

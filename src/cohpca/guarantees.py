@@ -42,19 +42,6 @@ __all__ = [
     "validate_condition_empirically",
 ]
 
-KINDS = (
-    "unstructured-l1-mean",
-    "unstructured-l2-mean",
-    "unstructured-l1-whp",
-    "unstructured-l2-whp",
-    "structured-l1-mean",
-    "structured-l1-whp",
-    "noisy-l1-mean",
-    "noisy-l1-whp",
-    "clustered-l1-mean",
-)
-
-
 @dataclass(frozen=True)
 class ConditionParams:
     """Problem sizes plus the model parameter the kind calls for.
@@ -128,6 +115,33 @@ def _base_checks(p, kind):
         _require(p.n2 >= 1, f"n2={p.n2} must be >= 1 for whp kinds")
 
 
+_MODEL_PARAMS = {"structured": "mu", "noisy": "sigma", "clustered": "nu"}
+
+
+def _model_param(p, model):
+    """The parameter of ``model`` (mu, sigma or nu), which must be given."""
+    name = _MODEL_PARAMS[model]
+    value = getattr(p, name)
+    _require(value is not None, f"{model} kinds need {name}")
+    return value
+
+
+def _mu(p):
+    mu = _model_param(p, "structured")
+    _require(0 < mu < 1, f"the structured bounds need 0 < mu < 1, got {mu}")
+    return mu
+
+
+def _beta(n, delta):
+    """The log-union floor max(8 log(n/delta), 8 pi) of the whp bounds."""
+    return max(8 * math.log(n / delta), 8 * math.pi)
+
+
+def _concentration(n, m, delta):
+    """Whp bound on the summed |coherence| of n uniform unit vectors in R^m."""
+    return n / math.sqrt(m) + 2 * math.sqrt(n) + math.sqrt(2 * n * math.log(n / delta) / (m - 1))
+
+
 def _unstructured_l1_mean(p):
     lhs = p.n1 / math.sqrt(p.r) * (math.sqrt(2 / math.pi) - math.sqrt(4 * p.r**2 / p.m))
     rhs = 5 * p.n2 / (4 * math.sqrt(p.m)) + math.sqrt(2 / (math.pi * p.r))
@@ -142,7 +156,7 @@ def _unstructured_l2_mean(p):
 
 def _unstructured_l1_whp(p):
     _require(p.r >= 2, "the l1 whp bound needs r >= 2")
-    beta = max(8 * math.log(p.n2 / p.delta), 8 * math.pi)
+    beta = _beta(p.n2, p.delta)
     kappa = p.m / (p.m - 1)
     lhs = (
         p.n1
@@ -151,17 +165,12 @@ def _unstructured_l1_whp(p):
         - 2 * math.sqrt(p.n1)
         - math.sqrt(2 * p.n1 * math.log(p.n1 / p.delta) / (p.r - 1))
     )
-    rhs = (
-        p.n2 / math.sqrt(p.m)
-        + 2 * math.sqrt(p.n2)
-        + math.sqrt(2 * p.n2 * math.log(p.n2 / p.delta) / (p.m - 1))
-        + 1 / math.sqrt(p.r)
-    )
+    rhs = _concentration(p.n2, p.m, p.delta) + 1 / math.sqrt(p.r)
     return lhs, rhs, {"beta": beta, "kappa": kappa}
 
 
 def _unstructured_l2_whp(p):
-    zeta = max(8 * math.pi, 8 * math.log(p.n2 / p.delta))
+    zeta = _beta(p.n2, p.delta)
     kappa = p.m / (p.m - 1)
     log1 = math.log(2 * p.r * p.n1 / p.delta)
     log2 = math.log(2 * p.m * p.n2 / p.delta)
@@ -177,9 +186,7 @@ def _unstructured_l2_whp(p):
 
 
 def _structured_l1_mean(p):
-    _require(p.mu is not None, "structured kinds need mu")
-    _require(0 < p.mu < 1, f"the structured bounds need 0 < mu < 1, got {p.mu}")
-    mu = p.mu
+    mu = _mu(p)
     lhs = (p.n1 - 1) * math.sqrt(2 / (math.pi * p.r))
     rhs = 2 * p.n2 / (1 + mu**2) + (
         2 * mu**2 * p.n2
@@ -190,10 +197,8 @@ def _structured_l1_mean(p):
 
 
 def _structured_l1_whp(p):
-    _require(p.mu is not None, "structured kinds need mu")
-    _require(0 < p.mu < 1, f"the structured bounds need 0 < mu < 1, got {p.mu}")
-    mu = p.mu
-    beta = max(8 * math.log(p.n2 / p.delta), 8 * math.pi)
+    mu = _mu(p)
+    beta = _beta(p.n2, p.delta)
     kappa = p.m / (p.m - 1)
     t_tail = t_delta(p.delta, p.m)
     lhs = (
@@ -203,12 +208,7 @@ def _structured_l1_whp(p):
     )
     rhs = (
         p.n2 / (1 + mu**2)
-        + ((mu**2 + mu) / (1 + mu**2))
-        * (
-            p.n2 / math.sqrt(p.m)
-            + 2 * math.sqrt(p.n2)
-            + math.sqrt(2 * p.n2 * math.log(p.n2 / p.delta) / (p.m - 1))
-        )
+        + ((mu**2 + mu) / (1 + mu**2)) * _concentration(p.n2, p.m, p.delta)
         + mu * p.n2 * math.sqrt(t_tail) / ((1 + mu**2) * math.sqrt(p.m))
         + p.n1 * (mu + 1) / math.sqrt((1 + mu**2) * p.m)
         * (math.sqrt(p.r) + 2 * math.sqrt(beta * kappa))
@@ -217,11 +217,11 @@ def _structured_l1_whp(p):
 
 
 def _noisy_l1_mean(p):
-    _require(p.sigma is not None, "noisy kinds need sigma")
-    _require(p.sigma >= 0, f"sigma={p.sigma} must be >= 0")
-    s2 = p.sigma**2
+    sigma = _model_param(p, "noisy")
+    _require(sigma >= 0, f"sigma={sigma} must be >= 0")
+    s2 = sigma**2
     xi = math.sqrt(2 * s2 / (math.pi * p.m)) * (
-        p.n1 / math.sqrt(1 + s2) * (1 + p.sigma * math.sqrt(math.pi / 2) + math.sqrt(p.r))
+        p.n1 / math.sqrt(1 + s2) * (1 + sigma * math.sqrt(math.pi / 2) + math.sqrt(p.r))
         + p.n2
         + 2 * p.n1
     )
@@ -235,24 +235,19 @@ def _noisy_l1_mean(p):
 
 
 def _noisy_l1_whp(p):
-    _require(p.sigma is not None, "noisy kinds need sigma")
-    _require(p.sigma > 0, "the noisy whp bound needs sigma > 0")
+    sigma = _model_param(p, "noisy")
+    _require(sigma > 0, "the noisy whp bound needs sigma > 0")
     _require(p.r >= 2, "the noisy whp bound needs r >= 2")
-    sigma = p.sigma
     s2 = sigma**2
     n = p.n1 + p.n2
     c_arg = n / (p.delta * math.sqrt(2 * math.pi) * sigma)
     _require(c_arg > 1.0, f"amplitude bound undefined: n/(delta*sqrt(2*pi)*sigma) = {c_arg:.3g} <= 1")
     c = math.sqrt(2 * math.log(c_arg))
-    beta = max(8 * math.pi, 8 * math.log(p.n2 / p.delta))
-    beta_in = max(8 * math.pi, 8 * math.log(p.n1 / p.delta))
+    beta = _beta(p.n2, p.delta)
+    beta_in = _beta(p.n1, p.delta)
     varsigma = (
         (c * sigma + c**2 * s2) / math.sqrt(1 + s2) + c * sigma
-    ) * (
-        p.n1 / math.sqrt(p.m)
-        + 2 * math.sqrt(p.n1)
-        + math.sqrt(2 * p.n1 * math.log(p.n1 / p.delta) / (p.m - 1))
-    ) + (c * p.n1 * sigma / math.sqrt(1 + s2)) * (
+    ) * _concentration(p.n1, p.m, p.delta) + (c * p.n1 * sigma / math.sqrt(1 + s2)) * (
         math.sqrt(p.r / p.m) + 2 * math.sqrt(beta_in / (p.m - 1))
     )
     lhs = (
@@ -265,16 +260,7 @@ def _noisy_l1_whp(p):
         - 2 * math.sqrt(p.n1 / (1 + s2))
         - math.sqrt(2 * p.n1 * math.log(p.n1 / p.delta) / ((p.r - 1) * (1 + s2)))
     )
-    rhs = (
-        math.sqrt(1 + s2)
-        * (
-            p.n2 / math.sqrt(p.m)
-            + 2 * math.sqrt(p.n2)
-            + math.sqrt(2 * p.n2 * math.log(p.n2 / p.delta) / (p.m - 1))
-        )
-        + 1 / math.sqrt(p.r)
-        + varsigma
-    )
+    rhs = math.sqrt(1 + s2) * _concentration(p.n2, p.m, p.delta) + 1 / math.sqrt(p.r) + varsigma
     inter = {
         "beta": beta,
         "beta_in": beta_in,
@@ -286,9 +272,8 @@ def _noisy_l1_whp(p):
 
 
 def _clustered_l1_mean(p):
-    _require(p.nu is not None, "clustered kinds need nu")
-    _require(0 < p.nu < 1, f"the clustered bound needs 0 < nu < 1, got {p.nu}")
-    nu = p.nu
+    nu = _model_param(p, "clustered")
+    _require(0 < nu < 1, f"the clustered bound needs 0 < nu < 1, got {nu}")
     lhs = p.n1 * (1 - (nu**2 + 2 * nu) / math.sqrt(p.r))
     rhs = (
         1
@@ -310,6 +295,7 @@ _CHECKS = {
     "noisy-l1-whp": _noisy_l1_whp,
     "clustered-l1-mean": _clustered_l1_mean,
 }
+KINDS = tuple(_CHECKS)
 
 
 def check_condition(kind, params):
@@ -374,11 +360,13 @@ def t_delta(delta, m):
 _MODEL_OF_KIND = {
     "unstructured": lambda p, seed: gen_unstructured(p.m, p.r, p.n1, p.n2, seed=seed),
     "structured": lambda p, seed: gen_structured_outliers(
-        p.m, p.r, p.n1, p.n2, p.mu, seed=seed
+        p.m, p.r, p.n1, p.n2, _model_param(p, "structured"), seed=seed
     ),
-    "noisy": lambda p, seed: gen_noisy(p.m, p.r, p.n1, p.n2, p.sigma, seed=seed),
+    "noisy": lambda p, seed: gen_noisy(
+        p.m, p.r, p.n1, p.n2, _model_param(p, "noisy"), seed=seed
+    ),
     "clustered": lambda p, seed: gen_clustered_inliers(
-        p.m, p.r, p.n1, p.n2, p.nu, seed=seed
+        p.m, p.r, p.n1, p.n2, _model_param(p, "clustered"), seed=seed
     ),
 }
 

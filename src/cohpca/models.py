@@ -110,8 +110,22 @@ def _shuffled(rng, d, labels, *others):
     return (d[:, perm], labels[perm]) + shuffled_others
 
 
-def _labels(n1, n2):
-    return np.concatenate([np.full(n1, INLIER), np.full(n2, OUTLIER)])
+def _dataset(rng, u, a, b, shuffle, clean=None, aux=None):
+    """Inliers ``a`` then outliers ``b``, labeled, shuffled when asked."""
+    d = np.hstack([a, b])
+    labels = np.concatenate([np.full(a.shape[1], INLIER), np.full(b.shape[1], OUTLIER)])
+    if shuffle:
+        d, labels, clean = _shuffled(rng, d, labels, clean)
+    return LabeledDataset(d, labels, u, clean=clean, aux={} if aux is None else aux)
+
+
+def _clustered(rng, u, n1, nu):
+    """Inliers (t + nu * a_i) / sqrt(1 + nu^2) around one direction t of span(u)."""
+    if nu <= 0:
+        raise DataError(f"mixing parameter nu={nu} must be > 0")
+    t = u @ unit_sphere(rng, u.shape[1], 1)
+    dirs = u @ unit_sphere(rng, u.shape[1], n1)
+    return (t + nu * dirs) / np.sqrt(1.0 + nu**2), t[:, 0]
 
 
 def gen_unstructured(m, r, n1, n2, seed=0, shuffle=False):
@@ -120,12 +134,8 @@ def gen_unstructured(m, r, n1, n2, seed=0, shuffle=False):
     rng = _rng_of(seed)
     u = random_subspace(rng, m, r)
     a = u @ unit_sphere(rng, r, n1)
-    b = unit_sphere(rng, m, n2) if n2 else np.empty((m, 0))
-    d = np.hstack([a, b])
-    labels = _labels(n1, n2)
-    if shuffle:
-        d, labels = _shuffled(rng, d, labels)
-    return LabeledDataset(d, labels, u)
+    b = unit_sphere(rng, m, n2)
+    return _dataset(rng, u, a, b, shuffle)
 
 
 def gen_structured_outliers(m, r, n1, n2, mu, seed=0, inlier_nu=None, shuffle=False):
@@ -146,12 +156,7 @@ def gen_structured_outliers(m, r, n1, n2, mu, seed=0, inlier_nu=None, shuffle=Fa
     if inlier_nu is None:
         a = u @ unit_sphere(rng, r, n1)
     else:
-        if inlier_nu <= 0:
-            raise DataError(f"mixing parameter nu={inlier_nu} must be > 0")
-        t = u @ unit_sphere(rng, r, 1)
-        dirs = u @ unit_sphere(rng, r, n1)
-        a = (t + inlier_nu * dirs) / np.sqrt(1.0 + inlier_nu**2)
-        aux["inlier_center"] = t[:, 0]
+        a, aux["inlier_center"] = _clustered(rng, u, n1, inlier_nu)
     if n2:
         q = unit_sphere(rng, m, 1)
         dirs = unit_sphere(rng, m, n2)
@@ -160,11 +165,7 @@ def gen_structured_outliers(m, r, n1, n2, mu, seed=0, inlier_nu=None, shuffle=Fa
         aux["outlier_dirs"] = dirs
     else:
         b = np.empty((m, 0))
-    d = np.hstack([a, b])
-    labels = _labels(n1, n2)
-    if shuffle:
-        d, labels = _shuffled(rng, d, labels)
-    return LabeledDataset(d, labels, u, aux=aux)
+    return _dataset(rng, u, a, b, shuffle, aux=aux)
 
 
 def gen_noisy(m, r, n1, n2, sigma, seed=0, shuffle=False):
@@ -186,13 +187,8 @@ def gen_noisy(m, r, n1, n2, sigma, seed=0, shuffle=False):
     e = unit_sphere(rng, m, n1)
     alpha = rng.normal(0.0, sigma, n1) if sigma > 0 else np.zeros(n1)
     a_noisy = (a + alpha * e) / np.sqrt(1.0 + sigma**2)
-    b = unit_sphere(rng, m, n2) if n2 else np.empty((m, 0))
-    d = np.hstack([a_noisy, b])
-    labels = _labels(n1, n2)
-    clean = np.hstack([a, b])
-    if shuffle:
-        d, labels, clean = _shuffled(rng, d, labels, clean)
-    return LabeledDataset(d, labels, u, clean=clean)
+    b = unit_sphere(rng, m, n2)
+    return _dataset(rng, u, a_noisy, b, shuffle, clean=np.hstack([a, b]))
 
 
 def gen_clustered_inliers(m, r, n1, n2, nu, seed=0, shuffle=False):
@@ -204,19 +200,11 @@ def gen_clustered_inliers(m, r, n1, n2, nu, seed=0, shuffle=False):
     uniform on the ambient sphere.
     """
     _check_sizes(m, r, n1, n2)
-    if nu <= 0:
-        raise DataError(f"mixing parameter nu={nu} must be > 0")
     rng = _rng_of(seed)
     u = random_subspace(rng, m, r)
-    t = u @ unit_sphere(rng, r, 1)
-    dirs = u @ unit_sphere(rng, r, n1)
-    a = (t + nu * dirs) / np.sqrt(1.0 + nu**2)
-    b = unit_sphere(rng, m, n2) if n2 else np.empty((m, 0))
-    d = np.hstack([a, b])
-    labels = _labels(n1, n2)
-    if shuffle:
-        d, labels = _shuffled(rng, d, labels)
-    return LabeledDataset(d, labels, u, aux={"inlier_center": t[:, 0]})
+    a, center = _clustered(rng, u, n1, nu)
+    b = unit_sphere(rng, m, n2)
+    return _dataset(rng, u, a, b, shuffle, aux={"inlier_center": center})
 
 
 def gen_union(m, dims, sizes, seed=0, shuffle=False):

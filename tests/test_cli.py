@@ -330,3 +330,27 @@ def test_config_lines_the_command_line_would_reject_exit_1(tmp_path, parsed, lin
     cfg.write_text(line + "\n")
     assert run("phase", "--config", cfg) == 1
     assert parsed == []
+
+
+@pytest.mark.parametrize("command, key, value, message", [
+    ("phase", "n1-over-r", "a", "expected comma separated integers, got 'a'"),
+    ("noise-sweep", "taus", "x", "expected comma separated numbers, got 'x'"),
+    ("bench", "cases", "3y4", "expected MxN case syntax, got '3y4'"),
+    ("bench", "cases", "3xq", "expected MxN case syntax, got '3xq'"),
+    ("cop", "upsilon", "zz", "upsilon must be a number or 'auto', got 'zz'"),
+    ("gen", "shuffle", "maybe", "expected true/false, yes/no or 1/0, got 'maybe'"),
+])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_bad_option_values_exit_1_with_the_reason(
+    tmp_path, parsed, capsys, source, command, key, value, message
+):
+    args = [command] + _REQUIRED.get(command, [])
+    if source == "flag":
+        args += ["--" + key, value]
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 1
+    assert f"argument --{key}: {message}" in capsys.readouterr().err
+    assert parsed == []

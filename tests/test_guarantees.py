@@ -122,6 +122,35 @@ def test_whp_kinds_report_intermediates():
     )
 
 
+_WHP_FROZEN = {
+    "unstructured-l1-whp": (16.861551225374498, 22.41287699037392, {
+        "beta": 60.80721967633666, "kappa": 1.0002000400080016}),
+    "unstructured-l2-whp": (129.12565100350258, 45.029980884048705, {
+        "zeta": 60.80721967633666, "kappa": 1.0002000400080016,
+        "eta1": 143.66193553528433, "eta2": 22.41499044202435}),
+    "structured-l1-whp": (531.7778060178317, 695.288111032584, {
+        "beta": 60.80721967633666, "kappa": 1.0002000400080016,
+        "t_delta": 3.8411353762057843}),
+    "noisy-l1-whp": (6.732573370831815, 903.1361945693976, {
+        "beta": 60.80721967633666, "beta_in": 84.77307786476858,
+        "c": 4.761496461511849, "omega": 0.9522992923023699,
+        "varsigma": 880.288311718003}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_WHP_FROZEN))
+def test_whp_frozen_values(kind):
+    # recorded from the written-out formulas; 8 log(n2/delta) beats 8 pi here
+    lhs, rhs, inter = _WHP_FROZEN[kind]
+    rep = check_condition(
+        kind, params(5000, 5, 2000, 100, delta=0.05, mu=0.2, sigma=0.2)
+    )
+    assert rep.lhs == pytest.approx(lhs, rel=1e-12)
+    assert rep.rhs == pytest.approx(rhs, rel=1e-12)
+    assert rep.intermediates == pytest.approx(inter, rel=1e-12)
+    assert rep.holds == (lhs > rhs)
+
+
 def test_whp_holds_at_generous_sizes_and_fails_at_tiny_ones():
     assert check_condition(
         "unstructured-l2-whp", params(3000, 2, 1000, 100)
@@ -362,6 +391,14 @@ def test_validate_rejects_bad_input():
         validate_condition_empirically(
             "unstructured-l2-mean", params(100, 5, 10, 10), trials=0
         )
+
+
+@pytest.mark.parametrize("kind, name", [
+    ("structured-l1-mean", "mu"), ("noisy-l1-whp", "sigma"), ("clustered-l1-mean", "nu"),
+])
+def test_validate_names_a_missing_model_parameter(kind, name):
+    with pytest.raises(DataError, match=f"need {name}$"):
+        validate_condition_empirically(kind, params(60, 3, 30, 8), trials=1)
 
 
 def test_all_kinds_are_checkable():

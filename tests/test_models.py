@@ -42,16 +42,16 @@ def test_mean_abs_dot_oracle_hand_cases():
 # ---- shared generator properties ----
 
 ALL_GENERATORS = [
-    lambda seed, shuffle=False: gen_unstructured(40, 4, 20, 30, seed, shuffle=shuffle),
-    lambda seed, shuffle=False: gen_structured_outliers(
-        40, 4, 20, 30, 0.5, seed, shuffle=shuffle
+    lambda seed, shuffle=False, n2=30: gen_unstructured(40, 4, 20, n2, seed, shuffle=shuffle),
+    lambda seed, shuffle=False, n2=30: gen_structured_outliers(
+        40, 4, 20, n2, 0.5, seed, shuffle=shuffle
     ),
-    lambda seed, shuffle=False: gen_structured_outliers(
-        40, 4, 20, 30, 0.5, seed, inlier_nu=0.3, shuffle=shuffle
+    lambda seed, shuffle=False, n2=30: gen_structured_outliers(
+        40, 4, 20, n2, 0.5, seed, inlier_nu=0.3, shuffle=shuffle
     ),
-    lambda seed, shuffle=False: gen_noisy(40, 4, 20, 30, 0.4, seed, shuffle=shuffle),
-    lambda seed, shuffle=False: gen_clustered_inliers(
-        40, 4, 20, 30, 0.3, seed, shuffle=shuffle
+    lambda seed, shuffle=False, n2=30: gen_noisy(40, 4, 20, n2, 0.4, seed, shuffle=shuffle),
+    lambda seed, shuffle=False, n2=30: gen_clustered_inliers(
+        40, 4, 20, n2, 0.3, seed, shuffle=shuffle
     ),
 ]
 
@@ -129,10 +129,13 @@ def test_size_validation():
         gen_clustered_inliers(10, 2, 5, 5, nu=-1.0)
 
 
-def test_no_outliers_is_allowed():
-    ds = gen_unstructured(20, 3, 10, 0)
-    assert ds.d.shape == (20, 10)
+@pytest.mark.parametrize("shuffle", [False, True])
+@pytest.mark.parametrize("gen", ALL_GENERATORS)
+def test_no_outliers_is_allowed(gen, shuffle):
+    ds = gen(0, shuffle=shuffle, n2=0)
+    assert ds.d.shape == (40, 20)
     assert np.all(ds.labels == INLIER)
+    assert ds.clean is None or ds.clean.shape == ds.d.shape
 
 
 # ---- model-specific structure ----
