@@ -1,14 +1,19 @@
 """Matrix, label, and PGM image files.
 
 Matrix format: a header line "m n", then m lines of n space-separated
-decimal floats.  Values are written with 17 significant digits so a
-write/read round trip reproduces float64 exactly.  The writer formats a
-whole row with one bytes ``%`` call, converting one row at a time to
-Python floats, so it never holds more than a row of them.  A path
-ending in ".npy" selects NumPy's binary format instead (``np.save`` /
-``np.load`` without pickles), which holds only 2-d float64 arrays and
-is bit-exact too.  Readers reject NaN and Inf, as does the writer;
-nothing downstream can cope with them.
+decimal floats.  Each value is written as ``b"%.17g" % v`` would write
+it, 17 significant digits, so a write/read round trip reproduces
+float64 exactly.  The writer formats fixed-size blocks of values in
+NumPy: it scales each value to a 17-digit integer in double-double
+arithmetic, lays sign, digits, point and exponent out in a fixed-width
+byte template and deletes the unused bytes.  The few values that path
+cannot round with certainty (near-ties, and magnitudes outside
+[1e-280, 1e280]) go through the per-value ``%`` format, so the bytes
+are those of the per-value writer.  A path ending in ".npy"
+selects NumPy's binary format instead (``np.save`` / ``np.load``
+without pickles), which holds only 2-d float64 arrays and is bit-exact
+too.  Readers reject NaN and Inf, as does the writer; nothing
+downstream can cope with them.
 
 Label files carry one integer per line.  Images use PGM: the reader
 accepts both ASCII (P2) and binary (P5) with maxval up to 255, the
@@ -16,6 +21,7 @@ writer emits P2.
 """
 
 import os
+from fractions import Fraction
 
 import numpy as np
 
@@ -40,19 +46,161 @@ def _is_npy(path):
     return os.fspath(path).endswith(".npy")
 
 
+# ---- the text matrix writer ----
+#
+# A value v with 1e-280 <= |v| <= 1e280 and decimal exponent k prints as
+# the 17 digits of D = round(|v| 10^(16-k)), 1e16 <= D < 1e17, with a
+# point and, outside -4 <= k <= 16, an exponent.  Each value gets a
+# 48-byte template row, read as six words and filled from small tables:
+#   word 0     sign, "0." and up to three zeros (-4 <= k < 0), pad, digit 0
+#   words 1-4  a point slot before each of digits 1 to 16
+#   word 5     "e", exponent sign, three exponent digits, separator, pad
+# The bytes left 0 are deleted at the end.  Tables are built from bytes
+# and only combined by AND and OR, so the byte order does not matter.
+
+BLOCK_VALUES = 4096  # values per vector pass; 6144 ran 40% slower (4 MiB L2)
+_K_MIN, _K_MAX = -281, 280  # every k of the range above, fix-ups included
+_SPLIT = 2.0**27 + 1  # Veltkamp's constant for float64
+_NEAR_TIE = 2.0**-40
+
+
+def _powers():
+    """10^(16-k) for k from _K_MIN to _K_MAX as double-doubles hi + lo,
+    each part correctly rounded from the exact value."""
+    exact = [Fraction(10) ** (16 - k) for k in range(_K_MIN, _K_MAX + 1)]
+    hi = [float(p) for p in exact]
+    return np.array(hi), np.array([float(p - Fraction(h)) for p, h in zip(exact, hi)])
+
+
+def _groups():
+    """Words 1-4 by 4-digit group, with a point in every slot; and, for
+    group i, the place of its last nonzero digit among the 17, or 0."""
+    # small dtypes: int64 temporaries here kept about 0.5 MB more resident
+    digits = (np.arange(10000, dtype=np.int16)[:, None] // np.array([1000, 100, 10, 1], np.int16) % 10).astype(np.uint8)
+    chars = np.full((10000, 8), ord("."), np.uint8)
+    chars[:, 1::2] = ord("0") + digits
+    last = ((digits != 0) * np.arange(1, 5, dtype=np.int8)).max(axis=1)
+    last = np.where(last > 0, last + np.arange(0, 16, 4, dtype=np.int8)[:, None], 0)
+    return chars.view(np.uint64).ravel(), last.astype(np.int8)
+
+
+def _words(rows):
+    """Rows of at most 8 bytes, padded with zeros, as uint64 words."""
+    return np.frombuffer(b"".join(r.ljust(8, b"\0") for r in rows), np.uint64)
+
+
+_POW_HI, _POW_LO = _powers()
+_GROUP, _LAST = _groups()
+# word 0 by 5 * sign + (number of zeros before digit 0), and by digit 0
+_PREFIX = _words(s + b"0.000"[: z + 1] * (z > 0) for s in (b"", b"-") for z in range(5))
+_FIRST = _words(b"\0" * 7 + b"%d" % d for d in range(10))
+# ANDed with a group word, by 17 * c + d: keeps digits 1..c and the point
+# after digit d (d = 16: no point)
+_MASK = np.zeros((17, 17, 32), np.uint8)
+_MASK[..., 1::2] = 255 * (np.arange(1, 17) <= np.arange(17)[:, None, None])
+_MASK[..., 0::2] = 255 * (np.arange(16) == np.arange(17)[:, None])
+_MASK = _MASK.view(np.uint64).reshape(17 * 17, 4)
+# word 5 by k, with a space as the separator
+_EXP = _words(
+    (b"" if -4 <= k <= 16 else b"e%c" % b"+-"[k < 0] + (b"%02d" % abs(k)).rjust(3, b"\0")).ljust(5, b"\0")
+    + b" "
+    for k in range(_K_MIN, _K_MAX + 1)
+)
+
+
+def _scale(a, k):
+    """a * 10^(16-k) as a double-double hi + lo, for a > 0.
+
+    Dekker's product: a and 10^(16-k)'s high part are split into 26-bit
+    halves so their product is exact as p + e without an FMA.  The low
+    part's product joins e, and Fast2Sum renormalizes.  For the final k
+    the result is below 1e17 < 2^57, so e is at most 2^3, a * lo-part at
+    most 2^4, and the absolute error of hi + lo is below 2^-46: the
+    table's own 2^-106 relative error, at most 2^-49 here, plus two
+    roundings of terms below 2^5, each at most 2^-49.
+    """
+    hi_p, lo_p = np.take(_POW_HI, k - _K_MIN), np.take(_POW_LO, k - _K_MIN)
+    p = a * hi_p
+    t = _SPLIT * a
+    a1 = t - (t - a)
+    a2 = a - a1
+    t = _SPLIT * hi_p
+    b1 = t - (t - hi_p)
+    b2 = hi_p - b1
+    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2
+    e += a * lo_p
+    hi = p + e
+    return hi, e - (hi - p)
+
+
+def _format_block(v, row_ends):
+    """The bytes of b"%.17g" % x for each x of the 1-d v, each followed by
+    a space, or by a newline at the indices row_ends."""
+    a = np.abs(v)
+    fast = (a >= 1e-280) & (a <= 1e280)
+    a[~fast] = 1.0
+    k = np.floor(np.log10(a)).astype(np.intp)
+    hi, lo = _scale(a, k)
+    # log10 can miss k by one next to a power of ten.  Test hi + lo, not hi
+    # alone: 1e-280 scales to 1e16 - 0.43 as hi = 1e16, lo = -0.43
+    off = (hi < 1e16) | ((hi == 1e16) & (lo < 0)) | (hi > 1e17) | ((hi == 1e17) & (lo >= 0))
+    off = np.flatnonzero(off)
+    k[off] += np.where(hi[off] <= 1e16, -1, 1)
+    hi[off], lo[off] = _scale(a[off], k[off])
+    # hi is an integer (>= 1e16 > 2^53).  Within _NEAR_TIE of a tie the
+    # error bound leaves the rounding open: the per-value format decides
+    d = hi.astype(np.int64) + np.rint(lo).astype(np.int64)
+    slow = np.abs(lo - np.floor(lo) - 0.5) < _NEAR_TIE
+    slow |= (d < 10**16) | (d >= 10**17)
+    slow |= ~fast & (v != 0)
+    plain = slow | ~fast  # zeros print as "0", slow values are overwritten
+    d[plain] = 0
+    k[plain] = 0
+
+    groups = np.empty((v.size, 4), np.intp)
+    q, r = np.divmod(d, 10**8)
+    q, groups[:, 1] = np.divmod(q, 10**4)
+    first, groups[:, 0] = np.divmod(q, 10**4)
+    groups[:, 2], groups[:, 3] = np.divmod(r, 10**4)
+    last = np.take(_LAST[0], groups[:, 0])
+    for i in (1, 2, 3):
+        np.maximum(last, np.take(_LAST[i], groups[:, i]), out=last)
+    # the point follows digit k in fixed notation, digit 0 in exponent
+    # notation; it precedes the digits (point < 0) for -4 <= k < 0
+    point = np.where((k >= -4) & (k <= 16), k, 0)
+    dot = np.where((last > point) & (point >= 0), point, 16)
+
+    words = np.empty((v.size, 6), np.uint64)
+    prefix = 5 * np.signbit(v) + np.maximum(-point, 0)
+    np.bitwise_or(np.take(_PREFIX, prefix), np.take(_FIRST, first), out=words[:, 0])
+    mask = np.take(_MASK, 17 * np.maximum(last, point) + dot, axis=0)
+    np.bitwise_and(np.take(_GROUP, groups), mask, out=words[:, 1:5])
+    words[:, 5] = np.take(_EXP, k - _K_MIN)
+    chars = words.view(np.uint8)  # byte 45 holds the separator
+    chars[row_ends, 45] = ord("\n")
+    for i in np.flatnonzero(slow):
+        text = b"%.17g" % float(v[i])
+        chars[i, :45] = 0
+        chars[i, : len(text)] = np.frombuffer(text, np.uint8)
+    return chars.tobytes().translate(None, b"\0")
+
+
 def write_matrix(path, a):
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2:
         raise DataError(f"matrix must be 2-d, got shape {a.shape}")
+    m, n = a.shape
+    if a.size == 0:
+        raise DataError(f"dimensions must be positive, got {m} x {n}")
     _check_finite(a, "matrix")
     with open(path, "wb") as fh:
         if _is_npy(path):
             np.save(fh, a)
             return
         fh.write(b"%d %d\n" % a.shape)
-        row_format = b" ".join([b"%.17g"] * a.shape[1]) + b"\n"
-        for row in a:
-            fh.write(row_format % tuple(row.tolist()))
+        for start in range(0, a.size, BLOCK_VALUES):
+            block = a.flat[start : start + BLOCK_VALUES]
+            fh.write(_format_block(block, np.arange(n - 1 - start % n, block.size, n)))
 
 
 def _read_npy(path):
@@ -84,6 +232,14 @@ def _read_text(path):
             raise DataError(f"{path}: non-integer dimensions in header {header!r}")
         if m < 1 or n < 1:
             raise DataError(f"{path}: dimensions must be positive, got {m} x {n}")
+        # loadtxt only warns on a body without rows; find one first
+        body = fh.tell()
+        for line in iter(fh.readline, ""):
+            if line.lstrip()[:1] not in ("", "#"):
+                break
+        else:
+            raise DataError(f"{path}: no matrix rows after the header, expected {m} x {n}")
+        fh.seek(body)
         try:
             data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
         except ValueError as exc:
@@ -102,6 +258,15 @@ def read_matrix(path):
 
 def write_labels(path, labels):
     labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise DataError(f"labels must be 1-d, got shape {labels.shape}")
+    if labels.dtype.kind == "f":
+        _check_finite(labels, "label list")
+        fractional = labels[labels != np.rint(labels)]
+        if fractional.size:
+            raise DataError(f"labels must be integers, got {float(fractional[0])!r}")
+    elif labels.dtype.kind not in "biu":
+        raise DataError(f"labels must be integers, got dtype {labels.dtype}")
     with open(path, "w") as fh:
         for v in labels:
             fh.write(f"{int(v)}\n")

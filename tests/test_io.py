@@ -1,10 +1,14 @@
 """File formats: text and .npy matrices, label lists, PGM images."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
+from cohpca import io
 from cohpca.errors import DataError
 from cohpca.io import (
     read_labels,
@@ -124,6 +128,76 @@ def test_matrix_writer_never_converts_the_whole_matrix(tmp_path):
     assert peak < a.nbytes / 4, f"peak {peak / 1e6:.1f} MB"
 
 
+def assert_writes_the_reference(path, a):
+    write_matrix(path, a)
+    assert path.read_bytes() == per_value_bytes(a)
+    np.testing.assert_array_equal(read_matrix(path).view(np.uint64), a.view(np.uint64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 6)),
+                elements=st.floats(allow_nan=False, allow_infinity=False)))
+def test_matrix_writer_matches_the_reference_on_any_finite_float(tmp_path_factory, a):
+    # the strategy draws subnormals, +-0 and both ends of the range
+    assert_writes_the_reference(tmp_path_factory.mktemp("any") / "a.txt", a)
+
+
+def _neighbours(x):
+    x = np.asarray(x, dtype=np.float64)
+    return np.concatenate([np.nextafter(x, 0), x, np.nextafter(x, np.inf)])
+
+
+_RNG = np.random.default_rng(9)
+_BITS = _RNG.integers(0, 2**64 - 1, size=(400, 500), dtype=np.uint64, endpoint=True).view(np.float64)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        _neighbours(10.0 ** np.arange(-323, 309)).reshape(3, -1),
+        (2.0 ** np.arange(-1074, 1024)).reshape(2, -1),
+        np.concatenate([_neighbours(c + s * np.arange(-40, 41)) for c, s in
+                        ((2.0**53, 1), (1e16, 2), (1e17, 16))]).reshape(-1, 9),
+        -_neighbours([1e-280, 1e280]).reshape(1, -1),
+        np.where(np.isfinite(_BITS), _BITS, 0.5),
+        _RNG.standard_normal((1, 9000)),
+        _RNG.standard_normal((5000, 1)) * 1e-3,
+        _RNG.standard_normal((7, 1001)) * 10.0 ** _RNG.integers(-20, 20, (7, 1001)),
+        np.array([[1e15 + 0.25, 1e15 + 0.75, 0.5, 100.0, 123.456, -2.5e-5]]),
+    ],
+    ids=["pow10-neighbours", "pow2", "near-2**53-1e16-1e17", "1e-280-1e280", "uint64-bits",
+         "1xn", "nx1", "rows-across-blocks", "ties-and-fixed-notation"],
+)
+def test_matrix_writer_matches_the_reference_at_the_edges(tmp_path, a):
+    assert_writes_the_reference(tmp_path / "a.txt", a)
+
+
+def test_matrix_writer_fallback_writes_the_reference(tmp_path, monkeypatch):
+    # with every value a near-tie, every value takes the per-value format
+    monkeypatch.setattr(io, "_NEAR_TIE", 1.0)
+    a = np.resize(EDGE_VALUES, (3, 600)) * np.linspace(-1.0, 1.0, 600)
+    assert_writes_the_reference(tmp_path / "a.txt", a)
+
+
+@pytest.mark.parametrize("name", ["e.txt", "e.npy"])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_matrix_writer_rejects_empty_matrices(tmp_path, name, shape):
+    path = tmp_path / name
+    with pytest.raises(DataError, match="dimensions must be positive, got %d x %d" % shape):
+        write_matrix(path, np.zeros(shape))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("body", ["2 3\n", "2 3\n\n  \n", "2 3\n# no rows\n"])
+def test_matrix_reader_rejects_a_header_without_rows_and_warns_nothing(tmp_path, body):
+    path = tmp_path / "header-only.txt"
+    path.write_text(body)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DataError, match="header-only.txt: no matrix rows"):
+            read_matrix(path)
+
+
 def test_npy_matrix_round_trip_is_bit_exact(tmp_path):
     a = np.array(EDGE_VALUES).reshape(7, 2)
     path = tmp_path / "a.npy"
@@ -199,6 +273,31 @@ def test_labels_skip_blank_lines_and_reject_junk(tmp_path):
     path.write_text("0\nx\n")
     with pytest.raises(DataError, match="label"):
         read_labels(path)
+
+
+def test_labels_accept_integer_valued_floats(tmp_path):
+    path = tmp_path / "labels.txt"
+    write_labels(path, np.array([0.0, -1.0, 2.0]))
+    assert path.read_text() == "0\n-1\n2\n"
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([0, 1.7, 2], "labels must be integers, got 1.7"),
+        ([0.0, np.nan], "label list contains NaN or Inf"),
+        ([1.0, -np.inf], "label list contains NaN or Inf"),
+        ([[0, 1], [1, 0]], r"labels must be 1-d, got shape \(2, 2\)"),
+        (3, r"labels must be 1-d, got shape \(\)"),
+        (["a", "b"], "labels must be integers, got dtype <U1"),
+        ([1 + 2j], "labels must be integers, got dtype complex128"),
+    ],
+)
+def test_labels_writer_rejects_what_it_would_truncate(tmp_path, labels, message):
+    path = tmp_path / "labels.txt"
+    with pytest.raises(DataError, match=message):
+        write_labels(path, labels)
+    assert not path.exists()
 
 
 # ---- PGM images ----
