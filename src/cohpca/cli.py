@@ -441,7 +441,8 @@ def build_parser():
     sub.add_argument("--runs", type=int, default=1)
     sub.add_argument("--csv", default=None)
     sub.add_argument("--json", default=None,
-                     help="write the environment and per-stage medians and IQRs")
+                     help="write the environment, the import time and per-stage "
+                          "medians and IQRs")
     sub.set_defaults(func=cmd_bench)
     _add_common(sub)
 

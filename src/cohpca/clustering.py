@@ -13,7 +13,6 @@ Cluster labels are integers 0..L-1 throughout.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DataError, NumericalError
 from .linalg import ZERO_COLUMN_TOL
@@ -75,6 +74,8 @@ def clustering_error(pred, truth):
     n_clusters = int(truth.max()) + 1
     if min(pred.min(), truth.min()) < 0 or pred.max() >= n_clusters:
         raise DataError(f"labels fall outside 0..{n_clusters - 1}, the truth's label range")
+    from scipy.optimize import linear_sum_assignment  # scipy loads on first use only
+
     counts = np.zeros((n_clusters, n_clusters), dtype=np.int64)
     np.add.at(counts, (pred, truth), 1)
     rows, cols = linear_sum_assignment(counts, maximize=True)

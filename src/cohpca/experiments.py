@@ -12,12 +12,13 @@ import csv
 import json
 import os
 import platform
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
 
 from . import io
 from .errors import DataError, NumericalError
@@ -400,6 +401,8 @@ def _blas_version():
 
 def _bench_environment():
     """Versions, CPU count and BLAS thread settings that a timing depends on."""
+    import scipy  # only reports need scipy's version; the package imports without it
+
     if hasattr(os, "sched_getaffinity"):
         nproc = len(os.sched_getaffinity(0))
     else:
@@ -412,6 +415,19 @@ def _bench_environment():
         "nproc": nproc,
         "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
     }
+
+
+def _import_seconds(runs):
+    """Wall time of ``import cohpca`` in a fresh interpreter, once per run."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    seconds = []
+    for _ in range(runs):
+        t0 = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import cohpca"], env=env, check=True)
+        seconds.append(time.perf_counter() - t0)
+    return seconds
 
 
 def _spread(seconds):
@@ -435,8 +451,10 @@ def run_bench(
     temporary directory, reads it back, and profiles and samples the
     matrix it read.  One row per (case, run, stage), seconds in the last
     column.  All non-timing columns are deterministic for a fixed seed.
-    ``json_path`` receives the environment and, per case and stage, the
-    median and interquartile range of the seconds over the runs.
+    ``json_path`` receives the environment, the median and interquartile
+    range over the runs of the seconds a fresh interpreter takes to
+    ``import cohpca`` and, per case and stage, the same spread of the
+    stage seconds.
     """
     if runs < 1:
         raise DataError(f"runs={runs} must be >= 1")
@@ -461,9 +479,10 @@ def run_bench(
         write_rows_csv(csv_path, "bench", list(rows[0]), rows)
     if json_path:
         report = {
-            "schema": "cohpca bench-json v1",
+            "schema": "cohpca bench-json v2",
             "environment": _bench_environment(),
             "settings": {"runs": runs, "seed": seed},
+            "import": _spread(_import_seconds(runs)),
             "cases": summary,
         }
         with open(json_path, "w") as fh:

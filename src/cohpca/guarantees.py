@@ -19,8 +19,6 @@ worst-case bounds control.
 import math
 from dataclasses import dataclass
 
-from scipy.special import betaincc
-
 from .errors import DataError
 from .linalg import coherence_gram
 from .models import (
@@ -341,6 +339,8 @@ def tail_f(t, m):
     _require(t >= 0, f"threshold t={t} must be >= 0")
     if t >= m:
         return 0.0
+    from scipy.special import betaincc  # scipy loads on first use only
+
     return float(betaincc(0.5, (m - 1) / 2.0, t / m))
 
 

@@ -267,6 +267,12 @@ def write_labels(path, labels):
             raise DataError(f"labels must be integers, got {float(fractional[0])!r}")
     elif labels.dtype.kind not in "biu":
         raise DataError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.size:
+        # as Python numbers, which compare exactly; numpy 1.x compares a
+        # uint64 with an int through float64
+        for v in (labels.min().item(), labels.max().item()):
+            if not -(2**63) <= v < 2**63:
+                raise DataError(f"labels must fit in int64, got {v!r}")
     with open(path, "w") as fh:
         for v in labels:
             fh.write(f"{int(v)}\n")
@@ -278,6 +284,8 @@ def read_labels(path):
             return np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
     except ValueError as exc:
         raise DataError(f"{path}: unparseable label file: {exc}")
+    except OverflowError as exc:
+        raise DataError(f"{path}: label outside int64: {exc}")
 
 
 def write_pgm(path, img):

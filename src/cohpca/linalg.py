@@ -61,10 +61,15 @@ class TopSubspace(NamedTuple):
     unique: bool
 
 
-def _as_matrix(d, name="matrix"):
+def _as_2d(d, name="matrix"):
     d = np.asarray(d, dtype=np.float64)
     if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
         raise DataError(f"{name} must be 2-d and non-empty, got shape {d.shape}")
+    return d
+
+
+def _as_matrix(d, name="matrix"):
+    d = _as_2d(d, name)
     if not np.all(np.isfinite(d)):
         raise DataError(f"{name} contains NaN or Inf entries")
     return d
@@ -82,8 +87,11 @@ def normalize_columns(d):
     which is exact, so no sum of squares overflows or, in a column that
     is kept, underflows, and unit-scale data normalizes as if unscaled.
     """
-    d = _as_matrix(d)
+    d = _as_2d(d)
     top = max(d.max(), -d.min())
+    # max and min propagate NaN, and an Inf makes top infinite
+    if not np.isfinite(top):
+        raise DataError("matrix contains NaN or Inf entries")
     if top == 0.0:
         raise DataError("all columns are zero")
     x = np.ldexp(d, -np.frexp(top)[1])
@@ -106,10 +114,13 @@ def coherence(x, p=2):
     by subtraction, and tiny negative results of that subtraction are
     clamped to zero.
     """
-    x = _as_matrix(x)
-    norms = np.linalg.norm(x, axis=0)
-    if np.any(np.abs(norms - 1.0) > UNIT_COLUMN_TOL):
-        bad = int(np.argmax(np.abs(norms - 1.0)))
+    x = _as_2d(x)
+    norms = np.sqrt(np.einsum("ij,ij->j", x, x))
+    off = np.abs(norms - 1.0)
+    # a NaN or Inf entry makes its column's norm fail this test too
+    if not np.all(off <= UNIT_COLUMN_TOL):
+        _as_matrix(x)  # a NaN or Inf entry is named first
+        bad = int(np.argmax(off))
         raise DataError(
             f"column {bad} has norm {norms[bad]:.12f}; coherence requires unit columns"
         )

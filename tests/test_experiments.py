@@ -250,8 +250,12 @@ def test_bench_json_report(tmp_path):
     json_path = tmp_path / "bench.json"
     rows = run_bench(cases=((20, 30), (10, 25)), r=2, runs=3, seed=1, json_path=json_path)
     report = json.loads(json_path.read_text())
-    assert set(report) == {"schema", "environment", "settings", "cases"}
-    assert report["schema"] == "cohpca bench-json v1"
+    assert set(report) == {"schema", "environment", "settings", "import", "cases"}
+    assert report["schema"] == "cohpca bench-json v2"
+    start = report["import"]
+    assert len(start["seconds"]) == 3 and min(start["seconds"]) > 0.0
+    q1, median, q3 = np.percentile(start["seconds"], [25, 50, 75])
+    assert start["median_s"] == median and start["iqr_s"] == q3 - q1 >= 0.0
     env = report["environment"]
     assert set(env) == {"python", "numpy", "scipy", "blas", "nproc", "threads"}
     assert env["numpy"] == np.__version__ and env["nproc"] >= 1

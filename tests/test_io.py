@@ -1,5 +1,6 @@
 """File formats: text and .npy matrices, label lists, PGM images."""
 
+import re
 import tracemalloc
 import warnings
 
@@ -291,6 +292,11 @@ def test_labels_accept_integer_valued_floats(tmp_path):
         (3, r"labels must be 1-d, got shape \(\)"),
         (["a", "b"], "labels must be integers, got dtype <U1"),
         ([1 + 2j], "labels must be integers, got dtype complex128"),
+        ([0.0, 1e300], r"labels must fit in int64, got 1e\+300"),
+        ([0.0, 2.0**63], r"labels must fit in int64, got 9\.223372036854776e\+18"),
+        ([-(2.0**64), 0.0], r"labels must fit in int64, got -1\.8446744073709552e\+19"),
+        (np.array([0, 2**63], dtype=np.uint64),
+         "labels must fit in int64, got 9223372036854775808"),
     ],
 )
 def test_labels_writer_rejects_what_it_would_truncate(tmp_path, labels, message):
@@ -298,6 +304,29 @@ def test_labels_writer_rejects_what_it_would_truncate(tmp_path, labels, message)
     with pytest.raises(DataError, match=message):
         write_labels(path, labels)
     assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [
+        np.array([-(2**63), 2**63 - 1]),
+        np.array([0, 2**63 - 1], dtype=np.uint64),
+        np.array([-(2.0**63), 2.0**62]),
+    ],
+)
+def test_labels_at_the_int64_limits_round_trip(tmp_path, labels):
+    path = tmp_path / "labels.txt"
+    write_labels(path, labels)
+    back = read_labels(path)
+    assert back.dtype == np.int64
+    assert back.tolist() == [int(v) for v in labels]
+
+
+def test_labels_reader_names_the_file_of_a_label_outside_int64(tmp_path):
+    path = tmp_path / "labels.txt"
+    path.write_text(f"0\n{2**63}\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: label outside int64")):
+        read_labels(path)
 
 
 # ---- PGM images ----
