@@ -82,7 +82,11 @@ def _rng_of(seed):
 def unit_sphere(rng, m, count):
     """``count`` independent uniform samples on the unit sphere in R^m."""
     g = rng.standard_normal((m, count))
-    return g / np.linalg.norm(g, axis=0)
+    # in place: a second m-by-count array per call left the heap holding
+    # a matrix-sized hole or not, depending on the data, so peak memory
+    # of repeated gen calls varied from one seed to the next
+    g /= np.linalg.norm(g, axis=0)
+    return g
 
 
 def random_subspace(rng, m, r):

@@ -212,6 +212,13 @@ def test_union_validation():
         gen_union(10, (0, 2), (5, 5))
 
 
+def test_unit_sphere_is_the_normalized_gaussian_draw():
+    # normalizing in place must give the bits of the plain quotient
+    for m, count in ((1, 1), (5, 1), (400, 1), (3, 7), (400, 5050)):
+        g = stream(9).standard_normal((m, count))
+        assert np.array_equal(unit_sphere(stream(9), m, count), g / np.linalg.norm(g, axis=0))
+
+
 # ---- Monte Carlo moments against the oracle ----
 
 
