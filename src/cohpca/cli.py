@@ -5,6 +5,11 @@ values, unusable parameter combinations), 2 when the data defeats the
 numerics (rank collapse, exhausted candidate pools); the failing case is
 named on stderr.
 
+An option that a subcommand shares with the library function it calls
+takes that function's default and is passed to it by name: ``cohpca phase``
+with no flags runs ``run_phase_transition()``, and ``cohpca cop`` fills
+``CopConfig`` and its strategy from their field defaults.
+
 Every subcommand accepts ``--config FILE`` holding ``key = value`` lines
 (keys are the long option names with dashes or underscores, '#' starts a
 comment).  Each line is read as the argument ``--key=value`` and placed
@@ -15,6 +20,7 @@ given on the command line.
 """
 
 import argparse
+import inspect
 import sys
 
 import numpy as np
@@ -101,46 +107,45 @@ def _flag(text):
         raise argparse.ArgumentTypeError(f"expected true/false, yes/no or 1/0, got {text!r}")
 
 
-def _build_strategy(ns):
-    if ns.strategy == "greedy":
-        return GreedyRank(rank_tol=ns.rank_tol)
-    if ns.strategy == "top-fraction":
-        return TopFraction(q=ns.q)
-    if ns.strategy == "fixed-count":
-        return FixedCount(count=ns.count)
-    if ns.strategy == "adaptive":
-        return Adaptive(k=ns.k, upsilon=ns.upsilon)
-    raise DataError(f"unknown strategy {ns.strategy!r}")
+def _defaults(*fns):
+    """The keyword defaults of ``fns`` by parameter name, the first function's winning."""
+    out = {}
+    for fn in fns:
+        for name, param in inspect.signature(fn).parameters.items():
+            if param.default is not param.empty:
+                out.setdefault(name, param.default)
+    return out
+
+
+def _call(fn, ns, **given):
+    """Call ``fn`` with ``given`` and, for each other parameter, the option of that name."""
+    names = inspect.signature(fn).parameters
+    return fn(**{name: getattr(ns, name) for name in names if name not in given}, **given)
+
+
+# model: (generator in ``models``, what its missing parameter asks for); the
+# generator is looked up when called so that a replaced module attribute is used
+_MODELS = {
+    "unstructured": ("gen_unstructured", None),
+    "structured": ("gen_structured_outliers", "--mu"),
+    "noisy": ("gen_noisy", "--sigma or --tau"),
+    "clustered": ("gen_clustered_inliers", "--nu"),
+    "union": ("gen_union", "--dims and --sizes"),
+}
+
+_STRATEGIES = {"greedy": GreedyRank, "top-fraction": TopFraction,
+               "fixed-count": FixedCount, "adaptive": Adaptive}
 
 
 def cmd_gen(ns):
-    seed = ns.seed
-    if ns.model == "unstructured":
-        ds = models.gen_unstructured(ns.m, ns.r, ns.n1, ns.n2, seed, shuffle=ns.shuffle)
-    elif ns.model == "structured":
-        if ns.mu is None:
-            raise DataError("structured model needs --mu")
-        ds = models.gen_structured_outliers(
-            ns.m, ns.r, ns.n1, ns.n2, ns.mu, seed,
-            inlier_nu=ns.inlier_nu, shuffle=ns.shuffle,
-        )
-    elif ns.model == "noisy":
-        if ns.sigma is None and ns.tau is None:
-            raise DataError("noisy model needs --sigma or --tau")
-        sigma = ns.sigma if ns.sigma is not None else models.sigma_for_tau(ns.tau)
-        ds = models.gen_noisy(ns.m, ns.r, ns.n1, ns.n2, sigma, seed, shuffle=ns.shuffle)
-    elif ns.model == "clustered":
-        if ns.nu is None:
-            raise DataError("clustered model needs --nu")
-        ds = models.gen_clustered_inliers(
-            ns.m, ns.r, ns.n1, ns.n2, ns.nu, seed, shuffle=ns.shuffle
-        )
-    elif ns.model == "union":
-        if ns.dims is None or ns.sizes is None:
-            raise DataError("union model needs --dims and --sizes")
-        ds = models.gen_union(ns.m, ns.dims, ns.sizes, seed, shuffle=ns.shuffle)
-    else:
-        raise DataError(f"unknown model {ns.model!r}")
+    name, needs = _MODELS[ns.model]
+    gen = getattr(models, name)
+    if ns.model == "noisy" and ns.sigma is None and ns.tau is not None:
+        ns.sigma = models.sigma_for_tau(ns.tau)
+    params = inspect.signature(gen).parameters.values()
+    if any(getattr(ns, p.name) is None for p in params if p.default is p.empty):
+        raise DataError(f"{ns.model} model needs {needs}")
+    ds = _call(gen, ns)
     io.write_matrix(ns.out, ds.d)
     if ns.labels_out:
         io.write_labels(ns.labels_out, ds.labels)
@@ -153,16 +158,8 @@ def cmd_gen(ns):
 
 def cmd_cop(ns):
     d = io.read_matrix(getattr(ns, "in"))
-    cfg = CopConfig(
-        r=ns.r,
-        p=ns.p,
-        strategy=_build_strategy(ns),
-        seed=ns.seed,
-    )
-    if ns.passes != 1:
-        res = cop_multipass(d, cfg, ns.passes)
-    else:
-        res = cop(d, cfg)
+    cfg = _call(CopConfig, ns, strategy=_call(_STRATEGIES[ns.strategy], ns))
+    res = cop_multipass(d, cfg, ns.passes) if ns.passes != 1 else cop(d, cfg)
     io.write_matrix(ns.basis_out, res.basis)
     if ns.profile_out:
         io.write_matrix(ns.profile_out, res.profile.values[:, None])
@@ -177,19 +174,7 @@ def cmd_cop(ns):
 
 
 def cmd_phase(ns):
-    result = run_phase_transition(
-        m=ns.m,
-        r=ns.r,
-        n1_over_r=ns.n1_over_r,
-        n2_over_m=ns.n2_over_m,
-        trials=ns.trials,
-        count=ns.count,
-        p=ns.p,
-        seed=ns.seed,
-        success_tol=ns.success_tol,
-        csv_path=ns.csv,
-        pgm_path=ns.pgm,
-    )
+    result = _call(run_phase_transition, ns)
     print("success fractions (rows n1/r, columns n2/m):")
     header = " ".join(f"{b:>6}" for b in result.n2_over_m)
     print(f"{'n1/r':>6} {header}")
@@ -200,10 +185,7 @@ def cmd_phase(ns):
 
 
 def cmd_noise_sweep(ns):
-    rows = run_noise_sweep(
-        ns.taus, m=ns.m, r=ns.r, n1=ns.n1, n2=ns.n2, p=ns.p,
-        seeds=ns.seeds, seed=ns.seed, csv_path=ns.csv,
-    )
+    rows = _call(run_noise_sweep, ns)
     for tau in ns.taus:
         gaps = [row["gap"] for row in rows if row["tau"] == tau]
         positive = sum(g > 0 for g in gaps)
@@ -215,10 +197,7 @@ def cmd_noise_sweep(ns):
 
 
 def cmd_structured_sweep(ns):
-    rows = run_structured_sweep(
-        ns.mus, m=ns.m, r=ns.r, n1=ns.n1, n2=ns.n2, nu=ns.nu, p=ns.p,
-        seeds=ns.seeds, seed=ns.seed, csv_path=ns.csv,
-    )
+    rows = _call(run_structured_sweep, ns)
     for mu in ns.mus:
         errs = [row["error"] for row in rows if row["mu"] == mu]
         base = [row["error_spca"] for row in rows if row["mu"] == mu]
@@ -234,17 +213,7 @@ def cmd_structured_sweep(ns):
 
 
 def cmd_cluster_correct(ns):
-    rows = run_cluster_correction(
-        m=ns.m,
-        dims=ns.dims,
-        sizes=ns.sizes,
-        corruption=ns.corruption,
-        iterations=ns.iterations,
-        q=ns.q,
-        seeds=ns.seeds,
-        seed=ns.seed,
-        csv_path=ns.csv,
-    )
+    rows = _call(run_cluster_correction, ns)
     for it in range(ns.iterations + 1):
         errs = [row["error"] for row in rows if row["iteration"] == it]
         print(f"iteration {it}: median error {float(np.median(errs)):.4f}")
@@ -252,8 +221,7 @@ def cmd_cluster_correct(ns):
 
 
 def cmd_saliency(ns):
-    img = io.read_pgm(ns.image)
-    result = saliency(img, patch=ns.patch, r=ns.r, q=ns.q, p=ns.p)
+    result = _call(saliency, ns, image=io.read_pgm(ns.image))
     io.write_pgm(ns.out, result.image)
     note = " (input cropped to a multiple of the patch size)" if result.cropped else ""
     print(
@@ -264,15 +232,7 @@ def cmd_saliency(ns):
 
 
 def cmd_bench(ns):
-    rows = run_bench(
-        cases=ns.cases,
-        r=ns.r,
-        p=ns.p,
-        runs=ns.runs,
-        seed=ns.seed,
-        csv_path=ns.csv,
-        json_path=ns.json,
-    )
+    rows = _call(run_bench, ns)
     per_case = len(rows) // len(ns.cases)  # run_bench emits the cases in order
     for i, (m, n) in enumerate(ns.cases):
         picked = rows[i * per_case : (i + 1) * per_case]
@@ -288,10 +248,7 @@ def cmd_bench(ns):
 
 
 def cmd_check_condition(ns):
-    params = guarantees.ConditionParams(
-        m=ns.m, r=ns.r, n1=ns.n1, n2=ns.n2, delta=ns.delta,
-        mu=ns.mu, sigma=ns.sigma, nu=ns.nu,
-    )
+    params = _call(guarantees.ConditionParams, ns)
     report = guarantees.check_condition(ns.kind, params)
     lines = report.record_lines()
     if ns.validate_trials:
@@ -308,160 +265,159 @@ def cmd_check_condition(ns):
 
 
 def _add_common(sub):
-    sub.add_argument("--seed", type=int, default=0, help="base seed")
-    sub.add_argument("--config", default=None, help="key=value defaults file")
+    if sub.get_default("seed") is not None:  # the library takes a seed
+        sub.add_argument("--seed", type=int, help="base seed")
+    sub.add_argument("--config", help="key=value defaults file")
 
 
 def build_parser():
     parser = _Parser(prog="cohpca", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
+    # each subparser takes the library's defaults before its options are
+    # added, so an option the library does not have keeps its own default=
 
+    generators = (getattr(models, name) for name, _ in _MODELS.values())
     sub = subparsers.add_parser("gen", help="generate a synthetic dataset")
-    sub.add_argument("--model", required=True,
-                     choices=["unstructured", "structured", "noisy", "clustered", "union"])
+    sub.set_defaults(func=cmd_gen, **_defaults(*generators))
+    sub.add_argument("--model", required=True, choices=list(_MODELS))
     sub.add_argument("--m", type=int, default=100, help="ambient dimension")
     sub.add_argument("--r", type=int, default=5, help="subspace dimension")
     sub.add_argument("--n1", type=int, default=50, help="inlier count")
     sub.add_argument("--n2", type=int, default=100, help="outlier count")
-    sub.add_argument("--mu", type=float, default=None, help="outlier mixing weight")
-    sub.add_argument("--sigma", type=float, default=None, help="noise amplitude")
-    sub.add_argument("--tau", type=float, default=None,
+    sub.add_argument("--mu", type=float, help="outlier mixing weight")
+    sub.add_argument("--sigma", type=float, help="noise amplitude")
+    sub.add_argument("--tau", type=float,
                      help="noise-to-signal ratio, alternative to --sigma")
-    sub.add_argument("--nu", type=float, default=None, help="inlier mixing weight")
-    sub.add_argument("--inlier-nu", type=float, default=None,
+    sub.add_argument("--nu", type=float, help="inlier mixing weight")
+    sub.add_argument("--inlier-nu", type=float,
                      help="cluster the inliers of the structured model too")
-    sub.add_argument("--dims", type=_ints, default=None, help="union ranks, e.g. 3,3")
-    sub.add_argument("--sizes", type=_ints, default=None, help="union cluster sizes")
-    sub.add_argument("--shuffle", type=_flag, nargs="?", const=True, default=False,
+    sub.add_argument("--dims", type=_ints, help="union ranks, e.g. 3,3")
+    sub.add_argument("--sizes", type=_ints, help="union cluster sizes")
+    sub.add_argument("--shuffle", type=_flag, nargs="?", const=True,
                      help="shuffle column order")
     sub.add_argument("--out", required=True, help="output matrix file")
-    sub.add_argument("--labels-out", default=None, help="output labels file")
-    sub.add_argument("--basis-out", default=None,
+    sub.add_argument("--labels-out", help="output labels file")
+    sub.add_argument("--basis-out",
                      help="ground truth basis file (union: clusters side by side)")
-    sub.set_defaults(func=cmd_gen)
     _add_common(sub)
 
     sub = subparsers.add_parser("cop", help="recover a subspace from a matrix file")
+    sub.set_defaults(func=cmd_cop, **_defaults(CopConfig, *_STRATEGIES.values()))
     sub.add_argument("--in", required=True, help="input matrix file")
     sub.add_argument("--r", type=int, required=True, help="target rank")
-    sub.add_argument("--p", type=int, default=2, choices=[1, 2],
-                     help="coherence power")
-    sub.add_argument("--strategy", default="greedy",
-                     choices=["greedy", "top-fraction", "fixed-count", "adaptive"])
-    sub.add_argument("--q", type=float, default=0.5,
-                     help="discard fraction for top-fraction")
-    sub.add_argument("--count", type=int, default=20,
-                     help="columns kept by fixed-count")
-    sub.add_argument("--k", type=int, default=2,
-                     help="sketch dimension factor for adaptive")
-    sub.add_argument("--upsilon", type=_upsilon, default="0",
+    sub.add_argument("--p", type=int, choices=[1, 2], help="coherence power")
+    sub.add_argument("--strategy", default="greedy", choices=list(_STRATEGIES))
+    sub.add_argument("--q", type=float, help="discard fraction for top-fraction")
+    sub.add_argument("--count", type=int, help="columns kept by fixed-count")
+    sub.add_argument("--k", type=int, help="sketch dimension factor for adaptive")
+    sub.add_argument("--upsilon", type=_upsilon,
                      help="adaptive retirement threshold, number or 'auto'")
-    sub.add_argument("--rank-tol", type=float, default=1e-10,
-                     help="residual tolerance for greedy")
+    sub.add_argument("--rank-tol", type=float, help="residual tolerance for greedy")
     sub.add_argument("--passes", type=int, default=1,
                      help="adaptive rounds to pool before the final truncation")
     sub.add_argument("--basis-out", required=True, help="recovered basis file")
-    sub.add_argument("--profile-out", default=None,
+    sub.add_argument("--profile-out",
                      help="coherence profile file (kept columns, one per row)")
-    sub.add_argument("--indices-out", default=None,
-                     help="sampled column indices file")
-    sub.set_defaults(func=cmd_cop)
+    sub.add_argument("--indices-out", help="sampled column indices file")
     _add_common(sub)
 
     sub = subparsers.add_parser("phase", help="success grid over inlier/outlier ratios")
-    sub.add_argument("--m", type=int, default=100)
-    sub.add_argument("--r", type=int, default=10)
-    sub.add_argument("--n1-over-r", type=_ints, default="1,2,3,4,5,6,7,8,9,10")
-    sub.add_argument("--n2-over-m", type=_ints, default="0,5,10,20,30")
-    sub.add_argument("--trials", type=int, default=10)
-    sub.add_argument("--count", type=int, default=20, help="columns kept per trial")
-    sub.add_argument("--p", type=int, default=2, choices=[1, 2])
-    sub.add_argument("--success-tol", type=float, default=1e-5)
-    sub.add_argument("--csv", default=None, help="per-cell CSV output")
-    sub.add_argument("--pgm", default=None, help="success heatmap PGM output")
-    sub.set_defaults(func=cmd_phase)
+    sub.set_defaults(func=cmd_phase, **_defaults(run_phase_transition))
+    sub.add_argument("--m", type=int)
+    sub.add_argument("--r", type=int)
+    sub.add_argument("--n1-over-r", type=_ints)
+    sub.add_argument("--n2-over-m", type=_ints)
+    sub.add_argument("--trials", type=int)
+    sub.add_argument("--count", type=int, help="columns kept per trial")
+    sub.add_argument("--p", type=int, choices=[1, 2])
+    sub.add_argument("--success-tol", type=float)
+    sub.add_argument("--csv", dest="csv_path", metavar="CSV", help="per-cell CSV output")
+    sub.add_argument("--pgm", dest="pgm_path", metavar="PGM",
+                     help="success heatmap PGM output")
     _add_common(sub)
 
     sub = subparsers.add_parser("noise-sweep", help="coherence gap under noise")
-    sub.add_argument("--taus", type=_floats, default="0,0.5,1")
-    sub.add_argument("--m", type=int, default=400)
-    sub.add_argument("--r", type=int, default=5)
-    sub.add_argument("--n1", type=int, default=50)
-    sub.add_argument("--n2", type=int, default=500)
-    sub.add_argument("--p", type=int, default=2, choices=[1, 2])
-    sub.add_argument("--seeds", type=int, default=20, help="trials per tau")
-    sub.add_argument("--csv", default=None)
-    sub.set_defaults(func=cmd_noise_sweep)
+    sub.set_defaults(func=cmd_noise_sweep, **_defaults(run_noise_sweep))
+    sub.add_argument("--taus", type=_floats)
+    sub.add_argument("--m", type=int)
+    sub.add_argument("--r", type=int)
+    sub.add_argument("--n1", type=int)
+    sub.add_argument("--n2", type=int)
+    sub.add_argument("--p", type=int, choices=[1, 2])
+    sub.add_argument("--seeds", type=int, help="trials per tau")
+    sub.add_argument("--csv", dest="csv_path", metavar="CSV")
     _add_common(sub)
 
     sub = subparsers.add_parser("structured-sweep",
                                 help="recovery against clustered outliers")
-    sub.add_argument("--mus", type=_floats, default="5,0.5,0.2,0.1")
-    sub.add_argument("--m", type=int, default=200)
-    sub.add_argument("--r", type=int, default=5)
-    sub.add_argument("--n1", type=int, default=400)
-    sub.add_argument("--n2", type=int, default=20)
-    sub.add_argument("--nu", type=float, default=0.2, help="inlier cluster mixing")
-    sub.add_argument("--p", type=int, default=2, choices=[1, 2])
-    sub.add_argument("--seeds", type=int, default=20, help="trials per mu")
+    sub.set_defaults(func=cmd_structured_sweep, **_defaults(run_structured_sweep))
+    sub.add_argument("--mus", type=_floats)
+    sub.add_argument("--m", type=int)
+    sub.add_argument("--r", type=int)
+    sub.add_argument("--n1", type=int)
+    sub.add_argument("--n2", type=int)
+    sub.add_argument("--nu", type=float, help="inlier cluster mixing")
+    sub.add_argument("--p", type=int, choices=[1, 2])
+    sub.add_argument("--seeds", type=int, help="trials per mu")
     sub.add_argument("--success-tol", type=float, default=1e-5)
-    sub.add_argument("--csv", default=None)
-    sub.set_defaults(func=cmd_structured_sweep)
+    sub.add_argument("--csv", dest="csv_path", metavar="CSV")
     _add_common(sub)
 
     sub = subparsers.add_parser("cluster-correct",
                                 help="fix corrupted subspace clustering labels")
-    sub.add_argument("--m", type=int, default=50)
-    sub.add_argument("--dims", type=_ints, default="3,3")
-    sub.add_argument("--sizes", type=_ints, default="250,250")
-    sub.add_argument("--corruption", type=float, default=0.2)
-    sub.add_argument("--iterations", type=int, default=4)
-    sub.add_argument("--q", type=float, default=0.5,
+    sub.set_defaults(func=cmd_cluster_correct, **_defaults(run_cluster_correction))
+    sub.add_argument("--m", type=int)
+    sub.add_argument("--dims", type=_ints)
+    sub.add_argument("--sizes", type=_ints)
+    sub.add_argument("--corruption", type=float)
+    sub.add_argument("--iterations", type=int)
+    sub.add_argument("--q", type=float,
                      help="discard fraction of the per-cluster subspace fit")
-    sub.add_argument("--seeds", type=int, default=20)
-    sub.add_argument("--csv", default=None)
-    sub.set_defaults(func=cmd_cluster_correct)
+    sub.add_argument("--seeds", type=int)
+    sub.add_argument("--csv", dest="csv_path", metavar="CSV")
     _add_common(sub)
 
     sub = subparsers.add_parser("saliency", help="patch saliency map of a PGM image")
+    sub.set_defaults(func=cmd_saliency, **_defaults(saliency))
     sub.add_argument("--image", required=True, help="input PGM image")
-    sub.add_argument("--patch", type=int, default=10, help="patch edge in pixels")
-    sub.add_argument("--r", type=int, default=2, help="background basis rank")
-    sub.add_argument("--q", type=float, default=0.5)
-    sub.add_argument("--p", type=int, default=2, choices=[1, 2])
+    sub.add_argument("--patch", type=int, help="patch edge in pixels")
+    sub.add_argument("--r", type=int, help="background basis rank")
+    sub.add_argument("--q", type=float)
+    sub.add_argument("--p", type=int, choices=[1, 2])
     sub.add_argument("--out", required=True, help="output PGM saliency map")
-    sub.set_defaults(func=cmd_saliency)
     _add_common(sub)
 
     sub = subparsers.add_parser("bench", help="time the pipeline stages")
-    sub.add_argument("--cases", type=_cases, default="1000x1000,2000x2000",
-                     help="comma separated MxN sizes")
-    sub.add_argument("--r", type=int, default=10)
-    sub.add_argument("--p", type=int, default=2, choices=[1, 2])
-    sub.add_argument("--runs", type=int, default=1)
-    sub.add_argument("--csv", default=None)
-    sub.add_argument("--json", default=None,
+    sub.set_defaults(func=cmd_bench, **_defaults(run_bench))
+    sub.add_argument("--cases", type=_cases, help="comma separated MxN sizes")
+    sub.add_argument("--r", type=int)
+    sub.add_argument("--p", type=int, choices=[1, 2])
+    sub.add_argument("--runs", type=int)
+    sub.add_argument("--csv", dest="csv_path", metavar="CSV")
+    sub.add_argument("--json", dest="json_path", metavar="JSON",
                      help="write the environment, the import time and per-stage "
                           "medians and IQRs")
-    sub.set_defaults(func=cmd_bench)
     _add_common(sub)
 
+    # --seed goes to validate_condition_empirically, whose trials default is
+    # not the one of --validate-trials
     sub = subparsers.add_parser("check-condition",
                                 help="evaluate a recovery guarantee condition")
+    sub.set_defaults(func=cmd_check_condition, **_defaults(guarantees.ConditionParams),
+                     seed=_defaults(guarantees.validate_condition_empirically)["seed"])
     sub.add_argument("--kind", required=True, choices=list(guarantees.KINDS))
     sub.add_argument("--m", type=int, required=True)
     sub.add_argument("--r", type=int, required=True)
     sub.add_argument("--n1", type=int, required=True)
     sub.add_argument("--n2", type=int, required=True)
-    sub.add_argument("--delta", type=float, default=0.05,
+    sub.add_argument("--delta", type=float,
                      help="failure probability for the high probability kinds")
-    sub.add_argument("--mu", type=float, default=None)
-    sub.add_argument("--sigma", type=float, default=None)
-    sub.add_argument("--nu", type=float, default=None)
+    sub.add_argument("--mu", type=float)
+    sub.add_argument("--sigma", type=float)
+    sub.add_argument("--nu", type=float)
     sub.add_argument("--validate-trials", type=int, default=0,
                      help="also sample datasets and report the empirical hit rate")
-    sub.add_argument("--out", default=None, help="write the report lines to a file")
-    sub.set_defaults(func=cmd_check_condition)
+    sub.add_argument("--out", help="write the report lines to a file")
     _add_common(sub)
 
     return parser

@@ -161,7 +161,7 @@ def run_phase_transition(
 
 
 def run_noise_sweep(
-    taus,
+    taus=(0.0, 0.5, 1.0),
     m=400,
     r=5,
     n1=50,
@@ -214,7 +214,7 @@ def run_noise_sweep(
 
 
 def run_structured_sweep(
-    mus,
+    mus=(5.0, 0.5, 0.2, 0.1),
     m=200,
     r=5,
     n1=400,
@@ -435,6 +435,19 @@ def _spread(seconds):
     return {"median_s": float(median), "iqr_s": float(q3 - q1), "seconds": seconds}
 
 
+def _bench_case(m, n, r, p):
+    """The sizes of one bench case: n // 5 inliers, the rest outliers, rank min(r, n1)."""
+    n1 = n // 5
+    case = {"m": m, "n": n, "n1": n1, "n2": n - n1, "r": min(r, n1), "p": p}
+    if n1 < 1:
+        reason = f"n={n} leaves no inlier column (n1 = n // 5 must be >= 1)"
+    elif not 1 <= case["r"] <= m:
+        reason = f"rank r={case['r']} must satisfy 1 <= r <= m={m}"
+    else:
+        return case
+    raise DataError(f"bench case {m}x{n}: {reason}")
+
+
 def run_bench(
     cases=((1000, 1000), (2000, 2000)),
     r=10,
@@ -459,17 +472,17 @@ def run_bench(
     if runs < 1:
         raise DataError(f"runs={runs} must be >= 1")
     cases = _nonempty("cases", cases)
+    checked = [_bench_case(m, n, r, p) for m, n in cases]
     rows = []
     summary = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.txt")
-        for ci, (m, n) in enumerate(cases):
-            n1 = n // 5
-            n2 = n - n1
-            case = {"m": m, "n": n, "n1": n1, "n2": n2, "r": min(r, n1), "p": p}
+        for ci, case in enumerate(checked):
             seconds = {}
             for run in range(runs):
-                ds = gen_unstructured(m, case["r"], n1, n2, seed=(seed, ci, run))
+                ds = gen_unstructured(
+                    case["m"], case["r"], case["n1"], case["n2"], seed=(seed, ci, run)
+                )
                 for stage, s in _bench_pipeline(ds.d, case["r"], p, path).items():
                     rows.append({**case, "run": run, "stage": stage, "seconds": s})
                     seconds.setdefault(stage, []).append(s)

@@ -29,7 +29,6 @@ __all__ = [
     "orthonormal_basis",
     "top_r_singular_subspace",
     "random_projection",
-    "deflate",
     "recovery_error",
 ]
 
@@ -189,17 +188,6 @@ def random_projection(x, d, seed, phi=None):
         if phi.shape != (d, m):
             raise DataError(f"phi must have shape {(d, m)}, got {phi.shape}")
     return phi @ x
-
-
-def deflate(x, basis):
-    """Remove from every column its component inside span(basis)."""
-    x = _as_matrix(x)
-    basis = _as_matrix(basis, "basis")
-    if basis.shape[0] != x.shape[0]:
-        raise DataError(
-            f"basis rows {basis.shape[0]} do not match data rows {x.shape[0]}"
-        )
-    return x - basis @ (basis.T @ x)
 
 
 def _require_orthonormal(u, name):

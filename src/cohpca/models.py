@@ -20,6 +20,7 @@ live on the ambient unit sphere.  Five models are provided:
                          cluster labels.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -123,10 +124,18 @@ def _dataset(rng, u, a, b, shuffle, clean=None, aux=None):
     return LabeledDataset(d, labels, u, clean=clean, aux={} if aux is None else aux)
 
 
-def _clustered(rng, u, n1, nu):
+def _squarable(x, label):
+    """Raise a DataError on ``label`` unless 1 + x^2 is finite, which needs x finite."""
+    x = float(x)
+    if not math.isfinite(1.0 + x * x):
+        raise DataError(f"{label} must be finite, and 1 + its square must not overflow")
+
+
+def _clustered(rng, u, n1, nu, name="nu"):
     """Inliers (t + nu * a_i) / sqrt(1 + nu^2) around one direction t of span(u)."""
     if nu <= 0:
-        raise DataError(f"mixing parameter nu={nu} must be > 0")
+        raise DataError(f"mixing parameter {name}={nu} must be > 0")
+    _squarable(nu, f"mixing parameter {name}={nu}")
     t = u @ unit_sphere(rng, u.shape[1], 1)
     dirs = u @ unit_sphere(rng, u.shape[1], n1)
     return (t + nu * dirs) / np.sqrt(1.0 + nu**2), t[:, 0]
@@ -154,13 +163,14 @@ def gen_structured_outliers(m, r, n1, n2, mu, seed=0, inlier_nu=None, shuffle=Fa
     _check_sizes(m, r, n1, n2)
     if mu <= 0:
         raise DataError(f"mixing parameter mu={mu} must be > 0")
+    _squarable(mu, f"mixing parameter mu={mu}")
     rng = _rng_of(seed)
     u = random_subspace(rng, m, r)
     aux = {}
     if inlier_nu is None:
         a = u @ unit_sphere(rng, r, n1)
     else:
-        a, aux["inlier_center"] = _clustered(rng, u, n1, inlier_nu)
+        a, aux["inlier_center"] = _clustered(rng, u, n1, inlier_nu, "inlier_nu")
     if n2:
         q = unit_sphere(rng, m, 1)
         dirs = unit_sphere(rng, m, n2)
@@ -185,6 +195,7 @@ def gen_noisy(m, r, n1, n2, sigma, seed=0, shuffle=False):
     _check_sizes(m, r, n1, n2)
     if sigma < 0:
         raise DataError(f"noise level sigma={sigma} must be >= 0")
+    _squarable(sigma, f"noise level sigma={sigma}")
     rng = _rng_of(seed)
     u = random_subspace(rng, m, r)
     a = u @ unit_sphere(rng, r, n1)
@@ -250,4 +261,7 @@ def sigma_for_tau(tau):
     """
     if tau < 0:
         raise DataError(f"norm ratio tau={tau} must be >= 0")
-    return float(tau) * np.sqrt(np.pi / 2.0)
+    with np.errstate(over="ignore"):
+        sigma = float(tau) * np.sqrt(np.pi / 2.0)
+    _squarable(sigma, f"norm ratio tau={tau}")
+    return sigma

@@ -1,11 +1,12 @@
 """End-to-end command line behavior, including exit codes and config files."""
 
+import inspect
 import json
 
 import numpy as np
 import pytest
 
-from cohpca import cli
+from cohpca import cli, experiments, guarantees, models, pursuit
 from cohpca.cli import main
 from cohpca.io import read_labels, read_matrix, read_pgm, write_pgm
 from cohpca.linalg import recovery_error
@@ -94,6 +95,22 @@ def test_gen_models_need_their_parameters(tmp_path):
     assert run("gen", "--model", "noisy", "--tau", 0.5, "--out", out) == 0
 
 
+@pytest.mark.parametrize("args, name", [
+    (("gen", "--model", "noisy", "--sigma", "1e200"), "sigma=1e+200"),
+    (("gen", "--model", "noisy", "--tau", "inf"), "tau=inf"),
+    (("gen", "--model", "structured", "--mu", "nan"), "mu=nan"),
+    (("gen", "--model", "structured", "--mu", "1", "--inlier-nu", "1e200"), "inlier_nu=1e+200"),
+    (("gen", "--model", "clustered", "--nu", "inf"), "nu=inf"),
+    (("noise-sweep", "--taus", "1e308", "--seeds", 1, "--m", 20, "--n1", 5, "--n2", 10),
+     "tau=1e+308"),
+])
+def test_unusable_generator_weights_exit_1_naming_them(tmp_path, capsys, args, name):
+    out = tmp_path / "d.txt"
+    assert run(*args, *(("--out", out) if args[0] == "gen" else ())) == 1
+    assert f" {name} " in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---- exit codes ----
 
 
@@ -160,6 +177,11 @@ def test_empty_experiment_grids_exit_1(tmp_path, capsys):
         (("noise-sweep", "--taus", "", "--csv", csv_path), "taus"),
         (("structured-sweep", "--mus", "", "--csv", csv_path), "mus"),
         (("cluster-correct", "--seeds", 0, "--csv", csv_path), "seeds"),
+        (("bench", "--cases", "40x4", "--csv", csv_path), "bench case 40x4"),
+        (("bench", "--cases", "3x1", "--csv", csv_path), "bench case 3x1"),
+        (("bench", "--cases", "3x100", "--csv", csv_path), "bench case 3x100"),
+        # a case that cannot run is named even after one that can
+        (("bench", "--cases", "20x30,3x100", "--csv", csv_path), "bench case 3x100"),
     ]
     for args, name in cases:
         capsys.readouterr()
@@ -238,6 +260,66 @@ def test_check_condition_report(tmp_path, capsys):
     assert run("check-condition", "--kind", "unstructured-l2-mean", "--m", 50,
                "--r", 3, "--n1", 30, "--n2", 20, "--validate-trials", 2) == 0
     assert "empirical=" in capsys.readouterr().out
+
+
+# ---- every shared option defaults to the library's value ----
+
+
+_MINIMAL = {
+    "gen": (["--model", "unstructured", "--out", "d.txt"],
+            [models.gen_unstructured, models.gen_structured_outliers, models.gen_noisy,
+             models.gen_clustered_inliers, models.gen_union]),
+    "cop": (["--in", "d.txt", "--r", "2", "--basis-out", "b.txt"],
+            [pursuit.CopConfig, pursuit.GreedyRank, pursuit.TopFraction,
+             pursuit.FixedCount, pursuit.Adaptive]),
+    "phase": ([], [experiments.run_phase_transition]),
+    "noise-sweep": ([], [experiments.run_noise_sweep]),
+    "structured-sweep": ([], [experiments.run_structured_sweep]),
+    "cluster-correct": ([], [experiments.run_cluster_correction]),
+    "saliency": (["--image", "i.pgm", "--out", "o.pgm"], [experiments.saliency]),
+    "bench": ([], [experiments.run_bench]),
+    "check-condition": (
+        ["--kind", "unstructured-l2-mean", "--m", "9", "--r", "2", "--n1", "4", "--n2", "4"],
+        [guarantees.ConditionParams],
+    ),
+}
+
+
+def _keyword_defaults(fn):
+    return {
+        name: param.default
+        for name, param in inspect.signature(fn).parameters.items()
+        if param.default is not param.empty
+    }
+
+
+@pytest.mark.parametrize("command", list(_MINIMAL))
+def test_unset_options_take_the_library_defaults(command):
+    argv, fns = _MINIMAL[command]
+    ns = cli.build_parser().parse_args([command] + argv)
+    checked = 0
+    for fn in fns:
+        for name, default in _keyword_defaults(fn).items():
+            value = getattr(ns, name)
+            if fn is pursuit.CopConfig and name == "strategy":
+                # --strategy names the class; its default instance is the library's
+                value = cli._STRATEGIES[value]()
+            # repr, not ==: an option's 0 and the library's 0.0 print differently
+            assert repr(value) == repr(default), (command, fn.__name__, name)
+            checked += 1
+    assert checked
+    if command == "check-condition":
+        seed = _keyword_defaults(guarantees.validate_condition_empirically)["seed"]
+        assert ns.seed == seed
+
+
+def test_sampling_functions_share_the_strategy_defaults():
+    greedy = _keyword_defaults(pursuit.greedy_rank_sampling)
+    adaptive = _keyword_defaults(pursuit.adaptive_sampling)
+    assert greedy["rank_tol"] == pursuit.GreedyRank().rank_tol
+    assert (adaptive["k"], adaptive["upsilon"]) == (
+        pursuit.Adaptive().k, pursuit.Adaptive().upsilon
+    )
 
 
 # ---- config files ----

@@ -12,7 +12,6 @@ from cohpca.linalg import (
     CoherenceProfile,
     coherence,
     coherence_gram,
-    deflate,
     normalize_columns,
     orthonormal_basis,
     random_projection,
@@ -194,16 +193,6 @@ def test_random_projection_roughly_preserves_norms():
         np.linalg.norm(random_projection(x, 50, seed=s)) ** 2 for s in range(200)
     ]
     assert abs(np.mean(rng_norms) - 1.0) < 0.1
-
-
-def test_deflate_removes_span_components():
-    x = random_matrix(6, 10, seed=4)
-    basis = random_basis(6, 2, seed=5)
-    out = deflate(x, basis)
-    np.testing.assert_allclose(basis.T @ out, np.zeros((2, 10)), atol=1e-12)
-    np.testing.assert_allclose(deflate(out, basis), out, atol=1e-12)
-    with pytest.raises(DataError):
-        deflate(x, random_basis(5, 2, seed=6))
 
 
 # ---- recovery error, oracle pinned first ----

@@ -1,6 +1,7 @@
 """Synthetic data generators: structure, determinism, moments."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,20 @@ def test_size_validation():
         gen_noisy(10, 2, 5, 5, sigma=-0.1)
     with pytest.raises(DataError):
         gen_clustered_inliers(10, 2, 5, 5, nu=-1.0)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 1e200])
+@pytest.mark.parametrize("name, make", [
+    ("tau", sigma_for_tau),
+    ("sigma", lambda v: gen_noisy(10, 2, 5, 5, sigma=v)),
+    ("mu", lambda v: gen_structured_outliers(10, 2, 5, 5, mu=v)),
+    ("inlier_nu", lambda v: gen_structured_outliers(10, 2, 5, 5, mu=0.5, inlier_nu=v)),
+    ("nu", lambda v: gen_clustered_inliers(10, 2, 5, 5, nu=v)),
+])
+def test_a_weight_whose_square_is_not_finite_is_named(name, make, value):
+    # 1 + x^2 must be a finite float; the error names the parameter, not the matrix
+    with pytest.raises(DataError, match=re.escape(f" {name}={value} ")):
+        make(value)
 
 
 @pytest.mark.parametrize("shuffle", [False, True])
