@@ -15,8 +15,8 @@ for the caller to choose:
 * half-Gram walk, for p = 1 and for p = 2 with m >= n: the Gram is
   walked in slabs of ``BLOCK`` columns, each slab multiplied only
   against itself and the columns after it, so every symmetric entry is
-  computed once: about m n (n + BLOCK) flops, O(m n^2) time, and
-  O(n * BLOCK) extra memory.
+  computed once: about m n (n + BLOCK) flops and O(m n^2) time.  Its
+  extra memory is one ``BLOCK``-by-n buffer, which every slab reuses.
 
 Both ``linalg.coherence`` and ``linalg.coherence_gram`` run on this
 kernel.
@@ -45,11 +45,14 @@ def block_power_sums(x, p):
         cov = x @ x.T
         return np.einsum("ij,ij->j", x, cov @ x)
     out = np.zeros(n)
+    buf = np.empty(min(BLOCK, n) * n)
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
-        # rows lo:hi of the Gram from column lo on; the transposed view
-        # and the column slice both go to BLAS without a copy
-        g = x[:, lo:hi].T @ x[:, lo:]
+        # rows lo:hi of the Gram from column lo on, written into the front
+        # of the one buffer; the transposed view and the column slice both
+        # go to BLAS without a copy
+        g = buf[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
+        np.matmul(x[:, lo:hi].T, x[:, lo:], out=g)
         if p == 1:
             np.abs(g, out=g)
         else:

@@ -183,8 +183,17 @@ def top_fraction_sampling(profile, q):
 
 
 def _top_k(profile, k):
-    # the k largest values (all of them when k > n), ties to the lower index
-    return np.argsort(-np.asarray(profile.values), kind="stable")[:k]
+    # the k largest values (all of them when k > n), ties to the lower
+    # index: the first k of a stable argsort of -values, but only the
+    # columns at or above the k-th largest value are sorted
+    neg = -np.asarray(profile.values)
+    if 0 < k < neg.size:
+        cut = np.partition(neg, k - 1)[k - 1]
+        # a NaN sorts last, so a NaN cut means fewer than k numbers
+        if cut == cut:
+            cand = np.flatnonzero(neg <= cut)
+            return cand[np.argsort(neg[cand], kind="stable")[:k]]
+    return np.argsort(neg, kind="stable")[:k]
 
 
 def adaptive_sampling(x, profile, r, k=2, upsilon=0.0, seed=0, phi=None):
@@ -262,7 +271,7 @@ def _profiled(d, cfg, need, shortfall):
     if cfg.r < 1:
         raise DataError(f"target rank r={cfg.r} must be >= 1")
     x, kept = normalize_columns(d)
-    dropped = np.setdiff1d(np.arange(np.asarray(d).shape[1]), kept)
+    dropped = np.delete(np.arange(np.asarray(d).shape[1]), kept)
     if x.shape[1] < need:
         raise NumericalError(shortfall.format(x.shape[1]))
     return x, kept, dropped, coherence(x, cfg.p)
@@ -305,12 +314,19 @@ def cop_multipass(d, cfg, h):
     picked_all = []
     s = cfg.strategy
     for round_idx in range(h):
-        sub_prof = CoherenceProfile(prof.values[pool], prof.p)
+        # the first round sees every column, so x goes in without a copy;
+        # a later round's copy is freed before the next one is made
+        whole = round_idx == 0
         local = adaptive_sampling(
-            x[:, pool], sub_prof, cfg.r, s.k, s.upsilon, seed=(cfg.seed, round_idx)
+            x if whole else x[:, pool],
+            prof if whole else CoherenceProfile(prof.values[pool], prof.p),
+            cfg.r,
+            s.k,
+            s.upsilon,
+            seed=(cfg.seed, round_idx),
         )
         picked_all.extend(pool[local])
-        pool = np.setdiff1d(pool, pool[local])
+        pool = np.delete(pool, local)
     picked_all, basis, unique = _finish_svd(x, np.array(picked_all), cfg.r)
     return CopResult(basis, kept[picked_all], prof, dropped, unique)
 

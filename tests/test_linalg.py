@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cohpca import kernels
 from cohpca.errors import DataError, NumericalError
 from cohpca.linalg import (
     CoherenceProfile,
@@ -18,6 +19,8 @@ from cohpca.linalg import (
     recovery_error,
     top_r_singular_subspace,
 )
+from cohpca.models import gen_noisy, sigma_for_tau
+from cohpca.pursuit import Adaptive, CopConfig, cop_multipass
 
 from oracles import naive_coherence, subspace_distance
 
@@ -54,6 +57,85 @@ def test_normalize_drops_columns_relative_to_the_largest():
     # 5e-215 is below 1e-14 * 1e-200, 1e-213 is not
     assert kept.tolist() == [0, 2]
     np.testing.assert_array_equal(x, [[1.0, 1.0], [0.0, 0.0]])
+
+
+def scaled_normalize(d):
+    """Normalization through a power-of-two scaled copy, for every input."""
+    top = np.abs(d).max()
+    x = np.ldexp(d, -np.frexp(top)[1])
+    norms = np.linalg.norm(x, axis=0)
+    kept = np.flatnonzero(norms > 1e-14 * norms.max())
+    x = x[:, kept]
+    x /= norms[kept]
+    return x, kept
+
+
+def with_top(g, top):
+    """``g`` scaled so its largest magnitude is exactly ``top``."""
+    g = g * (top / np.abs(g).max())
+    i = np.unravel_index(np.argmax(np.abs(g)), g.shape)
+    g[i] = np.copysign(top, g[i])
+    return g
+
+
+def spread_columns(rng, m, n, top, low):
+    """Columns led by an entry near ``top``, the others log-uniform down to ``low``."""
+    g = 10.0 ** rng.uniform(np.log10(low), np.log10(top), (m, n))
+    g *= rng.choice([-1.0, 1.0], (m, n))
+    g[0] = top * rng.uniform(0.5, 1.0, n)
+    return g
+
+
+TOPS = {
+    "2^399": 2.0**399, "2^400": 2.0**400, "2^401": 2.0**401,
+    "2^-399": 2.0**-399, "2^-400": 2.0**-400, "2^-401": 2.0**-401,
+    "1e-300": 1e-300, "1": 1.0, "1e300": 1e300,
+}
+
+
+@pytest.mark.parametrize("tiny", [False, True], ids=["dense", "down-to-1e-300"])
+@pytest.mark.parametrize("name", list(TOPS))
+def test_normalize_matches_the_scaled_route_bit_for_bit(name, tiny):
+    top = TOPS[name]
+    rng = np.random.default_rng([list(TOPS).index(name), tiny])
+    m = 12
+    if tiny:
+        # kept columns holding entries down to 1e-300, or into the
+        # subnormal range when the top itself is that small
+        body = spread_columns(rng, m, 40, top / 2, min(1e-300, top * 2.0**-60))
+    else:
+        body = rng.standard_normal((m, 40)) * (top / 8)
+    lead = rng.standard_normal((m, 1)) * top
+    dropped = rng.standard_normal((m, 1)) * (top * 1e-17)
+    near_cut = rng.standard_normal((m, 1)) * (top * 1e-13)
+    d = with_top(np.hstack([body[:, :20], lead, body[:, 20:], dropped, near_cut]), top)
+    want_x, want_kept = scaled_normalize(d)
+    x, kept = normalize_columns(d)
+    assert want_kept.tolist() == [i for i in range(d.shape[1]) if i != 41]
+    np.testing.assert_array_equal(kept, want_kept)
+    assert x.tobytes() == want_x.tobytes()
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        # a subnormal entry in a unit column: halving it to scale rounds
+        np.array([[1.0, 0.5], [1.5e-323, 0.25]]),
+        # entries whose scaled copies are subnormal under a top of 2**399,
+        # so the scaled route rounds them twice
+        np.array([[2.0**399, 1.0], [1e-195, 3e-190], [1.0, 2.0]]),
+        np.array([[2.0**399] * 3, [3.7e-200, 1.3e-196, 7.1e-188]]),
+        # squares that are subnormal unscaled but normal scaled
+        np.array([[2.0**-300, 1.0], [3e-155, 2.0], [1e-160, 5e-160]]),
+        # a zero entry
+        np.array([[3.0, 0.0], [4.0, 2.0]]),
+    ],
+)
+def test_normalize_keeps_the_scaled_bits_where_the_entries_are_tiny(d):
+    want_x, want_kept = scaled_normalize(d)
+    x, kept = normalize_columns(d)
+    np.testing.assert_array_equal(kept, want_kept)
+    assert x.tobytes() == want_x.tobytes()
 
 
 def test_normalize_rejects_all_zero_and_non_finite():
@@ -105,6 +187,52 @@ def test_coherence_gram_never_forms_the_gram_matrix():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 4, f"peak {peak / 1e6:.0f} MB"
+
+
+def traced_peak(fn, *args, **kwargs):
+    """Bytes ``fn`` allocates at its peak, its inputs not counted."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("n", [5000, 600])
+def test_slab_walk_holds_one_slab(n):
+    x = random_matrix(20, n, seed=4)
+    slab = 8 * min(kernels.BLOCK, n) * n
+    peak = traced_peak(kernels.block_power_sums, x, 1)
+    assert peak <= 1.1 * slab, f"peak {peak} B, one slab is {slab} B"
+
+
+@pytest.mark.parametrize("top", [1.0, 2.0**399, 2.0**-401, 1e-3])
+@pytest.mark.parametrize("drop", [False, True])
+def test_normalize_holds_one_matrix_plus_its_norms(top, drop):
+    m, n = 20, 5000
+    d = with_top(random_matrix(m, n, seed=5), top)
+    if drop:
+        d[:, 7] *= 1e-16
+    x, kept = normalize_columns(d)
+    assert kept.size == n - drop
+    peak = traced_peak(normalize_columns, d)
+    # the outputs, the norms of every column, a few bytes per column and
+    # one ufunc iteration buffer of 8192 float64 for the strided division
+    # that follows a dropped column
+    bound = x.nbytes + kept.nbytes + 8 * n + 2 * n + 8 * 8192
+    assert peak <= bound, f"peak {peak} B, bound {bound} B"
+
+
+@pytest.mark.parametrize("m, n", [(20, 5000), (300, 600)])
+def test_multipass_holds_one_normalized_copy_plus_one_slab(m, n):
+    d = gen_noisy(m, 2, n // 5, n - n // 5, sigma_for_tau(0.5), seed=6).d
+    cfg = CopConfig(r=2, p=1, strategy=Adaptive(k=2, upsilon=None), seed=6)
+    peak = traced_peak(cop_multipass, d, cfg, h=3)
+    # the normalized copy, and beside it either the slab or one round's
+    # copy of the remaining columns, whichever is larger
+    bound = 1.1 * 8 * (m * n + max(kernels.BLOCK, m) * n)
+    assert peak <= bound, f"peak {peak} B, bound {bound:.0f} B"
 
 
 def test_coherence_values_are_non_negative_and_profile_checks_p():

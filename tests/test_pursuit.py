@@ -103,6 +103,21 @@ def test_top_fraction_orders_by_value_with_stable_ties():
         top_fraction_sampling(prof, 1.0)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.lists(
+        st.sampled_from([-1.0, -0.0, 0.0, 0.25, 0.5, 1.0, np.nan]), max_size=40
+    ),
+)
+def test_top_k_is_the_prefix_of_the_stable_descending_sort(values):
+    v = np.array(values, dtype=np.float64)
+    order = np.argsort(-v, kind="stable")
+    for k in range(len(v) + 2):
+        got = pursuit._top_k(profile(v), k)
+        assert got.dtype == order.dtype
+        np.testing.assert_array_equal(got, order[:k])
+
+
 def test_fixed_count_via_cop_caps_at_n():
     ds = gen_unstructured(20, 2, 10, 0, seed=0)
     res = cop(ds.d, CopConfig(r=2, strategy=FixedCount(count=50)))
