@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericalError
-from .linalg import ZERO_COLUMN_TOL
+from .linalg import _as_2d, normalize_columns
 from .pursuit import CopConfig, TopFraction, cop
 
 __all__ = [
@@ -30,31 +30,30 @@ __all__ = [
 def assign_to_subspaces(d, bases, fallback=None):
     """Assign every column to the basis it projects onto most strongly.
 
-    Scores are ||U_k' x||_2; ties go to the lowest cluster id.  A column
-    whose norm is at most 1e-14 times the largest column norm keeps its
-    label from ``fallback`` (one label per column); without ``fallback``
-    it is an error that names it.
+    Scores are ||U_k' x||_2 on the columns scaled to unit norm by
+    ``normalize_columns``; ties go to the lowest cluster id.  A column
+    that rule drops as numerically zero keeps its label from
+    ``fallback`` (one label per column); without ``fallback`` it is an
+    error that names it.
     """
-    d = np.asarray(d, dtype=np.float64)
+    x, kept = normalize_columns(d)
+    m, n = x.shape[0], np.shape(d)[1]
     if not bases:
         raise DataError("need at least one basis")
     for k, u in enumerate(bases):
-        if np.ndim(u) != 2 or np.shape(u)[0] != d.shape[0]:
-            raise DataError(
-                f"basis {k} has shape {np.shape(u)}, need {d.shape[0]} rows like the data"
-            )
-    if fallback is not None and np.shape(fallback) != (d.shape[1],):
+        if np.ndim(u) != 2 or np.shape(u)[0] != m:
+            raise DataError(f"basis {k} has shape {np.shape(u)}, need {m} rows like the data")
+    if fallback is not None and np.shape(fallback) != (n,):
         raise DataError(
-            f"fallback has shape {np.shape(fallback)}, need one label per column ({d.shape[1]})"
+            f"fallback has shape {np.shape(fallback)}, need one label per column ({n})"
         )
-    scores = np.stack([np.linalg.norm(u.T @ d, axis=0) for u in bases])
-    labels = np.argmax(scores, axis=0)
-    norms = np.linalg.norm(d, axis=0)
-    dead = norms <= ZERO_COLUMN_TOL * norms.max(initial=0.0)
-    if np.any(dead):
+    labels = np.empty(n, dtype=np.intp)
+    if kept.size < n:
         if fallback is None:
-            raise DataError(f"column {int(np.flatnonzero(dead)[0])} has zero norm, no fallback")
-        labels[dead] = np.asarray(fallback)[dead]
+            dead = np.setdiff1d(np.arange(n), kept)[0]
+            raise DataError(f"column {dead} has zero norm, no fallback")
+        labels[:] = fallback
+    labels[kept] = np.argmax([np.linalg.norm(u.T @ x, axis=0) for u in bases], axis=0)
     return labels
 
 
@@ -126,7 +125,7 @@ def correct_clustering(d, labels, r, iterations, cfg=None, truth=None):
     tolerates heavily polluted initial clusters.  Stops early at a fixed
     point.
     """
-    d = np.asarray(d, dtype=np.float64)
+    d = _as_2d(d)
     labels = np.asarray(labels, dtype=np.int64).copy()
     if labels.shape != (d.shape[1],):
         raise DataError(f"need one label per column, got {labels.shape}")
@@ -137,6 +136,8 @@ def correct_clustering(d, labels, r, iterations, cfg=None, truth=None):
         raise DataError("labels must be non-negative")
     if cfg is None:
         cfg = CopConfig(r=r, strategy=TopFraction(0.5))
+    elif cfg.r != r:
+        raise DataError(f"r={r} does not match cfg.r={cfg.r}")
     trajectory = [clustering_error(labels, truth)] if truth is not None else None
     bases = None
     converged_at = None

@@ -357,17 +357,11 @@ def t_delta(delta, m):
     return hi
 
 
-_MODEL_OF_KIND = {
-    "unstructured": lambda p, seed: gen_unstructured(p.m, p.r, p.n1, p.n2, seed=seed),
-    "structured": lambda p, seed: gen_structured_outliers(
-        p.m, p.r, p.n1, p.n2, _model_param(p, "structured"), seed=seed
-    ),
-    "noisy": lambda p, seed: gen_noisy(
-        p.m, p.r, p.n1, p.n2, _model_param(p, "noisy"), seed=seed
-    ),
-    "clustered": lambda p, seed: gen_clustered_inliers(
-        p.m, p.r, p.n1, p.n2, _model_param(p, "clustered"), seed=seed
-    ),
+_GEN_OF_MODEL = {
+    "unstructured": gen_unstructured,
+    "structured": gen_structured_outliers,
+    "noisy": gen_noisy,
+    "clustered": gen_clustered_inliers,
 }
 
 
@@ -383,12 +377,14 @@ def validate_condition_empirically(kind, params, trials=20, seed=0):
     if kind not in _CHECKS:
         raise DataError(f"unknown condition kind {kind!r}; choose from {KINDS}")
     _require(trials >= 1, f"trials={trials} must be >= 1")
-    model = _MODEL_OF_KIND[kind.split("-")[0]]
+    model = kind.split("-")[0]
+    gen = _GEN_OF_MODEL[model]
+    extra = (_model_param(params, model),) if model in _MODEL_PARAMS else ()
     p = 2 if "-l2-" in kind else 1
     want_worst_case = kind.endswith("whp")
     hits = 0
     for trial in range(trials):
-        ds = model(params, (seed, trial))
+        ds = gen(params.m, params.r, params.n1, params.n2, *extra, seed=(seed, trial))
         if params.n2 == 0:
             hits += 1
             continue

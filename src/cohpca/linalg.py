@@ -114,7 +114,8 @@ def normalize_columns(d):
     kept = np.flatnonzero(norms > ZERO_COLUMN_TOL * norms.max())
     if kept.size < x.shape[1]:
         norms = norms[kept]
-        x = x[:, kept]
+        # np.take keeps x C-ordered, where x[:, kept] would be F-ordered
+        x = np.take(x, kept, axis=1)
     elif x is d:
         return Normalized(d / norms, kept)
     x /= norms
@@ -151,12 +152,17 @@ def coherence_gram(d, p=2):
 
     The form the recovery-condition validators need.  It runs on the same
     kernel as ``coherence``, subtracting the self term ||d_i||^(2p) in
-    place of 1, with the same clamp at zero.
+    place of 1, with the same clamp at zero.  Raw columns are not
+    rescaled, so power sums beyond the float64 range are a
+    ``NumericalError``.
     """
     d = _as_matrix(d)
-    sums = kernels.block_power_sums(d, p)
-    own = np.einsum("ij,ij->j", d, d) ** p
-    return CoherenceProfile(np.maximum(sums - own, 0.0), p)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sums = kernels.block_power_sums(d, p)
+        sums -= np.einsum("ij,ij->j", d, d) ** p
+    if not np.all(np.isfinite(sums)):
+        raise NumericalError(f"power sums at p={p} overflow float64; rescale the columns")
+    return CoherenceProfile(np.maximum(sums, 0.0), p)
 
 
 def orthonormal_basis(y):

@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import DataError, NumericalError
 from .linalg import (
-    ZERO_COLUMN_TOL,
     CoherenceProfile,
     _require_orthonormal,
     coherence,
@@ -346,21 +345,20 @@ def residual_outliers(d, basis, threshold=0.2):
     """Flag columns far from a subspace: relative residual > threshold.
 
     Returns an int array with 0 for inliers and 1 for outliers (the
-    labeling convention of the data models).  Columns whose norm is at
-    most 1e-14 times the largest column norm count as outliers.
-    ``basis`` must be orthonormal with one row per row of ``d``.
+    labeling convention of the data models).  The columns are measured
+    through ``normalize_columns``, so the residual of a unit column is
+    the relative one, and a column that rule drops as numerically zero
+    counts as an outlier.  ``basis`` must be orthonormal with one row per
+    row of ``d``.
     """
-    d = np.asarray(d, dtype=np.float64)
     if not 0.0 <= threshold:
         raise DataError(f"threshold {threshold} must be >= 0")
+    x, kept = normalize_columns(d)
     basis = _require_orthonormal(basis, "basis")
-    if basis.shape[0] != d.shape[0]:
+    if basis.shape[0] != x.shape[0]:
         raise DataError(
-            f"basis rows {basis.shape[0]} do not match data rows {d.shape[0]}"
+            f"basis rows {basis.shape[0]} do not match data rows {x.shape[0]}"
         )
-    norms = np.linalg.norm(d, axis=0)
-    resid = np.linalg.norm(d - basis @ (basis.T @ d), axis=0)
-    out = np.ones(d.shape[1], dtype=np.int64)
-    alive = norms > ZERO_COLUMN_TOL * norms.max(initial=0.0)
-    out[alive] = (resid[alive] / norms[alive] > threshold).astype(np.int64)
+    out = np.ones(np.shape(d)[1], dtype=np.int64)
+    out[kept] = np.linalg.norm(x - basis @ (basis.T @ x), axis=0) > threshold
     return out

@@ -1,5 +1,7 @@
 """Subspace assignment, clustering metrics and label correction."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -61,7 +63,7 @@ def test_assign_zero_columns_keep_their_fallback_label():
         assign_to_subspaces(d, [])
 
 
-@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e300])
 def test_assign_zero_columns_are_relative_to_the_largest(scale):
     e = np.eye(3)
     d = np.column_stack([e[:, 0], e[:, 1], 1e-15 * e[:, 0]]) * scale
@@ -214,6 +216,10 @@ def test_correction_validation():
         correct_clustering(ds.d, ds.labels, r=2, iterations=0)
     with pytest.raises(DataError):
         correct_clustering(ds.d, ds.labels - 1, r=2, iterations=2)
+    # cop would fit rank cfg.r while the starvation check uses r
+    cfg = CopConfig(r=1, strategy=TopFraction(0.5))
+    with pytest.raises(DataError, match=r"r=2 does not match cfg.r=1"):
+        correct_clustering(ds.d, ds.labels, r=2, iterations=2, cfg=cfg)
 
 
 def test_correction_accepts_custom_config():
@@ -221,3 +227,85 @@ def test_correction_accepts_custom_config():
     cfg = CopConfig(r=3, strategy=TopFraction(0.4))
     res = correct_clustering(ds.d, labels, r=3, iterations=3, cfg=cfg, truth=ds.labels)
     assert res.trajectory[-1] <= res.trajectory[0]
+
+
+# ---- column scale, sign and order ----
+
+
+OUTLIERS = gen_unstructured(20, 2, 10, 30, seed=1)
+UNION = gen_union(20, (2, 2), (20, 20), seed=2)
+START = np.where(np.arange(40) % 7 == 0, 1 - UNION.labels, UNION.labels)
+BASIS = cop(OUTLIERS.d, CopConfig(r=2)).basis
+BASES = correct_clustering(UNION.d, START, r=2, iterations=4).bases
+
+
+def labels_of_all_three(outliers, union, start):
+    """Labels of residual_outliers, assign_to_subspaces and correct_clustering."""
+    return (
+        residual_outliers(outliers, BASIS),
+        assign_to_subspaces(union, BASES),
+        correct_clustering(union, start, r=2, iterations=4).labels,
+    )
+
+
+AT_SCALE_ONE = labels_of_all_three(OUTLIERS.d, UNION.d, START)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e200, 1e300])
+def test_labels_hold_at_the_ends_of_the_float_range(scale):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = labels_of_all_three(OUTLIERS.d * scale, UNION.d * scale, START)
+    for g, want in zip(got, AT_SCALE_ONE):
+        np.testing.assert_array_equal(g, want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(-1000, 1000),
+    shifts=st.lists(st.integers(-4, 4), min_size=40, max_size=40),
+    flips=st.lists(st.booleans(), min_size=40, max_size=40),
+    order=st.permutations(range(40)),
+)
+def test_labels_ignore_column_scale_sign_and_order(k, shifts, flips, order):
+    # column j is scaled by +-2**(k + shifts[j]): exact in float64, so the
+    # normalized columns keep their bits; the permutation is mapped back
+    factor = np.ldexp(np.where(flips, -1.0, 1.0), k + np.array(shifts))
+    order = np.array(order)
+    got = labels_of_all_three(
+        (OUTLIERS.d * factor)[:, order], (UNION.d * factor)[:, order], START[order]
+    )
+    for g, want in zip(got, AT_SCALE_ONE):
+        np.testing.assert_array_equal(g, want[order])
+
+
+def _eye_with(value):
+    d = np.eye(4)
+    d[2, 1] = value
+    return d
+
+
+@pytest.mark.parametrize(
+    "d, cause",
+    [
+        pytest.param(_eye_with(np.nan), "NaN or Inf", id="nan"),
+        pytest.param(_eye_with(np.inf), "NaN or Inf", id="inf"),
+        pytest.param(np.ones(4), r"2-d.*shape \(4,\)", id="1-d"),
+        pytest.param(np.zeros((4, 4)), "all columns are zero", id="all-zero"),
+        pytest.param(np.zeros((4, 0)), r"non-empty.*shape \(4, 0\)", id="no-columns"),
+    ],
+)
+@pytest.mark.parametrize(
+    "label",
+    [
+        pytest.param(lambda d: residual_outliers(d, np.eye(4)[:, :1]), id="residual"),
+        pytest.param(lambda d: assign_to_subspaces(d, [np.eye(4)[:, :1]]), id="assign"),
+        pytest.param(
+            lambda d: correct_clustering(d, np.zeros(np.shape(d)[-1], int), 1, 1),
+            id="correct",
+        ),
+    ],
+)
+def test_labelers_name_the_input_they_reject(label, d, cause):
+    with pytest.raises(DataError, match=cause):
+        label(d)

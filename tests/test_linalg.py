@@ -19,7 +19,7 @@ from cohpca.linalg import (
     recovery_error,
     top_r_singular_subspace,
 )
-from cohpca.models import gen_noisy, sigma_for_tau
+from cohpca.models import gen_noisy, gen_unstructured, sigma_for_tau
 from cohpca.pursuit import Adaptive, CopConfig, cop_multipass
 
 from oracles import naive_coherence, subspace_distance
@@ -177,6 +177,15 @@ def test_coherence_gram_accepts_unnormalized_columns():
     )
 
 
+@pytest.mark.parametrize("p, scale", [(1, 1e200), (2, 1e150), (2, 1e200)])
+def test_coherence_gram_names_power_sums_beyond_float64(p, scale):
+    # raw columns are not rescaled; the sums overflow where they used to
+    # come back NaN behind a RuntimeWarning
+    d = gen_unstructured(20, 2, 10, 30, seed=1).d * scale
+    with pytest.raises(NumericalError, match=f"p={p} overflow"):
+        coherence_gram(d, p)
+
+
 def test_coherence_gram_never_forms_the_gram_matrix():
     n = 5000
     d = random_matrix(20, n, seed=3)
@@ -217,11 +226,21 @@ def test_normalize_holds_one_matrix_plus_its_norms(top, drop):
     x, kept = normalize_columns(d)
     assert kept.size == n - drop
     peak = traced_peak(normalize_columns, d)
-    # the outputs, the norms of every column, a few bytes per column and
-    # one ufunc iteration buffer of 8192 float64 for the strided division
-    # that follows a dropped column
-    bound = x.nbytes + kept.nbytes + 8 * n + 2 * n + 8 * 8192
+    # the outputs, the norms of every column and a few bytes per column
+    bound = x.nbytes + kept.nbytes + 8 * n + 2 * n
     assert peak <= bound, f"peak {peak} B, bound {bound} B"
+
+
+def test_normalize_keeps_the_columns_left_after_a_drop_c_ordered():
+    d = random_matrix(20, 5000, seed=7)
+    d[:, 7] = 0.0
+    x, kept = normalize_columns(d)
+    assert kept.size == 4999 and x.flags.c_contiguous
+    # the kernel takes x as it is: p=2 makes one product of x's size,
+    # p=1 one slab, and a copy of x would come on top of either
+    assert traced_peak(kernels.block_power_sums, x, 2) <= 1.2 * x.nbytes
+    slab = 8 * kernels.BLOCK * x.shape[1]
+    assert traced_peak(kernels.block_power_sums, x, 1) <= slab + x.nbytes / 2
 
 
 @pytest.mark.parametrize("m, n", [(20, 5000), (300, 600)])

@@ -368,7 +368,7 @@ def test_residual_outliers_frozen_case():
         residual_outliers(d, basis, threshold=-0.1)
 
 
-@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e300])
 def test_residual_outliers_zero_columns_are_relative_to_the_largest(scale):
     mixed = (E[:, 0] + E[:, 2]) / np.sqrt(2.0)
     d = np.column_stack([E[:, 0], mixed, 1e-15 * E[:, 1]]) * scale
