@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
-from .linalg import _as_2d, normalize_columns
+from .errors import DataError, NumericalError, _integer
+from .linalg import _as_2d, _require_orthonormal, normalize_columns
 from .pursuit import CopConfig, TopFraction, cop
 
 __all__ = [
@@ -34,15 +34,17 @@ def assign_to_subspaces(d, bases, fallback=None):
     ``normalize_columns``; ties go to the lowest cluster id.  A column
     that rule drops as numerically zero keeps its label from
     ``fallback`` (one label per column); without ``fallback`` it is an
-    error that names it.
+    error that names it.  Every basis must be orthonormal, with one row
+    per row of ``d``.
     """
     x, kept = normalize_columns(d)
     m, n = x.shape[0], np.shape(d)[1]
     if not bases:
         raise DataError("need at least one basis")
+    bases = [_require_orthonormal(u, f"basis {k}") for k, u in enumerate(bases)]
     for k, u in enumerate(bases):
-        if np.ndim(u) != 2 or np.shape(u)[0] != m:
-            raise DataError(f"basis {k} has shape {np.shape(u)}, need {m} rows like the data")
+        if u.shape[0] != m:
+            raise DataError(f"basis {k} has shape {u.shape}, need {m} rows like the data")
     if fallback is not None and np.shape(fallback) != (n,):
         raise DataError(
             f"fallback has shape {np.shape(fallback)}, need one label per column ({n})"
@@ -129,8 +131,7 @@ def correct_clustering(d, labels, r, iterations, cfg=None, truth=None):
     labels = np.asarray(labels, dtype=np.int64).copy()
     if labels.shape != (d.shape[1],):
         raise DataError(f"need one label per column, got {labels.shape}")
-    if iterations < 1:
-        raise DataError(f"iterations={iterations} must be >= 1")
+    _integer(iterations, "iterations", 1)
     n_clusters = int(labels.max()) + 1
     if labels.min() < 0:
         raise DataError("labels must be non-negative")

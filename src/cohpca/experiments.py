@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, _integer
 from .linalg import coherence, normalize_columns, orthonormal_basis, recovery_error
 from .models import (
     INLIER,
@@ -118,8 +118,7 @@ def run_phase_transition(
     """
     n1_over_r = _nonempty("n1_over_r", n1_over_r)
     n2_over_m = _nonempty("n2_over_m", n2_over_m)
-    if trials < 1:
-        raise DataError(f"trials={trials} must be >= 1")
+    _integer(trials, "trials", 1)
     cfg = CopConfig(r=r, p=p, strategy=FixedCount(count))
     fractions = np.zeros((len(n1_over_r), len(n2_over_m)))
     rows = []
@@ -181,8 +180,7 @@ def run_noise_sweep(
     """
     if n2 < 1:
         raise DataError("the sweep needs at least one outlier column")
-    if seeds < 1:
-        raise DataError(f"seeds={seeds} must be >= 1")
+    _integer(seeds, "seeds", 1)
     taus = _nonempty("taus", taus)
     rows = []
     for ti, tau in enumerate(taus):
@@ -233,10 +231,9 @@ def run_structured_sweep(
     Every row also carries the plain spherical-PCA error on the same
     data as the baseline.
     """
-    if seeds < 1:
-        raise DataError(f"seeds={seeds} must be >= 1")
+    _integer(seeds, "seeds", 1)
     mus = _nonempty("mus", mus)
-    cfg = CopConfig(r=r, p=p, strategy=GreedyRank())
+    cfg = CopConfig(r=r, p=p)
     rows = []
     for mi, mu in enumerate(mus):
         for s in range(seeds):
@@ -279,8 +276,7 @@ def run_cluster_correction(
         raise DataError("the correction loop fits one common rank; dims must be equal")
     if not 0.0 <= corruption < 1.0:
         raise DataError(f"corruption={corruption} must lie in [0, 1)")
-    if seeds < 1:
-        raise DataError(f"seeds={seeds} must be >= 1")
+    _integer(seeds, "seeds", 1)
     r = dims[0]
     n = int(sum(sizes))
     n_clusters = len(dims)
@@ -341,8 +337,7 @@ def saliency(image, patch=10, r=2, q=0.5, p=2):
     img = np.asarray(image, dtype=np.float64)
     if img.ndim != 2:
         raise DataError(f"image must be 2-d, got shape {img.shape}")
-    if patch < 1:
-        raise DataError(f"patch={patch} must be >= 1")
+    _integer(patch, "patch", 1)
     gh, gw = img.shape[0] // patch, img.shape[1] // patch
     if gh < 1 or gw < 1:
         raise DataError(f"image {img.shape} is smaller than one {patch}x{patch} patch")
@@ -386,7 +381,7 @@ def _bench_pipeline(d, r, p, path):
     d = timed("read", io.read_matrix, path)
     x, _ = timed("normalize", normalize_columns, d)
     prof = timed("coherence", coherence, x, p)
-    picked = timed("sampling", greedy_rank_sampling, x, prof, r)
+    picked = timed("sampling", greedy_rank_sampling, x, prof, r, GreedyRank().rank_tol)
     timed("basis", orthonormal_basis, x[:, picked])
     return timings
 
@@ -469,8 +464,7 @@ def run_bench(
     ``import cohpca`` and, per case and stage, the same spread of the
     stage seconds.
     """
-    if runs < 1:
-        raise DataError(f"runs={runs} must be >= 1")
+    _integer(runs, "runs", 1)
     cases = _nonempty("cases", cases)
     checked = [_bench_case(m, n, r, p) for m, n in cases]
     rows = []

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, _integer
 from .rng import stream
 
 __all__ = [
@@ -187,8 +187,7 @@ def top_r_singular_subspace(y, r):
     is not determined by ``y`` alone; scaling ``y`` does not change it.
     """
     y = _as_matrix(y)
-    r = int(r)
-    if r < 1 or r > min(y.shape):
+    if not 1 <= _integer(r, "r") <= min(y.shape):
         raise DataError(f"r={r} out of range for shape {y.shape}")
     u, s, _ = np.linalg.svd(y, full_matrices=False)
     unique = r == len(s) or bool(s[r - 1] - s[r] > SIGMA_GAP_TOL * s[0])

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _integer
 from .rng import stream
 
 __all__ = [
@@ -99,14 +99,11 @@ def random_subspace(rng, m, r):
 
 
 def _check_sizes(m, r, n1, n2):
-    if m < 1:
-        raise DataError(f"ambient dimension m={m} must be >= 1")
-    if not 1 <= r <= m:
+    _integer(m, "ambient dimension m", 1)
+    if not 1 <= _integer(r, "rank r") <= m:
         raise DataError(f"rank r={r} must satisfy 1 <= r <= m={m}")
-    if n1 < 1:
-        raise DataError(f"inlier count n1={n1} must be >= 1")
-    if n2 < 0:
-        raise DataError(f"outlier count n2={n2} must be >= 0")
+    _integer(n1, "inlier count n1", 1)
+    _integer(n2, "outlier count n2", 0)
 
 
 def _shuffled(rng, d, labels, *others):
@@ -229,12 +226,10 @@ def gen_union(m, dims, sizes, seed=0, shuffle=False):
     cluster.  Subspaces are drawn independently; their dimensions must
     not exceed m in total, so that the clusters are genuinely distinct.
     """
-    dims = tuple(int(v) for v in dims)
-    sizes = tuple(int(v) for v in sizes)
+    dims = tuple(_integer(v, "cluster rank", 1) for v in dims)
+    sizes = tuple(_integer(v, "cluster size", 1) for v in sizes)
     if len(dims) != len(sizes) or not dims:
         raise DataError("dims and sizes must be non-empty and of equal length")
-    if any(v < 1 for v in dims) or any(v < 1 for v in sizes):
-        raise DataError("every cluster needs rank >= 1 and at least one point")
     if sum(dims) > m:
         raise DataError(f"total subspace dimension {sum(dims)} exceeds m={m}")
     rng = _rng_of(seed)

@@ -6,7 +6,12 @@ small set of high-coherence columns and take their span as the
 recovered subspace.  Outliers score low because they correlate with
 nothing; inliers score high because they correlate with each other.
 
-Four column-selection strategies are provided:
+Each strategy holds its own defaults and has one method,
+``select(x, profile, cfg) -> (picked, basis, unique)``: the picked columns
+of the normalized ``x``, their orthonormal span, and whether the picks
+alone determined it.  Every ``select`` first checks that the profile has
+one value per column and that r <= m; ``CopConfig`` checks that r is an
+integer >= 1.  The four strategies:
 
 * GreedyRank     -- walk columns by decreasing coherence, keep one only
                     if it adds a new direction, stop at r;
@@ -17,17 +22,15 @@ Four column-selection strategies are provided:
                     take the highest-coherence column that survives a
                     residual-norm threshold and deflate it away.
 
-GreedyRank and Adaptive pick exactly r independent columns, so their
-span is the basis directly.  TopFraction and FixedCount keep more
-columns than r and truncate by SVD, which is also what the noisy /
-multi-pass variants need.
+GreedyRank and Adaptive pick exactly r independent columns and span
+them directly; the others and ``cop_multipass`` truncate by SVD.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, _integer
 from .linalg import (
     CoherenceProfile,
     _require_orthonormal,
@@ -48,16 +51,16 @@ __all__ = [
     "cop",
     "cop_multipass",
     "spca",
-    "greedy_rank_sampling",
-    "top_fraction_sampling",
-    "adaptive_sampling",
     "residual_outliers",
 ]
 
 
-# Every strategy's select(x, profile, cfg) returns (picked, basis,
-# unique): the chosen columns of x, the orthonormal span cop returns, and
-# whether that span was determined by the chosen columns alone.
+def _check_selection(x, profile, cfg):
+    # what every select relies on: one profile value per column, r <= m
+    if np.shape(profile.values) != x.shape[1:]:
+        raise DataError(f"profile length {np.shape(profile.values)} does not match {x.shape[1]} columns")
+    if cfg.r > x.shape[0]:
+        raise DataError(f"r={cfg.r} must not exceed m={x.shape[0]}")
 
 
 @dataclass(frozen=True)
@@ -65,6 +68,7 @@ class GreedyRank:
     rank_tol: float = 1e-10
 
     def select(self, x, profile, cfg):
+        _check_selection(x, profile, cfg)
         picked = greedy_rank_sampling(x, profile, cfg.r, self.rank_tol)
         return _finish_exact(x, picked, cfg.r)
 
@@ -74,7 +78,11 @@ class TopFraction:
     q: float = 0.5
 
     def select(self, x, profile, cfg):
-        return _finish_svd(x, top_fraction_sampling(profile, self.q), cfg.r)
+        _check_selection(x, profile, cfg)
+        if not 0.0 < self.q < 1.0:
+            raise DataError(f"fraction q={self.q} must lie strictly between 0 and 1")
+        keep = int(np.ceil((1.0 - self.q) * x.shape[1]))
+        return _finish_svd(x, _top_k(profile, keep), cfg.r)
 
 
 @dataclass(frozen=True)
@@ -82,9 +90,11 @@ class FixedCount:
     count: int = 20
 
     def select(self, x, profile, cfg):
-        if self.count < cfg.r:
-            raise DataError(f"column count {self.count} must be >= r={cfg.r}")
-        return _finish_svd(x, _top_k(profile, self.count), cfg.r)
+        _check_selection(x, profile, cfg)
+        count = _integer(self.count, "column count")
+        if count < cfg.r:
+            raise DataError(f"column count {count} must be >= r={cfg.r}")
+        return _finish_svd(x, _top_k(profile, count), cfg.r)
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,7 @@ class Adaptive:
     upsilon: float | None = 0.0
 
     def select(self, x, profile, cfg):
+        _check_selection(x, profile, cfg)
         picked = adaptive_sampling(x, profile, cfg.r, self.k, self.upsilon, cfg.seed)
         return _finish_exact(x, picked, cfg.r)
 
@@ -117,6 +128,9 @@ class CopConfig:
     p: int = 2
     strategy: object = GreedyRank()
     seed: int = 0
+
+    def __post_init__(self):
+        _integer(self.r, "target rank r", 1)
 
 
 @dataclass(frozen=True)
@@ -135,7 +149,11 @@ class CopResult:
     unique: bool = True
 
 
-def greedy_rank_sampling(x, profile, r, rank_tol=1e-10):
+# greedy_rank_sampling and adaptive_sampling are looked up by name, so a wrapper
+# set on the module sees every call; the strategies hold their defaults and checks.
+
+
+def greedy_rank_sampling(x, profile, r, rank_tol):
     """Indices of the first r columns, by decreasing coherence, that are
     pairwise linearly independent.
 
@@ -147,11 +165,6 @@ def greedy_rank_sampling(x, profile, r, rank_tol=1e-10):
     if not rank_tol >= 0:
         raise DataError(f"rank tolerance rank_tol={rank_tol} must be >= 0")
     values = np.asarray(profile.values, dtype=np.float64)
-    n = x.shape[1]
-    if values.shape != (n,):
-        raise DataError(f"profile length {values.shape} does not match {n} columns")
-    if not 1 <= r <= x.shape[0]:
-        raise DataError(f"r={r} must satisfy 1 <= r <= m={x.shape[0]}")
     order = np.argsort(-values, kind="stable")
     picked = []
     q = np.empty((x.shape[0], r))
@@ -169,18 +182,6 @@ def greedy_rank_sampling(x, profile, r, rank_tol=1e-10):
     )
 
 
-def top_fraction_sampling(profile, q):
-    """Indices of the ceil((1-q)*n) columns with largest coherence.
-
-    Ties break toward the lower index; the result is ordered by
-    decreasing coherence.
-    """
-    if not 0.0 < q < 1.0:
-        raise DataError(f"fraction q={q} must lie strictly between 0 and 1")
-    keep = int(np.ceil((1.0 - q) * len(profile.values)))
-    return _top_k(profile, keep)
-
-
 def _top_k(profile, k):
     # the k largest values (all of them when k > n), ties to the lower
     # index: the first k of a stable argsort of -values, but only the
@@ -195,7 +196,7 @@ def _top_k(profile, k):
     return np.argsort(neg, kind="stable")[:k]
 
 
-def adaptive_sampling(x, profile, r, k=2, upsilon=0.0, seed=0, phi=None):
+def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None):
     """Sketch-and-deflate selection of r independent columns.
 
     The data is sketched to k*r <= m dimensions (Gaussian, seeded; pass
@@ -206,17 +207,13 @@ def adaptive_sampling(x, profile, r, k=2, upsilon=0.0, seed=0, phi=None):
     ``upsilon=None`` uses 0.2 times the median initial sketched norm.
     Raises when every column is retired before r picks.
     """
-    if k < 1:
-        raise DataError(f"sketch factor k={k} must be >= 1")
+    _integer(k, "sketch factor k", 1)
     m = x.shape[0]
     if k * r > m:
         raise DataError(
             f"sketch dimension k*r = {k}*{r} = {k * r} must not exceed m={m}"
         )
     values = np.array(profile.values, dtype=np.float64, copy=True)
-    n = x.shape[1]
-    if values.shape != (n,):
-        raise DataError(f"profile length {values.shape} does not match {n} columns")
     sketch = random_projection(x, k * r, seed, phi=phi)
     norms0 = np.linalg.norm(sketch, axis=0)
     if upsilon is None:
@@ -267,8 +264,6 @@ def _profiled(d, cfg, need, shortfall):
     columns raise ``NumericalError`` with ``shortfall.format(count)``,
     before the kernel runs.
     """
-    if cfg.r < 1:
-        raise DataError(f"target rank r={cfg.r} must be >= 1")
     x, kept = normalize_columns(d)
     dropped = np.delete(np.arange(np.asarray(d).shape[1]), kept)
     if x.shape[1] < need:
@@ -302,8 +297,7 @@ def cop_multipass(d, cfg, h):
     computed once up front.  Requires an Adaptive strategy and h*r
     available columns.
     """
-    if h < 1:
-        raise DataError(f"pass count h={h} must be >= 1")
+    _integer(h, "pass count h", 1)
     if not isinstance(cfg.strategy, Adaptive):
         raise DataError("cop_multipass requires an Adaptive strategy")
     x, kept, dropped, prof = _profiled(

@@ -9,6 +9,8 @@ on execution order and any single trial can be replayed in isolation.
 
 import numpy as np
 
+from .errors import _integer
+
 __all__ = ["stream"]
 
 
@@ -19,8 +21,9 @@ def stream(seed, *path):
     child, ``stream(seed, k, j)`` the j-th grandchild, and so on.  The
     seed may itself be a tuple of integers (a previously derived path),
     which is flattened in front of the new components.  Distinct paths
-    give statistically independent streams.
+    give statistically independent streams.  A negative or non-integral
+    component is a ``DataError``.
     """
     head = tuple(seed) if isinstance(seed, tuple) else (seed,)
-    entropy = tuple(int(p) for p in head) + tuple(int(p) for p in path)
+    entropy = tuple(_integer(p, "seed component", 0) for p in head + path)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

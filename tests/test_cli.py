@@ -313,15 +313,6 @@ def test_unset_options_take_the_library_defaults(command):
         assert ns.seed == seed
 
 
-def test_sampling_functions_share_the_strategy_defaults():
-    greedy = _keyword_defaults(pursuit.greedy_rank_sampling)
-    adaptive = _keyword_defaults(pursuit.adaptive_sampling)
-    assert greedy["rank_tol"] == pursuit.GreedyRank().rank_tol
-    assert (adaptive["k"], adaptive["upsilon"]) == (
-        pursuit.Adaptive().k, pursuit.Adaptive().upsilon
-    )
-
-
 # ---- config files ----
 
 

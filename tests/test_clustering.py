@@ -83,6 +83,17 @@ def test_assign_rejects_a_fallback_or_basis_of_the_wrong_shape():
         assign_to_subspaces(d, [e[:, 0]])
 
 
+def test_assign_rejects_a_basis_that_is_not_orthonormal():
+    # the column e1 + 1.5 e2 projects onto e2 most; a scaled or NaN
+    # first basis used to flip its label to 0 without an error
+    e = np.eye(3)
+    d = (e[:, 0] + 1.5 * e[:, 1])[:, None]
+    assert assign_to_subspaces(d, [e[:, :1], e[:, 1:2]]).tolist() == [1]
+    for bad in (2.0 * e[:, :1], np.full((3, 1), np.nan)):
+        with pytest.raises(DataError, match="basis 0"):
+            assign_to_subspaces(d, [bad, e[:, 1:2]])
+
+
 # ---- clustering error ----
 
 
@@ -214,6 +225,8 @@ def test_correction_validation():
         correct_clustering(ds.d, ds.labels[:10], r=2, iterations=2)
     with pytest.raises(DataError):
         correct_clustering(ds.d, ds.labels, r=2, iterations=0)
+    with pytest.raises(DataError, match="iterations=2.0 must be an integer"):
+        correct_clustering(ds.d, ds.labels, r=2, iterations=2.0)
     with pytest.raises(DataError):
         correct_clustering(ds.d, ds.labels - 1, r=2, iterations=2)
     # cop would fit rank cfg.r while the starvation check uses r

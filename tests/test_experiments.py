@@ -225,6 +225,9 @@ def test_saliency_degenerate_images():
         saliency(np.zeros(12), patch=2)
     with pytest.raises(DataError, match="patch"):
         saliency(np.zeros((8, 8)), patch=0)
+    # 1-pixel tiles cannot carry r=2 directions; this used to give basis None
+    with pytest.raises(DataError, match="r=2 must not exceed m=1"):
+        saliency(np.arange(1.0, 17.0).reshape(4, 4), patch=1, r=2)
 
 
 # ---- benchmark ----
@@ -289,6 +292,24 @@ def test_bench_validation():
 
 
 # ---- csv writer ----
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: run_phase_transition(trials=1.5),
+        lambda: run_noise_sweep(seeds=2.0),
+        lambda: run_structured_sweep(seeds=2.0),
+        lambda: run_cluster_correction(seeds=2.0),
+        lambda: saliency(np.zeros((10, 10)), patch=2.5),
+        lambda: run_bench(runs=1.5),
+    ],
+    ids=["trials", "noise-seeds", "structured-seeds", "correction-seeds", "patch", "runs"],
+)
+def test_runner_counts_must_be_integers(call):
+    # each used to reach range() or a reshape and raise a raw TypeError
+    with pytest.raises(DataError, match="must be an integer"):
+        call()
 
 
 def test_write_rows_csv_layout(tmp_path):

@@ -284,6 +284,40 @@ def test_seed_forms_agree():
     np.testing.assert_array_equal(a.d, b.d)
 
 
+@pytest.mark.parametrize(
+    "components",
+    [(1.5,), (1.0,), (np.float64(2.0),), (-1,), (0, -3), ((1, -1), 0), ((1, 0.5),)],
+    ids=str,
+)
+def test_stream_rejects_negative_or_non_integral_components(components):
+    # 1.5 used to be truncated to the stream of 1, -1 a raw numpy ValueError
+    with pytest.raises(DataError, match="seed component"):
+        stream(*components)
+
+
+def test_stream_takes_numpy_integers_as_ints():
+    a = stream(np.int64(5), np.uint8(9)).integers(1 << 62, size=4)
+    np.testing.assert_array_equal(a, stream(5, 9).integers(1 << 62, size=4))
+    b = stream((np.int32(5), 9), 2).integers(1 << 62, size=4)
+    np.testing.assert_array_equal(b, stream(5, 9, 2).integers(1 << 62, size=4))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: gen_union(10, (2.5, 2), (5, 5)),  # used to draw a rank-2 cluster
+        lambda: gen_union(10, (2, 2), (5, 5.0)),
+        lambda: gen_unstructured(10.0, 2, 5, 5),
+        lambda: gen_unstructured(10, 2, 5.5, 5),
+        lambda: gen_unstructured(10, 2, 5, 5.0),
+    ],
+    ids=["union-dims", "union-sizes", "m", "n1", "n2"],
+)
+def test_generators_reject_non_integer_sizes(call):
+    with pytest.raises(DataError, match="must be an integer"):
+        call()
+
+
 def test_random_subspace_is_orthonormal():
     u = random_subspace(stream(3), 10, 4)
     np.testing.assert_allclose(u.T @ u, np.eye(4), atol=1e-12)

@@ -16,18 +16,24 @@ from cohpca.pursuit import (
     FixedCount,
     GreedyRank,
     TopFraction,
-    adaptive_sampling,
     cop,
     cop_multipass,
-    greedy_rank_sampling,
     residual_outliers,
     spca,
-    top_fraction_sampling,
 )
 
 
 def profile(values):
     return CoherenceProfile(np.asarray(values, dtype=np.float64), 2)
+
+
+def picks(strategy, x, values, r):
+    """The columns ``strategy.select`` picks for a rank-r config."""
+    return strategy.select(x, profile(values), CopConfig(r=r))[0].tolist()
+
+
+def top_fraction(values, q):
+    return picks(TopFraction(q), np.eye(len(values)), values, r=1)
 
 
 E = np.eye(4)
@@ -38,26 +44,23 @@ E = np.eye(4)
 
 def test_greedy_skips_linearly_dependent_duplicates():
     x = np.column_stack([E[:, 0], E[:, 0], E[:, 1], E[:, 2]])
-    picks = greedy_rank_sampling(x, profile([4.0, 3.0, 2.0, 1.0]), r=2)
-    assert picks.tolist() == [0, 2]
+    assert picks(GreedyRank(), x, [4.0, 3.0, 2.0, 1.0], r=2) == [0, 2]
 
 
 def test_greedy_breaks_ties_toward_lower_index():
     x = np.column_stack([E[:, 0], E[:, 1], E[:, 2]])
-    picks = greedy_rank_sampling(x, profile([1.0, 1.0, 1.0]), r=2)
-    assert picks.tolist() == [0, 1]
+    assert picks(GreedyRank(), x, [1.0, 1.0, 1.0], r=2) == [0, 1]
 
 
 def test_greedy_follows_coherence_order():
     x = np.column_stack([E[:, 0], E[:, 1], E[:, 2]])
-    picks = greedy_rank_sampling(x, profile([1.0, 5.0, 3.0]), r=2)
-    assert picks.tolist() == [1, 2]
+    assert picks(GreedyRank(), x, [1.0, 5.0, 3.0], r=2) == [1, 2]
 
 
 def test_greedy_raises_when_candidates_run_out():
     x = np.column_stack([E[:, 0], E[:, 0]])
     with pytest.raises(NumericalError, match="need r=2"):
-        greedy_rank_sampling(x, profile([2.0, 1.0]), r=2)
+        picks(GreedyRank(), x, [2.0, 1.0], r=2)
 
 
 def test_greedy_rank_tol_controls_near_duplicates():
@@ -65,42 +68,44 @@ def test_greedy_rank_tol_controls_near_duplicates():
     near /= np.linalg.norm(near)
     x = np.column_stack([E[:, 0], near, E[:, 1]])
     prof = profile([3.0, 2.0, 1.0])
-    assert greedy_rank_sampling(x, prof, r=2, rank_tol=1e-10).tolist() == [0, 2]
-    assert greedy_rank_sampling(x, prof, r=2, rank_tol=1e-14).tolist() == [0, 1]
+    # the module walk: at 1e-14 the basis of the two picks has rank 1,
+    # so select itself would stop at the span check
+    assert pursuit.greedy_rank_sampling(x, prof, 2, 1e-10).tolist() == [0, 2]
+    assert pursuit.greedy_rank_sampling(x, prof, 2, 1e-14).tolist() == [0, 1]
 
 
 def test_greedy_validates_input():
     x = np.column_stack([E[:, 0], E[:, 1]])
     with pytest.raises(DataError):
-        greedy_rank_sampling(x, profile([1.0]), r=1)
+        picks(GreedyRank(), x, [1.0], r=1)
     with pytest.raises(DataError):
-        greedy_rank_sampling(x, profile([1.0, 2.0]), r=5)
+        picks(GreedyRank(), x, [1.0, 2.0], r=5)
 
 
 def test_greedy_rejects_a_nan_or_negative_rank_tol():
     x = np.column_stack([E[:, 0], E[:, 1]])
     for tol in (np.nan, -1e-10):
         with pytest.raises(DataError, match="rank_tol"):
-            greedy_rank_sampling(x, profile([2.0, 1.0]), r=1, rank_tol=tol)
+            picks(GreedyRank(rank_tol=tol), x, [2.0, 1.0], r=1)
 
 
 # ---- top fraction / fixed count ----
 
 
 def test_top_fraction_keeps_the_ceiling():
-    prof = profile([5.0, 4.0, 3.0, 2.0, 1.0])
-    assert top_fraction_sampling(prof, 0.5).tolist() == [0, 1, 2]
-    assert top_fraction_sampling(prof, 0.2).tolist() == [0, 1, 2, 3]
-    assert top_fraction_sampling(prof, 0.9).tolist() == [0]
+    values = [5.0, 4.0, 3.0, 2.0, 1.0]
+    assert top_fraction(values, 0.5) == [0, 1, 2]
+    assert top_fraction(values, 0.2) == [0, 1, 2, 3]
+    assert top_fraction(values, 0.9) == [0]
 
 
 def test_top_fraction_orders_by_value_with_stable_ties():
-    prof = profile([1.0, 3.0, 3.0, 2.0])
-    assert top_fraction_sampling(prof, 0.25).tolist() == [1, 2, 3]
+    values = [1.0, 3.0, 3.0, 2.0]
+    assert top_fraction(values, 0.25) == [1, 2, 3]
     with pytest.raises(DataError):
-        top_fraction_sampling(prof, 0.0)
+        top_fraction(values, 0.0)
     with pytest.raises(DataError):
-        top_fraction_sampling(prof, 1.0)
+        top_fraction(values, 1.0)
 
 
 @settings(max_examples=200, deadline=None)
@@ -132,22 +137,82 @@ def test_fixed_count_below_r_is_a_parameter_error():
         cop(ds.d, CopConfig(r=2, strategy=FixedCount(count=1)))
 
 
+# ---- what every strategy checks ----
+
+
+STRATEGIES = [GreedyRank(), TopFraction(), FixedCount(count=5), Adaptive()]
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: type(s).__name__)
+def test_every_strategy_rejects_a_wrong_profile_length_and_r_above_m(strategy):
+    ds = gen_unstructured(20, 2, 10, 30, seed=0)
+    x, _ = normalize_columns(ds.d)
+    values = coherence(x, 2).values
+    for wrong in (values[:10], np.concatenate([values, values])):
+        with pytest.raises(DataError, match=f"profile length \\({len(wrong)},\\) does not match 40"):
+            strategy.select(x, profile(wrong), CopConfig(r=2))
+    # 20 usable columns in 4 rows: only the rank is wrong
+    small = gen_unstructured(4, 2, 10, 10, seed=1)
+    with pytest.raises(DataError, match="r=5 must not exceed m=4"):
+        cop(small.d, CopConfig(r=5, strategy=strategy))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda d: CopConfig(r=2.5),
+        lambda d: CopConfig(r=2.0),
+        lambda d: cop(d, CopConfig(r=2, strategy=FixedCount(5.5))),
+        lambda d: cop(d, CopConfig(r=2, strategy=Adaptive(k=1.5))),
+        lambda d: cop_multipass(d, CopConfig(r=2, strategy=Adaptive()), h=2.0),
+        lambda d: spca(d, 2.5),
+    ],
+    ids=["r=2.5", "r=2.0", "count=5.5", "k=1.5", "h=2.0", "spca-r=2.5"],
+)
+def test_non_integer_sizes_are_data_errors(call):
+    d = gen_unstructured(20, 2, 10, 30, seed=0).d
+    with pytest.raises(DataError, match="must be an integer"):
+        call(d)
+
+
+def test_numpy_integer_sizes_and_seeds_give_the_int_result():
+    d = gen_unstructured(20, 2, 10, 30, seed=0).d
+    i = np.int64
+    pairs = [
+        (cop(d, CopConfig(r=i(2), strategy=FixedCount(i(5)))),
+         cop(d, CopConfig(r=2, strategy=FixedCount(5)))),
+        (cop_multipass(d, CopConfig(r=2, strategy=Adaptive(k=i(2)), seed=i(4)), h=i(2)),
+         cop_multipass(d, CopConfig(r=2, strategy=Adaptive(k=2), seed=4), h=2)),
+    ]
+    for got, want in pairs:
+        np.testing.assert_array_equal(got.basis, want.basis)
+        np.testing.assert_array_equal(got.sampled, want.sampled)
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, -1, (1, -1), (1, 0.5)], ids=str)
+def test_adaptive_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    # 1.5 used to give the seed=1 result, -1 a raw numpy ValueError
+    d = gen_unstructured(20, 2, 10, 30, seed=0).d
+    with pytest.raises(DataError, match="seed component"):
+        cop(d, CopConfig(r=2, strategy=Adaptive(), seed=seed))
+
+
 # ---- adaptive sampling ----
 
 
 def test_adaptive_retires_deflated_duplicates():
     x = np.column_stack([E[:, 0], E[:, 0], E[:, 1]])
-    prof = profile([3.0, 2.0, 1.0])
-    picks = adaptive_sampling(x, prof, r=2, upsilon=1e-8, phi=np.eye(4))
-    assert picks.tolist() == [0, 2]
+    # k=2, upsilon=1e-8, seed 0, with the identity in place of the sketch
+    got = pursuit.adaptive_sampling(x, profile([3.0, 2.0, 1.0]), 2, 2, 1e-8, 0, phi=np.eye(4))
+    assert got.tolist() == [0, 2]
 
 
 def test_adaptive_spans_the_subspace_like_greedy():
     ds = gen_unstructured(50, 4, 30, 100, seed=1)
     x, _ = normalize_columns(ds.d)
     prof = coherence(x, 2)
-    a = adaptive_sampling(x, prof, r=4, upsilon=0.0, seed=7)
-    g = greedy_rank_sampling(x, prof, r=4)
+    a = Adaptive(upsilon=0.0).select(x, prof, CopConfig(r=4, seed=7))[0]
+    g = GreedyRank().select(x, prof, CopConfig(r=4))[0]
     basis_a = np.linalg.qr(x[:, a])[0]
     basis_g = np.linalg.qr(x[:, g])[0]
     assert recovery_error(ds.basis, basis_a) < 1e-9
@@ -157,27 +222,25 @@ def test_adaptive_spans_the_subspace_like_greedy():
 def test_adaptive_exhausts_when_threshold_eats_everything():
     x = np.column_stack([E[:, 0], E[:, 1]])
     with pytest.raises(NumericalError, match="exhausted after 0 of 1"):
-        adaptive_sampling(
-            x, profile([2.0, 1.0]), r=1, k=2, upsilon=100.0, phi=np.eye(4)[:2]
-        )
+        pursuit.adaptive_sampling(x, profile([2.0, 1.0]), 1, 2, 100.0, 0, phi=np.eye(4)[:2])
 
 
 def test_adaptive_auto_threshold_and_validation():
     ds = gen_unstructured(30, 3, 20, 40, seed=2)
     x, _ = normalize_columns(ds.d)
     prof = coherence(x, 2)
-    picks = adaptive_sampling(x, prof, r=3, upsilon=None, seed=0)
-    assert len(picks) == 3
+    cfg = CopConfig(r=3, seed=0)
+    assert len(Adaptive(upsilon=None).select(x, prof, cfg)[0]) == 3
     with pytest.raises(DataError):
-        adaptive_sampling(x, prof, r=3, k=0)
+        Adaptive(k=0).select(x, prof, cfg)
     with pytest.raises(DataError):
-        adaptive_sampling(x, prof, r=3, upsilon=-1.0)
+        Adaptive(upsilon=-1.0).select(x, prof, cfg)
 
 
 def test_adaptive_rejects_a_nan_upsilon():
     x = np.column_stack([E[:, 0], E[:, 1]])
     with pytest.raises(DataError, match="upsilon"):
-        adaptive_sampling(x, profile([2.0, 1.0]), r=2, upsilon=np.nan, phi=np.eye(4))
+        pursuit.adaptive_sampling(x, profile([2.0, 1.0]), 2, 2, np.nan, 0, phi=np.eye(4))
 
 
 def test_adaptive_sketch_larger_than_m_is_rejected():
@@ -193,8 +256,8 @@ def test_adaptive_is_deterministic_per_seed():
     ds = gen_unstructured(40, 3, 25, 80, seed=3)
     x, _ = normalize_columns(ds.d)
     prof = coherence(x, 2)
-    a = adaptive_sampling(x, prof, r=3, seed=5)
-    b = adaptive_sampling(x, prof, r=3, seed=5)
+    a = Adaptive().select(x, prof, CopConfig(r=3, seed=5))[0]
+    b = Adaptive().select(x, prof, CopConfig(r=3, seed=5))[0]
     np.testing.assert_array_equal(a, b)
 
 
