@@ -26,6 +26,7 @@ from .linalg import coherence, normalize_columns, orthonormal_basis, recovery_er
 from .models import (
     INLIER,
     OUTLIER,
+    _check_sizes,
     gen_noisy,
     gen_structured_outliers,
     gen_union,
@@ -434,13 +435,11 @@ def _bench_case(m, n, r, p):
     """The sizes of one bench case: n // 5 inliers, the rest outliers, rank min(r, n1)."""
     n1 = n // 5
     case = {"m": m, "n": n, "n1": n1, "n2": n - n1, "r": min(r, n1), "p": p}
-    if n1 < 1:
-        reason = f"n={n} leaves no inlier column (n1 = n // 5 must be >= 1)"
-    elif not 1 <= case["r"] <= m:
-        reason = f"rank r={case['r']} must satisfy 1 <= r <= m={m}"
-    else:
-        return case
-    raise DataError(f"bench case {m}x{n}: {reason}")
+    try:
+        _check_sizes(m, case["r"], n1, case["n2"])
+    except DataError as err:
+        raise DataError(f"bench case {m}x{n}: {err}") from None
+    return case
 
 
 def run_bench(

@@ -19,9 +19,11 @@ worst-case bounds control.
 import math
 from dataclasses import dataclass
 
-from .errors import DataError
+from .errors import DataError, _integer
 from .linalg import coherence_gram
 from .models import (
+    _check_sizes,
+    _squarable,
     gen_clustered_inliers,
     gen_noisy,
     gen_structured_outliers,
@@ -104,23 +106,28 @@ def _require(cond, msg):
 
 
 def _base_checks(p, kind):
+    _check_sizes(p.m, p.r, p.n1, p.n2)
     _require(p.m >= 2, f"m={p.m} must be >= 2")
-    _require(1 <= p.r <= p.m, f"r={p.r} must satisfy 1 <= r <= m={p.m}")
-    _require(p.n1 >= 1, f"n1={p.n1} must be >= 1")
-    _require(p.n2 >= 0, f"n2={p.n2} must be >= 0")
     if kind.endswith("whp"):
         _require(0.0 < p.delta < 1.0, f"delta={p.delta} must lie in (0, 1)")
         _require(p.n2 >= 1, f"n2={p.n2} must be >= 1 for whp kinds")
 
 
-_MODEL_PARAMS = {"structured": "mu", "noisy": "sigma", "clustered": "nu"}
+# each model's generator and the ConditionParams field of its parameter
+_MODELS = {
+    "unstructured": (gen_unstructured, None),
+    "structured": (gen_structured_outliers, "mu"),
+    "noisy": (gen_noisy, "sigma"),
+    "clustered": (gen_clustered_inliers, "nu"),
+}
 
 
 def _model_param(p, model):
-    """The parameter of ``model`` (mu, sigma or nu), which must be given."""
-    name = _MODEL_PARAMS[model]
+    """``model``'s parameter (mu, sigma or nu): given, finite, with 1 + its square finite."""
+    name = _MODELS[model][1]
     value = getattr(p, name)
     _require(value is not None, f"{model} kinds need {name}")
+    _squarable(value, f"{name}={value}")
     return value
 
 
@@ -313,9 +320,8 @@ def expected_coherence(role, p, m, r, n1, n2):
     """
     _require(role in ("inlier", "outlier"), f"role must be inlier or outlier, got {role!r}")
     _require(p in (1, 2), f"power p must be 1 or 2, got {p}")
-    _require(m >= 1 and 1 <= r <= m, f"need 1 <= r <= m, got r={r}, m={m}")
-    _require(n1 >= 1, f"n1={n1} must be >= 1")
-    _require(n2 >= (1 if role == "outlier" else 0), f"n2={n2} too small for role {role}")
+    _check_sizes(m, r, n1, n2)
+    _require(role == "inlier" or n2 >= 1, f"n2={n2} too small for role {role}")
     if p == 2:
         if role == "inlier":
             return CoherenceBound((n1 - 1) / r + n2 / m, "exact")
@@ -334,8 +340,7 @@ def tail_f(t, m):
     t/m.  It stays accurate deep into the tail, where 1 - CDF would
     round to zero, and tail_f(0, m) is exactly 1.
     """
-    m = int(m)
-    _require(m >= 3, f"tail probability needs m >= 3, got m={m}")
+    m = _integer(m, "m", 3)
     _require(t >= 0, f"threshold t={t} must be >= 0")
     if t >= m:
         return 0.0
@@ -347,7 +352,7 @@ def tail_f(t, m):
 def t_delta(delta, m):
     """Smallest t with tail_f(t, m) below delta, by bisection to 1e-8."""
     _require(0.0 < delta < 1.0, f"delta={delta} must lie in (0, 1)")
-    lo, hi = 0.0, float(m)
+    lo, hi = 0.0, float(_integer(m, "m", 3))
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)
         if tail_f(mid, m) < delta:
@@ -357,37 +362,31 @@ def t_delta(delta, m):
     return hi
 
 
-_GEN_OF_MODEL = {
-    "unstructured": gen_unstructured,
-    "structured": gen_structured_outliers,
-    "noisy": gen_noisy,
-    "clustered": gen_clustered_inliers,
-}
-
-
 def validate_condition_empirically(kind, params, trials=20, seed=0):
     """Fraction of sampled datasets showing the separation a kind promises.
 
-    Draws ``trials`` datasets from the model the kind describes and
-    computes raw-column coherence at the kind's power.  Mean kinds count
-    a trial as separated when the inlier mean exceeds twice the outlier
-    mean; whp kinds require the worst inlier to beat the best outlier.
-    Datasets without outliers are separated by convention.
+    Makes ``check_condition``'s checks first, so it rejects what the
+    checker rejects.  Draws ``trials`` datasets from the kind's model
+    and computes raw-column coherence at the kind's power.  Mean kinds
+    count a trial as separated when the inlier mean exceeds twice the
+    outlier mean, as the unstructured-l2-mean bound promises: its
+    lhs - rhs + 2/m is the exact inlier ``expected_coherence`` minus
+    twice the outlier upper bound.  Whp kinds require the worst inlier
+    to beat the best outlier.  Mean kinds without outliers are
+    separated by convention.
     """
-    if kind not in _CHECKS:
-        raise DataError(f"unknown condition kind {kind!r}; choose from {KINDS}")
-    _require(trials >= 1, f"trials={trials} must be >= 1")
+    check_condition(kind, params)
+    _integer(trials, "trials", 1)
+    if params.n2 == 0:
+        return 1.0
     model = kind.split("-")[0]
-    gen = _GEN_OF_MODEL[model]
-    extra = (_model_param(params, model),) if model in _MODEL_PARAMS else ()
+    gen, name = _MODELS[model]
+    extra = (getattr(params, name),) if name else ()
     p = 2 if "-l2-" in kind else 1
     want_worst_case = kind.endswith("whp")
     hits = 0
     for trial in range(trials):
         ds = gen(params.m, params.r, params.n1, params.n2, *extra, seed=(seed, trial))
-        if params.n2 == 0:
-            hits += 1
-            continue
         prof = coherence_gram(ds.d, p).values
         inl = prof[ds.labels == 0]
         out = prof[ds.labels == 1]

@@ -100,10 +100,10 @@ def random_subspace(rng, m, r):
 
 def _check_sizes(m, r, n1, n2):
     _integer(m, "ambient dimension m", 1)
-    if not 1 <= _integer(r, "rank r") <= m:
-        raise DataError(f"rank r={r} must satisfy 1 <= r <= m={m}")
     _integer(n1, "inlier count n1", 1)
     _integer(n2, "outlier count n2", 0)
+    if not 1 <= _integer(r, "rank r") <= m:
+        raise DataError(f"rank r={r} must satisfy 1 <= r <= m={m}")
 
 
 def _shuffled(rng, d, labels, *others):

@@ -177,9 +177,9 @@ def test_empty_experiment_grids_exit_1(tmp_path, capsys):
         (("noise-sweep", "--taus", "", "--csv", csv_path), "taus"),
         (("structured-sweep", "--mus", "", "--csv", csv_path), "mus"),
         (("cluster-correct", "--seeds", 0, "--csv", csv_path), "seeds"),
-        (("bench", "--cases", "40x4", "--csv", csv_path), "bench case 40x4"),
+        (("bench", "--cases", "40x4", "--csv", csv_path), "bench case 40x4: inlier count n1=0"),
         (("bench", "--cases", "3x1", "--csv", csv_path), "bench case 3x1"),
-        (("bench", "--cases", "3x100", "--csv", csv_path), "bench case 3x100"),
+        (("bench", "--cases", "3x100", "--csv", csv_path), "bench case 3x100: rank r=10"),
         # a case that cannot run is named even after one that can
         (("bench", "--cases", "20x30,3x100", "--csv", csv_path), "bench case 3x100"),
     ]

@@ -181,25 +181,38 @@ def test_holding_region_is_upward_closed_in_n1():
         assert verdicts[-1], kind
 
 
-def test_parameter_validation():
-    with pytest.raises(DataError):
-        check_condition("no-such-kind", params(100, 5, 10, 10))
-    with pytest.raises(DataError):
-        check_condition("unstructured-l2-mean", params(100, 101, 10, 10))
-    with pytest.raises(DataError):
-        check_condition("unstructured-l2-whp", params(100, 5, 10, 10, delta=0.0))
-    with pytest.raises(DataError):
-        check_condition("unstructured-l2-whp", params(100, 5, 10, 0))
-    with pytest.raises(DataError):
-        check_condition("structured-l1-mean", params(100, 5, 10, 10))  # mu missing
-    with pytest.raises(DataError):
-        check_condition("structured-l1-mean", params(100, 5, 10, 10, mu=1.5))
-    with pytest.raises(DataError):
-        check_condition("noisy-l1-whp", params(100, 5, 10, 10, sigma=0.0))
-    with pytest.raises(DataError):
-        check_condition("clustered-l1-mean", params(100, 5, 10, 10, nu=1.0))
-    with pytest.raises(DataError):
-        check_condition("unstructured-l1-whp", params(100, 1, 10, 10))  # r >= 2
+@pytest.mark.parametrize(
+    "kind, p",
+    [
+        ("no-such-kind", params(100, 5, 10, 10)),
+        ("unstructured-l2-mean", params(100, 101, 10, 10)),
+        ("unstructured-l2-whp", params(100, 5, 10, 10, delta=0.0)),
+        ("unstructured-l2-whp", params(100, 5, 10, 0)),
+        ("structured-l1-mean", params(100, 5, 10, 10)),  # mu missing
+        ("structured-l1-mean", params(100, 5, 10, 10, mu=1.5)),
+        ("noisy-l1-whp", params(100, 5, 10, 10, sigma=0.0)),
+        ("clustered-l1-mean", params(100, 5, 10, 10, nu=1.0)),
+        ("unstructured-l1-whp", params(100, 1, 10, 10)),  # r >= 2
+        ("unstructured-l2-mean", params(1, 1, 10, 10)),
+        ("unstructured-l2-mean", params(10.5, 5, 5.5, 10)),
+        ("noisy-l1-mean", params(100, 5, 10, 10, sigma=math.inf)),
+        ("noisy-l1-whp", params(100, 5, 10, 10, sigma=math.inf)),
+        ("noisy-l1-mean", params(100, 5, 10, 10, sigma=1e200)),
+        ("noisy-l1-whp", params(100, 5, 10, 10, sigma=1e200)),
+    ],
+    ids=[
+        "unknown-kind", "r-above-m", "delta-0", "whp-n2-0", "mu-missing", "mu-1.5",
+        "whp-sigma-0", "nu-1", "l1-whp-r-1", "m-1", "m-10.5", "mean-sigma-inf",
+        "whp-sigma-inf", "mean-sigma-1e200", "whp-sigma-1e200",
+    ],
+)
+def test_parameter_validation(kind, p):
+    # the validator makes the checker's checks first, so both reject alike
+    with pytest.raises(DataError) as checked:
+        check_condition(kind, p)
+    with pytest.raises(DataError) as validated:
+        validate_condition_empirically(kind, p, trials=1)
+    assert str(validated.value) == str(checked.value)
 
 
 def test_mean_kinds_allow_zero_outliers():
@@ -244,6 +257,8 @@ def test_expected_coherence_validation():
         expected_coherence("inlier", 3, 100, 10, 50, 100)
     with pytest.raises(DataError):
         expected_coherence("outlier", 2, 100, 10, 50, 0)
+    with pytest.raises(DataError, match="must be an integer"):
+        expected_coherence("inlier", 2, 100.5, 10, 50, 100)
 
 
 def test_expected_coherence_bounds_hold_empirically():
@@ -312,6 +327,8 @@ def test_tail_f_monotone_and_edge_cases():
         tail_f(1.0, 2)
     with pytest.raises(DataError):
         tail_f(-0.5, 10)
+    with pytest.raises(DataError, match="must be an integer"):
+        tail_f(1.0, 10.7)  # was truncated to m=10
 
 
 def test_tail_f_is_stable_at_huge_m():
@@ -331,6 +348,8 @@ def test_t_delta_brackets_its_tail_and_is_monotone():
         t_delta(0.0, 100)
     with pytest.raises(DataError):
         t_delta(1.0, 100)
+    with pytest.raises(DataError, match="must be an integer"):
+        t_delta(0.05, 10.7)
 
 
 def test_t_delta_approaches_the_chi_square_quantile():
@@ -390,6 +409,10 @@ def test_validate_rejects_bad_input():
     with pytest.raises(DataError):
         validate_condition_empirically(
             "unstructured-l2-mean", params(100, 5, 10, 10), trials=0
+        )
+    with pytest.raises(DataError, match="must be an integer"):
+        validate_condition_empirically(
+            "unstructured-l2-mean", params(100, 5, 10, 10), trials=2.5
         )
 
 
