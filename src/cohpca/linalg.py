@@ -36,9 +36,6 @@ ZERO_COLUMN_TOL = 1e-14
 UNIT_COLUMN_TOL = 1e-8
 RANK_REL_TOL = 1e-10
 SIGMA_GAP_TOL = 1e-12
-# normalize_columns divides unscaled below 2**SCALE_FREE_EXP: m squares of
-# that size sum far below the float64 overflow at 2**1024
-SCALE_FREE_EXP = 400
 
 
 @dataclass(frozen=True)
@@ -84,14 +81,11 @@ def normalize_columns(d):
     back to columns of ``d``.  A column that is zero, or whose norm is
     below 1e-14 times the largest column norm, is dropped and absent
     from ``kept``; if every column is zero that is an error.  Any finite
-    matrix can be normalized: where it matters, the norms are taken after
-    multiplying by the power of two that brings the largest magnitude
-    into [0.5, 1), which is exact, so no sum of squares overflows or, in
-    a column that is kept, underflows.  That scaled copy is made only when
-    the largest magnitude is 2**400 or more, or some entry is zero or
-    squares below the normal range at either scale.  Otherwise every
-    square, sum and root of both routes is a normal number, so dividing
-    the columns as given yields the same bits without the copy.
+    matrix can be normalized: the columns are first multiplied by the
+    power of two that brings the largest magnitude into [0.5, 1), which
+    is exact, so no sum of squares overflows or, in a column that is
+    kept, underflows.  Besides ``d``, one matrix of its size is live at a
+    time: the squares while the norms are summed, then the output.
     """
     d = _as_2d(d)
     top = max(d.max(), -d.min())
@@ -101,23 +95,19 @@ def normalize_columns(d):
     if top == 0.0:
         raise DataError("all columns are zero")
     e = int(np.frexp(top)[1])
-    sq = np.square(d) if e <= SCALE_FREE_EXP else None
-    if sq is not None and sq.min() > 2.0 ** (2 * max(e, 0) - 1022):
-        x = d
-    else:
-        del sq  # freed before the scaled copy is made
-        x = np.ldexp(d, -e)
-        sq = np.square(x)
+    sq = np.ldexp(d, -e)
+    np.square(sq, out=sq)
     norms = np.add.reduce(sq, axis=0)
-    del sq
+    del sq  # freed before the output is made
     np.sqrt(norms, out=norms)
     kept = np.flatnonzero(norms > ZERO_COLUMN_TOL * norms.max())
-    if kept.size < x.shape[1]:
+    if kept.size < d.shape[1]:
         norms = norms[kept]
-        # np.take keeps x C-ordered, where x[:, kept] would be F-ordered
-        x = np.take(x, kept, axis=1)
-    elif x is d:
-        return Normalized(d / norms, kept)
+        # np.take keeps x C-ordered, where d[:, kept] would be F-ordered
+        x = np.take(d, kept, axis=1)
+        np.ldexp(x, -e, out=x)
+    else:
+        x = np.ldexp(d, -e)
     x /= norms
     return Normalized(x, kept)
 

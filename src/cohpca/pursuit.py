@@ -196,7 +196,7 @@ def _top_k(profile, k):
     return np.argsort(neg, kind="stable")[:k]
 
 
-def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None):
+def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None, pool=None):
     """Sketch-and-deflate selection of r independent columns.
 
     The data is sketched to k*r <= m dimensions (Gaussian, seeded; pass
@@ -206,6 +206,12 @@ def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None):
     the lower index), and its direction is deflated out of the sketch.
     ``upsilon=None`` uses 0.2 times the median initial sketched norm.
     Raises when every column is retired before r picks.
+
+    ``pool``, an index array into the columns of ``x`` and ``profile``,
+    restricts the candidates to those columns: all of ``x`` is sketched,
+    then only the pool's columns are kept, so ``x`` is never copied.  The
+    returned indices, and the median behind ``upsilon=None``, are then
+    over the pool.
     """
     _integer(k, "sketch factor k", 1)
     m = x.shape[0]
@@ -215,14 +221,18 @@ def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None):
         )
     values = np.array(profile.values, dtype=np.float64, copy=True)
     sketch = random_projection(x, k * r, seed, phi=phi)
-    norms0 = np.linalg.norm(sketch, axis=0)
+    if pool is not None:
+        # np.take keeps the sketch C-ordered, the layout whose norms and
+        # products give the same bits as sketching the pool's columns alone
+        sketch = np.take(sketch, pool, axis=1)
+        values = values[pool]
+    norms = np.linalg.norm(sketch, axis=0)
     if upsilon is None:
-        upsilon = 0.2 * float(np.median(norms0))
+        upsilon = 0.2 * float(np.median(norms))
     if not upsilon >= 0:
         raise DataError(f"threshold upsilon={upsilon} must be >= 0")
     picked = []
     for _ in range(r):
-        norms = np.linalg.norm(sketch, axis=0)
         values[norms <= upsilon] = 0.0
         if not np.any(values > 0.0):
             raise NumericalError(
@@ -236,7 +246,8 @@ def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None):
         if norm <= 0.0:
             raise NumericalError(f"picked column {j} vanished in the sketch")
         f /= norm
-        sketch = sketch - np.outer(f, f @ sketch)
+        sketch -= np.outer(f, f @ sketch)
+        norms = np.linalg.norm(sketch, axis=0)
     return np.array(picked)
 
 
@@ -307,16 +318,8 @@ def cop_multipass(d, cfg, h):
     picked_all = []
     s = cfg.strategy
     for round_idx in range(h):
-        # the first round sees every column, so x goes in without a copy;
-        # a later round's copy is freed before the next one is made
-        whole = round_idx == 0
         local = adaptive_sampling(
-            x if whole else x[:, pool],
-            prof if whole else CoherenceProfile(prof.values[pool], prof.p),
-            cfg.r,
-            s.k,
-            s.upsilon,
-            seed=(cfg.seed, round_idx),
+            x, prof, cfg.r, s.k, s.upsilon, seed=(cfg.seed, round_idx), pool=pool
         )
         picked_all.extend(pool[local])
         pool = np.delete(pool, local)

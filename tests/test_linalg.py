@@ -216,19 +216,31 @@ def test_slab_walk_holds_one_slab(n):
     assert peak <= 1.1 * slab, f"peak {peak} B, one slab is {slab} B"
 
 
-@pytest.mark.parametrize("top", [1.0, 2.0**399, 2.0**-401, 1e-3])
-@pytest.mark.parametrize("drop", [False, True])
-def test_normalize_holds_one_matrix_plus_its_norms(top, drop):
-    m, n = 20, 5000
-    d = with_top(random_matrix(m, n, seed=5), top)
-    if drop:
-        d[:, 7] *= 1e-16
+def assert_one_matrix_plus_its_norms(d, dropped):
+    n = d.shape[1]
     x, kept = normalize_columns(d)
-    assert kept.size == n - drop
+    assert kept.size == n - dropped
     peak = traced_peak(normalize_columns, d)
     # the outputs, the norms of every column and a few bytes per column
     bound = x.nbytes + kept.nbytes + 8 * n + 2 * n
     assert peak <= bound, f"peak {peak} B, bound {bound} B"
+
+
+@pytest.mark.parametrize(
+    "top", [1.0, 2.0**399, 2.0**-401, 1e-3, 2.0**500, 1e-300, 1e300]
+)
+@pytest.mark.parametrize("drop", [False, True])
+def test_normalize_holds_one_matrix_plus_its_norms(top, drop):
+    d = with_top(random_matrix(20, 5000, seed=5), top)
+    if drop:
+        d[:, 7] *= 1e-16
+    assert_one_matrix_plus_its_norms(d, drop)
+
+
+def test_normalize_holds_one_matrix_where_an_entry_is_zero():
+    d = random_matrix(20, 5000, seed=5)
+    d[3, 11] = 0.0
+    assert_one_matrix_plus_its_norms(d, 0)
 
 
 def test_normalize_keeps_the_columns_left_after_a_drop_c_ordered():
@@ -248,9 +260,9 @@ def test_multipass_holds_one_normalized_copy_plus_one_slab(m, n):
     d = gen_noisy(m, 2, n // 5, n - n // 5, sigma_for_tau(0.5), seed=6).d
     cfg = CopConfig(r=2, p=1, strategy=Adaptive(k=2, upsilon=None), seed=6)
     peak = traced_peak(cop_multipass, d, cfg, h=3)
-    # the normalized copy, and beside it either the slab or one round's
-    # copy of the remaining columns, whichever is larger
-    bound = 1.1 * 8 * (m * n + max(kernels.BLOCK, m) * n)
+    # the normalized copy and one slab; each round sketches that copy
+    # itself, so no round copies the columns still in play
+    bound = 1.1 * 8 * (m * n + min(kernels.BLOCK, n) * n)
     assert peak <= bound, f"peak {peak} B, bound {bound:.0f} B"
 
 

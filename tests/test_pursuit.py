@@ -6,9 +6,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohpca import pursuit
+from cohpca import kernels, pursuit
 from cohpca.errors import DataError, NumericalError
-from cohpca.linalg import CoherenceProfile, coherence, normalize_columns, recovery_error
+from cohpca.linalg import (
+    CoherenceProfile,
+    coherence,
+    normalize_columns,
+    recovery_error,
+    top_r_singular_subspace,
+)
 from cohpca.models import gen_noisy, gen_unstructured, sigma_for_tau
 from cohpca.pursuit import (
     Adaptive,
@@ -407,6 +413,40 @@ def test_multipass_beats_single_pass_on_noisy_data():
         med3.append(e3)
     assert wins >= 16
     assert np.median(med3) < 0.5 * np.median(med1)
+
+
+def multipass_with_round_copies(d, cfg, h):
+    """``cop_multipass`` with a copy of the remaining columns for each
+    round after the first: the reference for its bits."""
+    x, kept = normalize_columns(d)
+    prof = coherence(x, cfg.p)
+    pool = np.arange(x.shape[1])
+    picked = []
+    for round_idx in range(h):
+        sub = x if round_idx == 0 else x[:, pool]
+        sub_prof = prof if round_idx == 0 else CoherenceProfile(prof.values[pool], prof.p)
+        local = pursuit.adaptive_sampling(
+            sub, sub_prof, cfg.r, cfg.strategy.k, cfg.strategy.upsilon, (cfg.seed, round_idx)
+        )
+        picked.extend(pool[local])
+        pool = np.delete(pool, local)
+    picked = np.array(picked)
+    return kept[picked], top_r_singular_subspace(x[:, picked], cfg.r).basis
+
+
+@pytest.mark.parametrize(
+    "m, n, h, p, upsilon",
+    [(40, 300, h, p, u) for h in (1, 3) for p in (1, 2) for u in (None, 0.0)]
+    # m > BLOCK, where a round copy of x would set the peak
+    + [(kernels.BLOCK + 44, 800, 3, 2, None)],
+)
+def test_multipass_matches_the_round_copies_bit_for_bit(m, n, h, p, upsilon):
+    d = gen_noisy(m, 3, n // 4, n - n // 4, sigma_for_tau(0.5), seed=(17, m, h)).d
+    cfg = CopConfig(r=3, p=p, strategy=Adaptive(k=2, upsilon=upsilon), seed=h)
+    sampled, basis = multipass_with_round_copies(d, cfg, h)
+    res = cop_multipass(d, cfg, h)
+    np.testing.assert_array_equal(res.sampled, sampled)
+    assert res.basis.tobytes() == basis.tobytes()
 
 
 # ---- baselines and outlier flagging ----
