@@ -123,29 +123,20 @@ def _call(fn, ns, **given):
     return fn(**{name: getattr(ns, name) for name in names if name not in given}, **given)
 
 
-# model: (generator in ``models``, what its missing parameter asks for); the
-# generator is looked up when called so that a replaced module attribute is used
-_MODELS = {
-    "unstructured": ("gen_unstructured", None),
-    "structured": ("gen_structured_outliers", "--mu"),
-    "noisy": ("gen_noisy", "--sigma or --tau"),
-    "clustered": ("gen_clustered_inliers", "--nu"),
-    "union": ("gen_union", "--dims and --sizes"),
-}
-
 _STRATEGIES = {"greedy": GreedyRank, "top-fraction": TopFraction,
                "fixed-count": FixedCount, "adaptive": Adaptive}
 
 
 def cmd_gen(ns):
-    name, needs = _MODELS[ns.model]
-    gen = getattr(models, name)
-    if ns.model == "noisy" and ns.sigma is None and ns.tau is not None:
-        ns.sigma = models.sigma_for_tau(ns.tau)
-    params = inspect.signature(gen).parameters.values()
-    if any(getattr(ns, p.name) is None for p in params if p.default is p.empty):
-        raise DataError(f"{ns.model} model needs {needs}")
-    ds = _call(gen, ns)
+    name, needs = models._MODELS[ns.model]
+    flags = " and ".join(f"--{p}" for p in needs)
+    if ns.model == "noisy":
+        flags += " or --tau"
+        if ns.sigma is None and ns.tau is not None:
+            ns.sigma = models.sigma_for_tau(ns.tau)
+    if any(getattr(ns, p) is None for p in needs):
+        raise DataError(f"{ns.model} model needs {flags}")
+    ds = _call(getattr(models, name), ns)
     io.write_matrix(ns.out, ds.d)
     if ns.labels_out:
         io.write_labels(ns.labels_out, ds.labels)
@@ -276,10 +267,10 @@ def build_parser():
     # each subparser takes the library's defaults before its options are
     # added, so an option the library does not have keeps its own default=
 
-    generators = (getattr(models, name) for name, _ in _MODELS.values())
+    generators = (getattr(models, name) for name, _ in models._MODELS.values())
     sub = subparsers.add_parser("gen", help="generate a synthetic dataset")
     sub.set_defaults(func=cmd_gen, **_defaults(*generators))
-    sub.add_argument("--model", required=True, choices=list(_MODELS))
+    sub.add_argument("--model", required=True, choices=list(models._MODELS))
     sub.add_argument("--m", type=int, default=100, help="ambient dimension")
     sub.add_argument("--r", type=int, default=5, help="subspace dimension")
     sub.add_argument("--n1", type=int, default=50, help="inlier count")
@@ -381,8 +372,6 @@ def build_parser():
     sub.set_defaults(func=cmd_saliency, **_defaults(saliency))
     sub.add_argument("--image", required=True, help="input PGM image")
     sub.add_argument("--patch", type=int, help="patch edge in pixels")
-    sub.add_argument("--r", type=int, help="background basis rank")
-    sub.add_argument("--q", type=float)
     sub.add_argument("--p", type=int, choices=[1, 2])
     sub.add_argument("--out", required=True, help="output PGM saliency map")
     _add_common(sub)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io
 from .errors import DataError, NumericalError, _integer
-from .linalg import coherence, normalize_columns, orthonormal_basis, recovery_error
+from .linalg import coherence, normalize_columns, recovery_error
 from .models import (
     INLIER,
     OUTLIER,
@@ -34,15 +34,7 @@ from .models import (
     sigma_for_tau,
 )
 from .clustering import correct_clustering
-from .pursuit import (
-    CopConfig,
-    FixedCount,
-    GreedyRank,
-    TopFraction,
-    cop,
-    greedy_rank_sampling,
-    spca,
-)
+from .pursuit import CopConfig, FixedCount, TopFraction, cop, spca
 from .rng import stream
 
 __all__ = [
@@ -58,7 +50,7 @@ __all__ = [
 
 
 # schema version of each CSV whose columns have changed; the rest are v1
-_SCHEMA_VERSIONS = {"bench": 3}
+_SCHEMA_VERSIONS = {"bench": 4}
 
 
 def write_rows_csv(path, tag, header, rows):
@@ -314,17 +306,14 @@ class SaliencyResult:
     """values: per-patch saliency in [0, 1] (1 = most outlying).
     image: the same map quantized to 0..255 and upsampled to the
     (possibly cropped) input size.  cropped: True when the input was
-    trimmed to a multiple of the patch size.  basis: background
-    subspace spanned by the most mutually coherent patches, or None
-    when the image is too degenerate to carry one."""
+    trimmed to a multiple of the patch size."""
 
     values: np.ndarray
     image: np.ndarray
     cropped: bool
-    basis: np.ndarray | None
 
 
-def saliency(image, patch=10, r=2, q=0.5, p=2):
+def saliency(image, patch=10, p=2):
     """Patch saliency by inverted coherence.
 
     The image is cut into non-overlapping ``patch`` x ``patch`` tiles
@@ -351,19 +340,14 @@ def saliency(image, patch=10, r=2, q=0.5, p=2):
         .T
     )
     x, kept = normalize_columns(tiles)
-    prof = coherence(x, p)
     values = np.zeros(gh * gw)
-    values[kept] = prof.values
+    values[kept] = coherence(x, p).values
     vmax = values.max()
     sal = 1.0 - values / vmax if vmax > 0 else np.zeros_like(values)
     grid = sal.reshape(gh, gw)
     upsampled = np.kron(grid, np.ones((patch, patch)))
     out = np.rint(255 * upsampled).astype(np.uint8)
-    try:
-        _, basis, _ = TopFraction(q).select(x, prof, CopConfig(r=r, p=p))
-    except NumericalError:
-        basis = None
-    return SaliencyResult(grid, out, cropped, basis)
+    return SaliencyResult(grid, out, cropped)
 
 
 _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -382,8 +366,8 @@ def _bench_pipeline(d, r, p, path):
     d = timed("read", io.read_matrix, path)
     x, _ = timed("normalize", normalize_columns, d)
     prof = timed("coherence", coherence, x, p)
-    picked = timed("sampling", greedy_rank_sampling, x, prof, r, GreedyRank().rank_tol)
-    timed("basis", orthonormal_basis, x[:, picked])
+    cfg = CopConfig(r=r, p=p)
+    timed("select", cfg.strategy.select, x, prof, cfg)
     return timings
 
 
@@ -455,9 +439,11 @@ def run_bench(
 
     ``cases`` lists (m, n) sizes; each gets n1 = n/5 inliers and the
     rest outliers.  Each run writes the data matrix to a text file in a
-    temporary directory, reads it back, and profiles and samples the
-    matrix it read.  One row per (case, run, stage), seconds in the last
-    column.  All non-timing columns are deterministic for a fixed seed.
+    temporary directory, reads it back, and times the calls ``cop``
+    makes on the matrix it read: ``normalize_columns``, ``coherence``
+    and the ``select`` of ``CopConfig``'s default strategy.  One row per
+    (case, run, stage), seconds in the last column.  All non-timing
+    columns are deterministic for a fixed seed.
     ``json_path`` receives the environment, the median and interquartile
     range over the runs of the seconds a fresh interpreter takes to
     ``import cohpca`` and, per case and stage, the same spread of the
@@ -485,7 +471,7 @@ def run_bench(
         write_rows_csv(csv_path, "bench", list(rows[0]), rows)
     if json_path:
         report = {
-            "schema": "cohpca bench-json v2",
+            "schema": "cohpca bench-json v3",
             "environment": _bench_environment(),
             "settings": {"runs": runs, "seed": seed},
             "import": _spread(_import_seconds(runs)),

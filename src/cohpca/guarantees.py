@@ -19,16 +19,10 @@ worst-case bounds control.
 import math
 from dataclasses import dataclass
 
+from . import models
 from .errors import DataError, _integer
 from .linalg import coherence_gram
-from .models import (
-    _check_sizes,
-    _squarable,
-    gen_clustered_inliers,
-    gen_noisy,
-    gen_structured_outliers,
-    gen_unstructured,
-)
+from .models import _check_sizes, _squarable
 
 __all__ = [
     "KINDS",
@@ -113,18 +107,9 @@ def _base_checks(p, kind):
         _require(p.n2 >= 1, f"n2={p.n2} must be >= 1 for whp kinds")
 
 
-# each model's generator and the ConditionParams field of its parameter
-_MODELS = {
-    "unstructured": (gen_unstructured, None),
-    "structured": (gen_structured_outliers, "mu"),
-    "noisy": (gen_noisy, "sigma"),
-    "clustered": (gen_clustered_inliers, "nu"),
-}
-
-
 def _model_param(p, model):
     """``model``'s parameter (mu, sigma or nu): given, finite, with 1 + its square finite."""
-    name = _MODELS[model][1]
+    (name,) = models._MODELS[model][1]
     value = getattr(p, name)
     _require(value is not None, f"{model} kinds need {name}")
     _squarable(value, f"{name}={value}")
@@ -379,9 +364,9 @@ def validate_condition_empirically(kind, params, trials=20, seed=0):
     _integer(trials, "trials", 1)
     if params.n2 == 0:
         return 1.0
-    model = kind.split("-")[0]
-    gen, name = _MODELS[model]
-    extra = (getattr(params, name),) if name else ()
+    name, fields = models._MODELS[kind.split("-")[0]]
+    gen = getattr(models, name)
+    extra = tuple(getattr(params, field) for field in fields)
     p = 2 if "-l2-" in kind else 1
     want_worst_case = kind.endswith("whp")
     hits = 0

@@ -142,17 +142,27 @@ def coherence_gram(d, p=2):
 
     The form the recovery-condition validators need.  It runs on the same
     kernel as ``coherence``, subtracting the self term ||d_i||^(2p) in
-    place of 1, with the same clamp at zero.  Raw columns are not
-    rescaled, so power sums beyond the float64 range are a
-    ``NumericalError``.
+    place of 1, with the same clamp at zero.  The kernel sees ``d`` times
+    the power of two 2^-e that brings its largest magnitude into
+    [0.5, 1), and the sums are scaled back by 2^(2pe), both exactly, so a
+    value in the normal float64 range does not depend on the scale of
+    ``d``.  A value above that range is a ``NumericalError`` naming
+    overflow; a positive value below it, which would lose bits or become
+    zero, is one naming underflow.
     """
     d = _as_matrix(d)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sums = kernels.block_power_sums(d, p)
-        sums -= np.einsum("ij,ij->j", d, d) ** p
-    if not np.all(np.isfinite(sums)):
+    e = int(np.frexp(max(d.max(), -d.min()))[1])
+    x = np.ldexp(d, -e)
+    sums = kernels.block_power_sums(x, p)
+    sums -= np.einsum("ij,ij->j", x, x) ** p
+    np.maximum(sums, 0.0, out=sums)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(sums, 2 * p * e)
+    if np.any(np.isinf(values)):
         raise NumericalError(f"power sums at p={p} overflow float64; rescale the columns")
-    return CoherenceProfile(np.maximum(sums, 0.0), p)
+    if np.any((values < np.finfo(np.float64).tiny) & (sums > 0.0)):
+        raise NumericalError(f"power sums at p={p} underflow float64; rescale the columns")
+    return CoherenceProfile(values, p)
 
 
 def orthonormal_basis(y):

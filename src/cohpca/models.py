@@ -246,6 +246,18 @@ def gen_union(m, dims, sizes, seed=0, shuffle=False):
     return UnionDataset(d, labels, tuple(bases))
 
 
+# model: (generator's name in this module, the parameters it needs besides
+# m, r, n1, n2; union's take the place of r, n1, n2).  Callers look the
+# generator up by name when they call it, so a replaced attribute is used.
+_MODELS = {
+    "unstructured": ("gen_unstructured", ()),
+    "structured": ("gen_structured_outliers", ("mu",)),
+    "noisy": ("gen_noisy", ("sigma",)),
+    "clustered": ("gen_clustered_inliers", ("nu",)),
+    "union": ("gen_union", ("dims", "sizes")),
+}
+
+
 def sigma_for_tau(tau):
     """Noise level sigma matching a target noise-to-signal norm ratio.
 

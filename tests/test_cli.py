@@ -86,12 +86,13 @@ def test_gen_union_stacks_the_cluster_bases(tmp_path):
     assert read_matrix(truth).shape == (20, 4)
 
 
-def test_gen_models_need_their_parameters(tmp_path):
+def test_gen_models_need_their_parameters(tmp_path, capsys):
     out = tmp_path / "d.txt"
-    assert run("gen", "--model", "structured", "--out", out) == 1
-    assert run("gen", "--model", "noisy", "--out", out) == 1
-    assert run("gen", "--model", "clustered", "--out", out) == 1
-    assert run("gen", "--model", "union", "--out", out) == 1
+    for model, needs in [("structured", "--mu"), ("noisy", "--sigma or --tau"),
+                         ("clustered", "--nu"), ("union", "--dims and --sizes")]:
+        assert run("gen", "--model", model, "--out", out) == 1
+        assert capsys.readouterr().err == f"cohpca: error: {model} model needs {needs}\n"
+    assert not out.exists()
     assert run("gen", "--model", "noisy", "--tau", 0.5, "--out", out) == 0
 
 
@@ -235,6 +236,9 @@ def test_saliency_round_trip(tmp_path, capsys):
     write_pgm(src, img)
     assert run("saliency", "--image", src, "--patch", 10, "--out", dst) == 0
     assert "wrote 100x100 saliency map" in capsys.readouterr().out
+    # the map has no rank or fraction to set
+    for flag in ("--r", "--q"):
+        assert run("saliency", "--image", src, flag, 2, "--out", dst) == 1
     sal = read_pgm(dst)
     assert sal.shape == (100, 100)
     assert sal[45, 45] > sal[5, 5]  # the odd block stands out

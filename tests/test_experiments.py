@@ -179,26 +179,25 @@ def checkerboard_fixture():
 
 
 def test_saliency_flags_the_textured_block():
-    res = saliency(checkerboard_fixture(), patch=10, r=2)
+    res = saliency(checkerboard_fixture(), patch=10)
     flat = res.values.ravel()
     assert sorted(np.argsort(flat)[-4:].tolist()) == [44, 45, 54, 55]
     assert flat[0] == 0.0  # background tiles are maximally coherent
     assert res.cropped is False
-    assert res.basis is not None and res.basis.shape == (100, 2)
     assert res.image.dtype == np.uint8 and res.image.shape == (100, 100)
     upsampled = np.kron(res.values, np.ones((10, 10)))
     np.testing.assert_array_equal(res.image, np.rint(255 * upsampled))
 
 
 def test_saliency_of_a_constant_image_is_flat():
-    res = saliency(np.full((30, 30), 3.0), patch=10, r=2)
+    res = saliency(np.full((30, 30), 3.0), patch=10)
     assert np.all(res.values == 0.0)
     assert np.ptp(res.image) == 0
 
 
 def test_saliency_crops_to_whole_patches():
     rng = np.random.default_rng(5)
-    res = saliency(rng.standard_normal((57, 41)), patch=10, r=2)
+    res = saliency(rng.standard_normal((57, 41)), patch=10)
     assert res.values.shape == (5, 4)
     assert res.image.shape == (50, 40)
     assert res.cropped is True
@@ -208,7 +207,7 @@ def test_saliency_zero_patch_is_maximally_salient():
     rng = np.random.default_rng(5)
     img = rng.standard_normal((30, 30))
     img[:10, :10] = 0.0
-    res = saliency(img, patch=10, r=2)
+    res = saliency(img, patch=10)
     assert res.values[0, 0] == 1.0
     assert res.values.max() == 1.0
 
@@ -216,8 +215,7 @@ def test_saliency_zero_patch_is_maximally_salient():
 def test_saliency_degenerate_images():
     img = np.zeros((20, 10))
     img[10:, :] = np.arange(100).reshape(10, 10)
-    res = saliency(img, patch=10, r=2)  # one usable tile cannot span r=2
-    assert res.basis is None
+    res = saliency(img, patch=10)  # one usable tile has no coherence
     np.testing.assert_array_equal(res.values, 0.0)
     with pytest.raises(DataError, match="smaller"):
         saliency(np.zeros((5, 8)), patch=10)
@@ -225,9 +223,9 @@ def test_saliency_degenerate_images():
         saliency(np.zeros(12), patch=2)
     with pytest.raises(DataError, match="patch"):
         saliency(np.zeros((8, 8)), patch=0)
-    # 1-pixel tiles cannot carry r=2 directions; this used to give basis None
-    with pytest.raises(DataError, match="r=2 must not exceed m=1"):
-        saliency(np.arange(1.0, 17.0).reshape(4, 4), patch=1, r=2)
+    # 1-pixel tiles of one sign are parallel, so they all cohere equally
+    res = saliency(np.arange(1.0, 17.0).reshape(4, 4), patch=1)
+    np.testing.assert_array_equal(res.values, 0.0)
 
 
 # ---- benchmark ----
@@ -238,15 +236,15 @@ def test_bench_row_structure(tmp_path):
     rows = run_bench(
         cases=((40, 50),), r=3, runs=2, seed=0, csv_path=csv_path,
     )
-    assert len(rows) == 2 * 6  # runs x stages
-    stages = [row["stage"] for row in rows[:6]]
-    assert stages == ["write", "read", "normalize", "coherence", "sampling", "basis"]
+    assert len(rows) == 2 * 5  # runs x stages
+    stages = [row["stage"] for row in rows[:5]]
+    assert stages == ["write", "read", "normalize", "coherence", "select"]
     for row in rows:
         assert row["seconds"] >= 0.0
         assert (row["m"], row["n"], row["n1"], row["n2"]) == (40, 50, 10, 40)
     schema, _ = read_csv_rows(csv_path)
     assert "block" not in rows[0]
-    assert schema == "# cohpca bench v3"
+    assert schema == "# cohpca bench v4"
 
 
 def test_bench_json_report(tmp_path):
@@ -254,7 +252,7 @@ def test_bench_json_report(tmp_path):
     rows = run_bench(cases=((20, 30), (10, 25)), r=2, runs=3, seed=1, json_path=json_path)
     report = json.loads(json_path.read_text())
     assert set(report) == {"schema", "environment", "settings", "import", "cases"}
-    assert report["schema"] == "cohpca bench-json v2"
+    assert report["schema"] == "cohpca bench-json v3"
     start = report["import"]
     assert len(start["seconds"]) == 3 and min(start["seconds"]) > 0.0
     q1, median, q3 = np.percentile(start["seconds"], [25, 50, 75])
@@ -271,7 +269,7 @@ def test_bench_json_report(tmp_path):
     ]
     for case in report["cases"]:
         assert list(case["stages"]) == [
-            "write", "read", "normalize", "coherence", "sampling", "basis"
+            "write", "read", "normalize", "coherence", "select"
         ]
         for stage, spread in case["stages"].items():
             seconds = [

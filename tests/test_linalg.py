@@ -179,11 +179,28 @@ def test_coherence_gram_accepts_unnormalized_columns():
 
 @pytest.mark.parametrize("p, scale", [(1, 1e200), (2, 1e150), (2, 1e200)])
 def test_coherence_gram_names_power_sums_beyond_float64(p, scale):
-    # raw columns are not rescaled; the sums overflow where they used to
-    # come back NaN behind a RuntimeWarning
+    # the sums are raw-column sums, so these overflow; they used to come
+    # back NaN behind a RuntimeWarning
     d = gen_unstructured(20, 2, 10, 30, seed=1).d * scale
     with pytest.raises(NumericalError, match=f"p={p} overflow"):
         coherence_gram(d, p)
+
+
+@pytest.mark.parametrize("p, scale", [(2, 1e-80), (1, 1e-160), (2, 2.0**-260)])
+def test_coherence_gram_names_power_sums_below_the_normal_range(p, scale):
+    # these used to come back without an error, off by up to 1.1e-3,
+    # 1.5e-3 and 1.3e-10 relative; smaller scales gave zeros
+    d = gen_unstructured(20, 2, 10, 30, seed=1).d * scale
+    with pytest.raises(NumericalError, match=f"p={p} underflow"):
+        coherence_gram(d, p)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("k", [-200, -100, 100, 200])
+def test_coherence_gram_scales_exactly_by_powers_of_two(p, k):
+    d = gen_unstructured(20, 2, 10, 30, seed=1).d
+    want = np.ldexp(coherence_gram(d, p).values, 2 * p * k)
+    np.testing.assert_array_equal(coherence_gram(np.ldexp(d, k), p).values, want)
 
 
 def test_coherence_gram_never_forms_the_gram_matrix():
