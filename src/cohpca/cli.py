@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import guarantees, io, models
-from .errors import DataError, NumericalError
+from .errors import DataError, NumericalError, _integer
 from .experiments import (
     run_bench,
     run_cluster_correction,
@@ -42,7 +42,6 @@ from .pursuit import (
     GreedyRank,
     TopFraction,
     cop,
-    cop_multipass,
 )
 
 __all__ = ["main"]
@@ -149,8 +148,13 @@ def cmd_gen(ns):
 
 def cmd_cop(ns):
     d = io.read_matrix(getattr(ns, "in"))
-    cfg = _call(CopConfig, ns, strategy=_call(_STRATEGIES[ns.strategy], ns))
-    res = cop_multipass(d, cfg, ns.passes) if ns.passes != 1 else cop(d, cfg)
+    strategy = _call(_STRATEGIES[ns.strategy], ns)
+    # _call drops --passes for a strategy without rounds; a bad count is
+    # still named first, as Adaptive names it
+    if ns.passes != getattr(strategy, "passes", 1):
+        _integer(ns.passes, "pass count h", 1)
+        raise DataError(f"--passes {ns.passes} requires the adaptive strategy")
+    res = cop(d, _call(CopConfig, ns, strategy=strategy))
     io.write_matrix(ns.basis_out, res.basis)
     if ns.profile_out:
         io.write_matrix(ns.profile_out, res.profile.values[:, None])
@@ -304,7 +308,7 @@ def build_parser():
     sub.add_argument("--upsilon", type=_upsilon,
                      help="adaptive retirement threshold, number or 'auto'")
     sub.add_argument("--rank-tol", type=float, help="residual tolerance for greedy")
-    sub.add_argument("--passes", type=int, default=1,
+    sub.add_argument("--passes", type=int,
                      help="adaptive rounds to pool before the final truncation")
     sub.add_argument("--basis-out", required=True, help="recovered basis file")
     sub.add_argument("--profile-out",

@@ -21,7 +21,6 @@ from .pursuit import CopConfig, TopFraction, cop
 __all__ = [
     "assign_to_subspaces",
     "clustering_error",
-    "ace",
     "CorrectionResult",
     "correct_clustering",
 ]
@@ -81,26 +80,6 @@ def clustering_error(pred, truth):
     np.add.at(counts, (pred, truth), 1)
     rows, cols = linear_sum_assignment(counts, maximize=True)
     return (len(truth) - int(counts[rows, cols].sum())) / len(truth)
-
-
-def ace(pred, truth):
-    """Average classification error for inlier/outlier labelings.
-
-    Mean of the two per-class error rates (0 = inlier, 1 = outlier), so
-    a trivial all-inlier prediction scores 0.5.  Both classes must be
-    present in the truth.
-    """
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
-    if pred.shape != truth.shape:
-        raise DataError(f"label vectors differ in length: {pred.shape} vs {truth.shape}")
-    n1 = int(np.sum(truth == 0))
-    n2 = int(np.sum(truth == 1))
-    if n1 == 0 or n2 == 0:
-        raise DataError("truth must contain both inliers and outliers")
-    miss_in = int(np.sum((truth == 0) & (pred != 0)))
-    miss_out = int(np.sum((truth == 1) & (pred != 1)))
-    return 0.5 * (miss_in / n1 + miss_out / n2)
 
 
 @dataclass(frozen=True)

@@ -340,10 +340,10 @@ def saliency(image, patch=10, p=2):
         .T
     )
     x, kept = normalize_columns(tiles)
-    values = np.zeros(gh * gw)
-    values[kept] = coherence(x, p).values
+    values = coherence(x, p).values
     vmax = values.max()
-    sal = 1.0 - values / vmax if vmax > 0 else np.zeros_like(values)
+    sal = np.ones(gh * gw)  # all-zero tiles, absent from kept
+    sal[kept] = 1.0 - values / vmax if vmax > 0 else 0.0
     grid = sal.reshape(gh, gw)
     upsampled = np.kron(grid, np.ones((patch, patch)))
     out = np.rint(255 * upsampled).astype(np.uint8)

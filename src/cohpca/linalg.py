@@ -121,7 +121,8 @@ def coherence(x, p=2):
     m < n and walks half the Gram in slabs of ``kernels.BLOCK`` columns
     otherwise.  The diagonal self term, 1 for a unit column, is excluded
     by subtraction, and tiny negative results of that subtraction are
-    clamped to zero.
+    clamped to zero.  A lone column's sum is empty, so its value is
+    exactly 0.
     """
     x = _as_2d(x)
     norms = np.sqrt(np.einsum("ij,ij->j", x, x))
@@ -133,6 +134,8 @@ def coherence(x, p=2):
         raise DataError(
             f"column {bad} has norm {norms[bad]:.12f}; coherence requires unit columns"
         )
+    if x.shape[1] == 1:  # an empty sum; its self term minus 1 would leave rounding
+        return CoherenceProfile(np.zeros(1), p)
     sums = kernels.block_power_sums(x, p)
     return CoherenceProfile(np.maximum(sums - 1.0, 0.0), p)
 

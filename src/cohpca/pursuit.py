@@ -20,13 +20,16 @@ integer >= 1.  The four strategies:
                     SVD;
 * Adaptive       -- work in a random low-dimensional sketch, repeatedly
                     take the highest-coherence column that survives a
-                    residual-norm threshold and deflate it away.
+                    residual-norm threshold and deflate it away; with
+                    ``passes=h`` it does so h times and pools the picks
+                    (the noisy-data variant).
 
-GreedyRank and Adaptive pick exactly r independent columns and span
-them directly; the others and ``cop_multipass`` truncate by SVD.
+GreedyRank and one-pass Adaptive pick exactly r independent columns and
+span them directly; the others truncate by SVD.  ``cop`` is the one
+entry point: it normalizes, profiles and hands both to the strategy.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -105,15 +108,36 @@ class Adaptive:
     residual-norm floor below which a column is considered used up;
     None picks 0.2 times the median sketched column norm, a sensible
     default for noisy data (keep the explicit 0.0 for clean data).
+
+    ``passes=h > 1`` is the multi-round variant for noisy data: round i
+    sketches with seed ``(cfg.seed, i)``, its picks leave the candidate
+    pool, and the union of all h*r picks is truncated to its top-r
+    singular subspace.  It needs h*r usable columns.
     """
 
     k: int = 2
     upsilon: float | None = 0.0
+    passes: int = 1
 
     def select(self, x, profile, cfg):
         _check_selection(x, profile, cfg)
-        picked = adaptive_sampling(x, profile, cfg.r, self.k, self.upsilon, cfg.seed)
-        return _finish_exact(x, picked, cfg.r)
+        h = _integer(self.passes, "pass count h", 1)
+        if x.shape[1] < h * cfg.r:
+            raise NumericalError(
+                f"{x.shape[1]} usable columns cannot supply h*r = {h * cfg.r} picks"
+            )
+        if h == 1:
+            picked = adaptive_sampling(x, profile, cfg.r, self.k, self.upsilon, cfg.seed)
+            return _finish_exact(x, picked, cfg.r)
+        pool = np.arange(x.shape[1])
+        picked = []
+        for i in range(h):
+            local = adaptive_sampling(
+                x, profile, cfg.r, self.k, self.upsilon, (cfg.seed, i), pool=pool
+            )
+            picked.extend(pool[local])
+            pool = np.delete(pool, local)
+        return _finish_svd(x, np.array(picked), cfg.r)
 
 
 @dataclass(frozen=True)
@@ -268,63 +292,36 @@ def _finish_svd(x, picked, r):
     return picked, top.basis, top.unique
 
 
-def _profiled(d, cfg, need, shortfall):
-    """Normalize ``d``, drop its numerically zero columns and profile the rest.
-
-    Returns ``(x, kept, dropped, profile)``.  Fewer than ``need`` usable
-    columns raise ``NumericalError`` with ``shortfall.format(count)``,
-    before the kernel runs.
-    """
-    x, kept = normalize_columns(d)
-    dropped = np.delete(np.arange(np.asarray(d).shape[1]), kept)
-    if x.shape[1] < need:
-        raise NumericalError(shortfall.format(x.shape[1]))
-    return x, kept, dropped, coherence(x, cfg.p)
-
-
 def cop(d, cfg):
     """Recover an r-dimensional subspace from outlier-ridden columns.
 
     Normalizes columns (dropping numerically zero ones), computes the
     coherence profile, selects columns per ``cfg.strategy``, and returns
     the span of the selection.  Indices in the result refer to columns
-    of ``d`` as given.
+    of ``d`` as given.  Fewer than r usable columns raise
+    ``NumericalError`` before the kernel runs.
     """
     if not hasattr(cfg.strategy, "select"):
         raise DataError(f"unknown sampling strategy {cfg.strategy!r}")
-    x, kept, dropped, prof = _profiled(
-        d, cfg, cfg.r, f"only {{}} usable columns for target rank r={cfg.r}"
-    )
+    x, kept = normalize_columns(d)
+    dropped = np.delete(np.arange(np.asarray(d).shape[1]), kept)
+    if x.shape[1] < cfg.r:
+        raise NumericalError(f"only {x.shape[1]} usable columns for target rank r={cfg.r}")
+    prof = coherence(x, cfg.p)
     picked, basis, unique = cfg.strategy.select(x, prof, cfg)
     return CopResult(basis, kept[picked], prof, dropped, unique)
 
 
 def cop_multipass(d, cfg, h):
-    """Multi-round variant for noisy data.
+    """``cop`` with ``cfg.strategy``, which must be Adaptive, set to ``passes=h``.
 
-    Runs the Adaptive selection h times; after each round the picked
-    columns leave the candidate pool, and the union of all picks is
-    truncated to its top-r singular subspace.  The coherence profile is
-    computed once up front.  Requires an Adaptive strategy and h*r
-    available columns.
+    Kept only as an alias under this name, because the benchmark harness
+    calls it with the keyword ``h`` and times it as its ``pursuit.cop``
+    layer; new code passes ``Adaptive(passes=h)`` to ``cop``.
     """
-    _integer(h, "pass count h", 1)
     if not isinstance(cfg.strategy, Adaptive):
         raise DataError("cop_multipass requires an Adaptive strategy")
-    x, kept, dropped, prof = _profiled(
-        d, cfg, h * cfg.r, f"{{}} usable columns cannot supply h*r = {h * cfg.r} picks"
-    )
-    pool = np.arange(x.shape[1])
-    picked_all = []
-    s = cfg.strategy
-    for round_idx in range(h):
-        local = adaptive_sampling(
-            x, prof, cfg.r, s.k, s.upsilon, seed=(cfg.seed, round_idx), pool=pool
-        )
-        picked_all.extend(pool[local])
-        pool = np.delete(pool, local)
-    picked_all, basis, unique = _finish_svd(x, np.array(picked_all), cfg.r)
-    return CopResult(basis, kept[picked_all], prof, dropped, unique)
+    return cop(d, replace(cfg, strategy=replace(cfg.strategy, passes=h)))
 
 
 def spca(d, r):

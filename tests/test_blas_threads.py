@@ -17,7 +17,7 @@ from cohpca.experiments import _THREAD_VARS
 
 _SCRIPT = """
 import pickle, sys
-from cohpca import Adaptive, CopConfig, FixedCount, GreedyRank, TopFraction, cop, cop_multipass
+from cohpca import Adaptive, CopConfig, FixedCount, GreedyRank, TopFraction, cop
 from cohpca.experiments import run_noise_sweep, run_phase_transition, run_structured_sweep
 from cohpca.models import gen_noisy, gen_unstructured, sigma_for_tau
 
@@ -31,8 +31,8 @@ for p in (1, 2):
     for s in (GreedyRank(), TopFraction(), FixedCount(), Adaptive()):
         out[f"cop {type(s).__name__} p={p}"] = fields(cop(d, CopConfig(r=5, p=p, strategy=s)))
 d = gen_noisy(200, 5, 400, 9600, sigma_for_tau(0.5), seed=1).d
-cfg = CopConfig(r=5, p=1, strategy=Adaptive(k=2, upsilon=None), seed=1)
-out["cop_multipass"] = fields(cop_multipass(d, cfg, h=3))
+cfg = CopConfig(r=5, p=1, strategy=Adaptive(k=2, upsilon=None, passes=3), seed=1)
+out["cop Adaptive(passes=3)"] = fields(cop(d, cfg))
 out["phase"] = run_phase_transition(trials=1).fractions
 out["noise-sweep"] = run_noise_sweep(seeds=3)
 out["structured-sweep"] = run_structured_sweep(seeds=3)

@@ -153,6 +153,17 @@ def test_cop_rejects_a_pass_count_below_1(tmp_path, capsys):
         assert f"pass count h={passes} must be >= 1" in capsys.readouterr().err
 
 
+def test_cop_rejects_passes_for_a_strategy_without_rounds(tmp_path, capsys):
+    data = tmp_path / "d.txt"
+    run("gen", "--model", "unstructured", "--m", 20, "--r", 2, "--n1", 10,
+        "--n2", 10, "--out", data)
+    capsys.readouterr()
+    assert run("cop", "--in", data, "--r", 2, "--passes", 2, "--strategy", "greedy",
+               "--basis-out", tmp_path / "b.txt") == 1
+    assert "--passes 2 requires the adaptive strategy" in capsys.readouterr().err
+    assert not (tmp_path / "b.txt").exists()
+
+
 def test_impossible_strategy_parameters_exit_1(tmp_path, capsys):
     data = tmp_path / "d.txt"
     run("gen", "--model", "unstructured", "--m", 20, "--r", 2, "--n1", 10,

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cohpca.clustering import (
-    ace,
     assign_to_subspaces,
     clustering_error,
     correct_clustering,
@@ -156,22 +155,13 @@ def test_clustering_error_rejects_empty_label_vectors():
 # ---- average classification error ----
 
 
-def test_ace_hand_cases():
-    truth = np.array([0, 0, 1, 1, 1])
-    assert ace(truth, truth) == 0.0
-    assert ace(1 - truth, truth) == 1.0
-    assert ace(np.zeros(5, dtype=int), truth) == 0.5
-    # one inlier missed (1/2), one outlier missed (1/3)
-    pred = np.array([0, 1, 1, 1, 0])
-    assert ace(pred, truth) == pytest.approx(0.5 * (0.5 + 1.0 / 3.0))
-    with pytest.raises(DataError):
-        ace(truth, np.zeros(5, dtype=int))
-
-
 def test_ace_of_recovered_labels_is_small():
     ds = gen_unstructured(100, 5, 100, 300, seed=13)
     basis = cop(ds.d, CopConfig(r=5)).basis
-    assert ace(residual_outliers(ds.d, basis), ds.labels) <= 0.05
+    pred = residual_outliers(ds.d, basis)
+    # the mean of the two per-class error rates (0 = inlier, 1 = outlier)
+    per_class = [np.mean(pred[ds.labels == c] != c) for c in (0, 1)]
+    assert np.mean(per_class) <= 0.05
 
 
 # ---- correction loop ----

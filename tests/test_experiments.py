@@ -215,8 +215,13 @@ def test_saliency_zero_patch_is_maximally_salient():
 def test_saliency_degenerate_images():
     img = np.zeros((20, 10))
     img[10:, :] = np.arange(100).reshape(10, 10)
-    res = saliency(img, patch=10)  # one usable tile has no coherence
-    np.testing.assert_array_equal(res.values, 0.0)
+    # one usable tile has no coherence, exactly 0 whatever the rounding,
+    # and the all-zero tile is salient
+    res = saliency(img, patch=10)
+    np.testing.assert_array_equal(res.values, [[1.0], [0.0]])
+    img = np.zeros((8, 4))
+    img[4:, :] = np.random.default_rng(1).standard_normal((4, 4))
+    np.testing.assert_array_equal(saliency(img, patch=4).values, [[1.0], [0.0]])
     with pytest.raises(DataError, match="smaller"):
         saliency(np.zeros((5, 8)), patch=10)
     with pytest.raises(DataError, match="2-d"):

@@ -20,7 +20,7 @@ from cohpca.linalg import (
     top_r_singular_subspace,
 )
 from cohpca.models import gen_noisy, gen_unstructured, sigma_for_tau
-from cohpca.pursuit import Adaptive, CopConfig, cop_multipass
+from cohpca.pursuit import Adaptive, CopConfig, cop
 
 from oracles import naive_coherence, subspace_distance
 
@@ -170,6 +170,16 @@ def test_coherence_hand_case():
     np.testing.assert_allclose(coherence(x, 2).values, [0.5, 0.5, 1.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_lone_column_scores_exactly_0(p):
+    # 1 - ||x||^(2p) rounded above 0 in 147 of these 1000 columns
+    for seed in range(1000):
+        x, _ = normalize_columns(random_matrix(16, 1, seed))
+        assert coherence(x, p).values.tolist() == [0.0], seed
+    with pytest.raises(DataError, match="unit columns"):
+        coherence(np.full((4, 1), 2.0), p)
+
+
 def test_coherence_gram_accepts_unnormalized_columns():
     d = random_matrix(6, 9, seed=1) * 3.0
     np.testing.assert_allclose(
@@ -275,8 +285,8 @@ def test_normalize_keeps_the_columns_left_after_a_drop_c_ordered():
 @pytest.mark.parametrize("m, n", [(20, 5000), (300, 600)])
 def test_multipass_holds_one_normalized_copy_plus_one_slab(m, n):
     d = gen_noisy(m, 2, n // 5, n - n // 5, sigma_for_tau(0.5), seed=6).d
-    cfg = CopConfig(r=2, p=1, strategy=Adaptive(k=2, upsilon=None), seed=6)
-    peak = traced_peak(cop_multipass, d, cfg, h=3)
+    cfg = CopConfig(r=2, p=1, strategy=Adaptive(k=2, upsilon=None, passes=3), seed=6)
+    peak = traced_peak(cop, d, cfg)
     # the normalized copy and one slab; each round sketches that copy
     # itself, so no round copies the columns still in play
     bound = 1.1 * 8 * (m * n + min(kernels.BLOCK, n) * n)

@@ -1,5 +1,6 @@
 """Sampling strategies and the full recovery pipeline."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from cohpca.models import gen_noisy, gen_unstructured, sigma_for_tau
 from cohpca.pursuit import (
     Adaptive,
     CopConfig,
+    CopResult,
     FixedCount,
     GreedyRank,
     TopFraction,
@@ -170,7 +172,7 @@ def test_every_strategy_rejects_a_wrong_profile_length_and_r_above_m(strategy):
         lambda d: CopConfig(r=2.0),
         lambda d: cop(d, CopConfig(r=2, strategy=FixedCount(5.5))),
         lambda d: cop(d, CopConfig(r=2, strategy=Adaptive(k=1.5))),
-        lambda d: cop_multipass(d, CopConfig(r=2, strategy=Adaptive()), h=2.0),
+        lambda d: cop(d, CopConfig(r=2, strategy=Adaptive(passes=2.0))),
         lambda d: spca(d, 2.5),
     ],
     ids=["r=2.5", "r=2.0", "count=5.5", "k=1.5", "h=2.0", "spca-r=2.5"],
@@ -187,8 +189,8 @@ def test_numpy_integer_sizes_and_seeds_give_the_int_result():
     pairs = [
         (cop(d, CopConfig(r=i(2), strategy=FixedCount(i(5)))),
          cop(d, CopConfig(r=2, strategy=FixedCount(5)))),
-        (cop_multipass(d, CopConfig(r=2, strategy=Adaptive(k=i(2)), seed=i(4)), h=i(2)),
-         cop_multipass(d, CopConfig(r=2, strategy=Adaptive(k=2), seed=4), h=2)),
+        (cop(d, CopConfig(r=2, strategy=Adaptive(k=i(2), passes=i(2)), seed=i(4))),
+         cop(d, CopConfig(r=2, strategy=Adaptive(k=2, passes=2), seed=4))),
     ]
     for got, want in pairs:
         np.testing.assert_array_equal(got.basis, want.basis)
@@ -251,11 +253,10 @@ def test_adaptive_rejects_a_nan_upsilon():
 
 def test_adaptive_sketch_larger_than_m_is_rejected():
     ds = gen_unstructured(5, 2, 10, 10, seed=13)
-    cfg = CopConfig(r=2, strategy=Adaptive(k=3))
-    with pytest.raises(DataError, match=r"k\*r = 3\*2 = 6 must not exceed m=5"):
-        cop(ds.d, cfg)
-    with pytest.raises(DataError, match=r"k\*r = 3\*2 = 6 must not exceed m=5"):
-        cop_multipass(ds.d, cfg, h=2)
+    for passes in (1, 2):
+        cfg = CopConfig(r=2, strategy=Adaptive(k=3, passes=passes))
+        with pytest.raises(DataError, match=r"k\*r = 3\*2 = 6 must not exceed m=5"):
+            cop(ds.d, cfg)
 
 
 def test_adaptive_is_deterministic_per_seed():
@@ -373,30 +374,49 @@ def test_cop_basis_invariant_to_scale_sign_and_order(seed):
 # ---- multipass ----
 
 
+def multipass(h, upsilon=0.0):
+    return Adaptive(k=2, upsilon=upsilon, passes=h)
+
+
 def test_multipass_requires_adaptive_and_enough_columns():
     ds = gen_unstructured(20, 2, 8, 0, seed=8)
-    with pytest.raises(DataError, match="Adaptive"):
+    with pytest.raises(DataError, match="requires an Adaptive strategy"):
         cop_multipass(ds.d, CopConfig(r=2), h=2)
-    cfg = CopConfig(r=2, strategy=Adaptive())
-    with pytest.raises(NumericalError, match="h\\*r"):
-        cop_multipass(ds.d, cfg, h=5)
-    with pytest.raises(DataError):
-        cop_multipass(ds.d, cfg, h=0)
+    with pytest.raises(NumericalError, match="8 usable columns cannot supply h\\*r = 10 picks"):
+        cop(ds.d, CopConfig(r=2, strategy=multipass(5)))
+    for h in (0, -3):
+        with pytest.raises(DataError, match=f"pass count h={h} must be >= 1"):
+            cop(ds.d, CopConfig(r=2, strategy=multipass(h)))
+
+
+def test_cop_multipass_is_cop_with_adaptive_passes():
+    ds = gen_noisy(40, 3, 60, 240, sigma_for_tau(0.5), seed=12)
+    for h in (1, 2, 3):
+        cfg = CopConfig(r=3, p=1, strategy=Adaptive(k=2, upsilon=None), seed=h)
+        got = cop_multipass(ds.d, cfg, h=h)
+        want = cop(ds.d, CopConfig(r=3, p=1, strategy=multipass(h, upsilon=None), seed=h))
+        for field in dataclasses.fields(CopResult):
+            a, b = getattr(got, field.name), getattr(want, field.name)
+            if field.name == "profile":
+                assert a.p == b.p
+                a, b = a.values, b.values
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
 
 def test_multipass_single_round_recovers_clean_data():
     ds = gen_unstructured(50, 4, 30, 90, seed=9)
-    cfg = CopConfig(r=4, strategy=Adaptive(k=2), seed=3)
-    res = cop_multipass(ds.d, cfg, h=1)
+    cfg = CopConfig(r=4, strategy=Adaptive(k=2, passes=1), seed=3)
+    res = cop(ds.d, cfg)
     assert recovery_error(ds.basis, res.basis) < 1e-9
-    again = cop_multipass(ds.d, cfg, h=1)
-    np.testing.assert_array_equal(res.sampled, again.sampled)
+    x, kept = normalize_columns(ds.d)
+    picked = pursuit.adaptive_sampling(x, coherence(x, 2), 4, 2, 0.0, 3)
+    np.testing.assert_array_equal(res.sampled, kept[picked])
+    assert res.unique
 
 
 def test_multipass_rounds_pick_disjoint_columns():
     ds = gen_unstructured(40, 3, 30, 60, seed=10)
-    cfg = CopConfig(r=3, strategy=Adaptive(k=2), seed=1)
-    res = cop_multipass(ds.d, cfg, h=4)
+    res = cop(ds.d, CopConfig(r=3, strategy=multipass(4), seed=1))
     assert len(res.sampled) == 12
     assert len(set(res.sampled.tolist())) == 12
 
@@ -405,9 +425,8 @@ def test_multipass_beats_single_pass_on_noisy_data():
     wins, med1, med3 = 0, [], []
     for s in range(20):
         ds = gen_noisy(100, 5, 60, 200, sigma_for_tau(0.5), seed=(900, s))
-        cfg = CopConfig(r=5, strategy=Adaptive(k=2, upsilon=None), seed=s)
-        e1 = recovery_error(ds.basis, cop_multipass(ds.d, cfg, 1).basis)
-        e3 = recovery_error(ds.basis, cop_multipass(ds.d, cfg, 3).basis)
+        cfgs = [CopConfig(r=5, strategy=multipass(h, upsilon=None), seed=s) for h in (1, 3)]
+        e1, e3 = (recovery_error(ds.basis, cop(ds.d, cfg).basis) for cfg in cfgs)
         wins += e3 < e1
         med1.append(e1)
         med3.append(e3)
@@ -416,8 +435,8 @@ def test_multipass_beats_single_pass_on_noisy_data():
 
 
 def multipass_with_round_copies(d, cfg, h):
-    """``cop_multipass`` with a copy of the remaining columns for each
-    round after the first: the reference for its bits."""
+    """``Adaptive(passes=h)`` with a copy of the remaining columns for
+    each round after the first: the reference for its bits."""
     x, kept = normalize_columns(d)
     prof = coherence(x, cfg.p)
     pool = np.arange(x.shape[1])
@@ -436,15 +455,15 @@ def multipass_with_round_copies(d, cfg, h):
 
 @pytest.mark.parametrize(
     "m, n, h, p, upsilon",
-    [(40, 300, h, p, u) for h in (1, 3) for p in (1, 2) for u in (None, 0.0)]
+    [(40, 300, 3, p, u) for p in (1, 2) for u in (None, 0.0)]
     # m > BLOCK, where a round copy of x would set the peak
     + [(kernels.BLOCK + 44, 800, 3, 2, None)],
 )
 def test_multipass_matches_the_round_copies_bit_for_bit(m, n, h, p, upsilon):
     d = gen_noisy(m, 3, n // 4, n - n // 4, sigma_for_tau(0.5), seed=(17, m, h)).d
-    cfg = CopConfig(r=3, p=p, strategy=Adaptive(k=2, upsilon=upsilon), seed=h)
+    cfg = CopConfig(r=3, p=p, strategy=multipass(h, upsilon=upsilon), seed=h)
     sampled, basis = multipass_with_round_copies(d, cfg, h)
-    res = cop_multipass(d, cfg, h)
+    res = cop(d, cfg)
     np.testing.assert_array_equal(res.sampled, sampled)
     assert res.basis.tobytes() == basis.tobytes()
 
