@@ -7,8 +7,8 @@ named on stderr.
 
 An option that a subcommand shares with the library function it calls
 takes that function's default and is passed to it by name: ``cohpca phase``
-with no flags runs ``run_phase_transition()``, and ``cohpca cop`` fills
-``CopConfig`` and its strategy from their field defaults.
+with no flags runs ``run_phase_transition()``.  ``cohpca cop`` gives its
+strategy only the strategy options given, and rejects another strategy's.
 
 Every subcommand accepts ``--config FILE`` holding ``key = value`` lines
 (keys are the long option names with dashes or underscores, '#' starts a
@@ -106,6 +106,13 @@ def _flag(text):
         raise argparse.ArgumentTypeError(f"expected true/false, yes/no or 1/0, got {text!r}")
 
 
+def _pass_count(text):
+    try:  # a count below 1 is named here, whatever the strategy
+        return _integer(int(text), "pass count h", 1)
+    except ValueError as exc:  # DataError is one too
+        raise argparse.ArgumentTypeError(str(exc))
+
+
 def _defaults(*fns):
     """The keyword defaults of ``fns`` by parameter name, the first function's winning."""
     out = {}
@@ -124,6 +131,7 @@ def _call(fn, ns, **given):
 
 _STRATEGIES = {"greedy": GreedyRank, "top-fraction": TopFraction,
                "fixed-count": FixedCount, "adaptive": Adaptive}
+_OWNERS = {opt: name for name, cls in _STRATEGIES.items() for opt in inspect.signature(cls).parameters}
 
 
 def cmd_gen(ns):
@@ -147,13 +155,12 @@ def cmd_gen(ns):
 
 
 def cmd_cop(ns):
+    given = {opt: getattr(ns, opt) for opt in _OWNERS if hasattr(ns, opt)}
+    for opt, value in given.items():
+        if _OWNERS[opt] != ns.strategy:
+            raise DataError(f"--{opt.replace('_', '-')} {value} requires the {_OWNERS[opt]} strategy")
+    strategy = _STRATEGIES[ns.strategy](**given)
     d = io.read_matrix(getattr(ns, "in"))
-    strategy = _call(_STRATEGIES[ns.strategy], ns)
-    # _call drops --passes for a strategy without rounds; a bad count is
-    # still named first, as Adaptive names it
-    if ns.passes != getattr(strategy, "passes", 1):
-        _integer(ns.passes, "pass count h", 1)
-        raise DataError(f"--passes {ns.passes} requires the adaptive strategy")
     res = cop(d, _call(CopConfig, ns, strategy=strategy))
     io.write_matrix(ns.basis_out, res.basis)
     if ns.profile_out:
@@ -297,19 +304,19 @@ def build_parser():
     _add_common(sub)
 
     sub = subparsers.add_parser("cop", help="recover a subspace from a matrix file")
-    sub.set_defaults(func=cmd_cop, **_defaults(CopConfig, *_STRATEGIES.values()))
+    sub.set_defaults(func=cmd_cop, **_defaults(CopConfig))
     sub.add_argument("--in", required=True, help="input matrix file")
     sub.add_argument("--r", type=int, required=True, help="target rank")
     sub.add_argument("--p", type=int, choices=[1, 2], help="coherence power")
     sub.add_argument("--strategy", default="greedy", choices=list(_STRATEGIES))
-    sub.add_argument("--q", type=float, help="discard fraction for top-fraction")
-    sub.add_argument("--count", type=int, help="columns kept by fixed-count")
-    sub.add_argument("--k", type=int, help="sketch dimension factor for adaptive")
-    sub.add_argument("--upsilon", type=_upsilon,
-                     help="adaptive retirement threshold, number or 'auto'")
-    sub.add_argument("--rank-tol", type=float, help="residual tolerance for greedy")
-    sub.add_argument("--passes", type=int,
-                     help="adaptive rounds to pool before the final truncation")
+    options = sub.add_argument_group("strategy options", argument_default=argparse.SUPPRESS)
+    options.add_argument("--q", type=float, help="discard fraction for top-fraction")
+    options.add_argument("--count", type=int, help="columns kept by fixed-count")
+    options.add_argument("--k", type=int, help="sketch dimension factor for adaptive")
+    options.add_argument("--upsilon", type=_upsilon, help="adaptive retirement threshold, number or 'auto'")
+    options.add_argument("--rank-tol", type=float, help="residual tolerance for greedy")
+    options.add_argument("--passes", type=_pass_count,
+                         help="adaptive rounds to pool before the final truncation")
     sub.add_argument("--basis-out", required=True, help="recovered basis file")
     sub.add_argument("--profile-out",
                      help="coherence profile file (kept columns, one per row)")

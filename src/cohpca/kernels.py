@@ -2,48 +2,47 @@
 
 The hot loop of the whole package is the column-coherence sum
 
-    s(i) = sum_k |x_i' x_k|^p,   p in {1, 2},
+    s(i) = sum_{k != i} |x_i' x_k|^p,   p in {1, 2},
 
-which would need an n-by-n Gram matrix if done naively.  The kernel
-picks one of two paths from the shape of the m-by-n input, with nothing
-for the caller to choose:
+which would need an n-by-n Gram matrix if done naively.  The self term
+k = i is left out here.  The path follows from the shape of the m-by-n x:
 
-* covariance form, for p = 2 with m < n: s(i) = x_i' (X X') x_i.  One
-  m-by-m product (m^2 n flops; BLAS computes one triangle) and one
-  m-by-n product (2 m^2 n flops), so O(m^2 n) time and O(m^2 + m n)
-  extra memory.
-* half-Gram walk, for p = 1 and for p = 2 with m >= n: the Gram is
-  walked in slabs of ``BLOCK`` columns, each slab multiplied only
-  against itself and the columns after it, so every symmetric entry is
-  computed once: about m n (n + BLOCK) flops and O(m n^2) time.  Its
-  extra memory is one ``BLOCK``-by-n buffer, which every slab reuses.
-
-Both ``linalg.coherence`` and ``linalg.coherence_gram`` run on this
-kernel.
+* covariance form, for p = 2 with m < n: x_i' (X X') x_i minus ||x_i||^4,
+  clamped at zero; it is the one path that subtracts.  m^2 n flops for
+  X X' (BLAS computes one triangle) and 2 m^2 n for (X X') X, so O(m^2 n)
+  time and O(m^2 + m n) extra memory.
+* half-Gram walk (``walk_power_sums``), for p = 1 and for p = 2 with
+  m >= n: slabs of ``BLOCK`` columns, each multiplied only against itself
+  and the columns after it with its diagonal zeroed, so every symmetric
+  entry is computed once and no self term is added: about m n (n + BLOCK)
+  flops, and one ``BLOCK``-by-n buffer that every slab reuses.
 """
 
 import numpy as np
 
 from .errors import DataError
 
-__all__ = ["BLOCK", "block_power_sums"]
+__all__ = ["BLOCK", "block_power_sums", "walk_power_sums"]
 
 BLOCK = 256
 
 
 def block_power_sums(x, p):
-    """Per-column sums sum_k |x_i' x_k|^p including the k = i self term.
+    """Per-column sums sum_{k != i} |x_i' x_k|^p; ``p`` must be 1 or 2."""
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    if p == 2 and x.shape[0] < x.shape[1]:
+        sums = np.einsum("ij,ij->j", x, (x @ x.T) @ x)
+        sums -= np.einsum("ij,ij->j", x, x) ** 2
+        return np.maximum(sums, 0.0, out=sums)
+    return walk_power_sums(x, p)
 
-    ``x`` is m-by-n with float64 columns; ``p`` must be 1 or 2.  Callers
-    subtract the self term themselves.
-    """
+
+def walk_power_sums(x, p):
+    """``block_power_sums`` by the half-Gram walk; a lone column sums to 0."""
     if p not in (1, 2):
         raise DataError(f"power p must be 1 or 2, got {p}")
     x = np.ascontiguousarray(x, dtype=np.float64)
-    m, n = x.shape
-    if p == 2 and m < n:
-        cov = x @ x.T
-        return np.einsum("ij,ij->j", x, cov @ x)
+    n = x.shape[1]
     out = np.zeros(n)
     buf = np.empty(min(BLOCK, n) * n)
     for lo in range(0, n, BLOCK):
@@ -53,6 +52,9 @@ def block_power_sums(x, p):
         # go to BLAS without a copy
         g = buf[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
         np.matmul(x[:, lo:hi].T, x[:, lo:], out=g)
+        # the own block's diagonal, zeroed in place through a strided view
+        # (np.fill_diagonal's .flat write raised noisy-l1's peak RSS 15 MiB)
+        g.reshape(-1)[:: n - lo + 1] = 0.0
         if p == 1:
             np.abs(g, out=g)
         else:

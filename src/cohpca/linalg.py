@@ -116,13 +116,8 @@ def coherence(x, p=2):
     """Coherence profile of a matrix with unit columns.
 
     ``x`` must already have unit columns (within 1e-8); use
-    ``normalize_columns`` first.  The Gram matrix is never materialized:
-    ``kernels.block_power_sums`` uses the m-by-m covariance for p=2 with
-    m < n and walks half the Gram in slabs of ``kernels.BLOCK`` columns
-    otherwise.  The diagonal self term, 1 for a unit column, is excluded
-    by subtraction, and tiny negative results of that subtraction are
-    clamped to zero.  A lone column's sum is empty, so its value is
-    exactly 0.
+    ``normalize_columns`` first.  The kernel, ``kernels.block_power_sums``,
+    leaves out the self term, so a lone column scores exactly 0.
     """
     x = _as_2d(x)
     norms = np.sqrt(np.einsum("ij,ij->j", x, x))
@@ -134,31 +129,27 @@ def coherence(x, p=2):
         raise DataError(
             f"column {bad} has norm {norms[bad]:.12f}; coherence requires unit columns"
         )
-    if x.shape[1] == 1:  # an empty sum; its self term minus 1 would leave rounding
-        return CoherenceProfile(np.zeros(1), p)
-    sums = kernels.block_power_sums(x, p)
-    return CoherenceProfile(np.maximum(sums - 1.0, 0.0), p)
+    return CoherenceProfile(kernels.block_power_sums(x, p), p)
 
 
 def coherence_gram(d, p=2):
     """Coherence profile of raw, unnormalized columns.
 
-    The form the recovery-condition validators need.  It runs on the same
-    kernel as ``coherence``, subtracting the self term ||d_i||^(2p) in
-    place of 1, with the same clamp at zero.  The kernel sees ``d`` times
-    the power of two 2^-e that brings its largest magnitude into
-    [0.5, 1), and the sums are scaled back by 2^(2pe), both exactly, so a
-    value in the normal float64 range does not depend on the scale of
-    ``d``.  A value above that range is a ``NumericalError`` naming
-    overflow; a positive value below it, which would lose bits or become
-    zero, is one naming underflow.
+    The form the recovery-condition validators need.  It always runs the
+    half-Gram walk, ``kernels.walk_power_sums``, which never adds the self
+    term ||d_i||^(2p); the covariance form subtracts it, which leaves only
+    rounding of the cross terms of a column whose norm dwarfs the others.
+    The walk sees ``d`` times the power of two 2^-e that brings its
+    largest magnitude into [0.5, 1), and the sums are scaled back by
+    2^(2pe), both exactly, so a value in the normal float64 range does
+    not depend on the scale of ``d``.  A value above that range is a
+    ``NumericalError`` naming overflow; a positive value below it, which
+    would lose bits or become zero, is one naming underflow.
     """
     d = _as_matrix(d)
     e = int(np.frexp(max(d.max(), -d.min()))[1])
     x = np.ldexp(d, -e)
-    sums = kernels.block_power_sums(x, p)
-    sums -= np.einsum("ij,ij->j", x, x) ** p
-    np.maximum(sums, 0.0, out=sums)
+    sums = kernels.walk_power_sums(x, p)
     with np.errstate(over="ignore"):
         values = np.ldexp(sums, 2 * p * e)
     if np.any(np.isinf(values)):

@@ -164,6 +164,29 @@ def test_cop_rejects_passes_for_a_strategy_without_rounds(tmp_path, capsys):
     assert not (tmp_path / "b.txt").exists()
 
 
+@pytest.mark.parametrize("strategy, option, line, message", [
+    ("greedy", ["--q", "0.3"], None, "--q 0.3 requires the top-fraction strategy"),
+    ("adaptive", ["--count", "5"], None, "--count 5 requires the fixed-count strategy"),
+    ("greedy", [], "k = 9", "--k 9 requires the adaptive strategy"),
+], ids=["greedy-q", "adaptive-count", "greedy-config-k"])
+def test_cop_rejects_the_options_of_another_strategy(
+    tmp_path, capsys, strategy, option, line, message
+):
+    data = tmp_path / "d.txt"
+    run("gen", "--model", "unstructured", "--m", 20, "--r", 2, "--n1", 10,
+        "--n2", 10, "--out", data)
+    args = ["cop", "--in", data, "--r", 2, "--strategy", strategy, *option,
+            "--basis-out", tmp_path / "b.txt"]
+    if line:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(line + "\n")
+        args += ["--config", cfg]
+    capsys.readouterr()
+    assert run(*args) == 1
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "b.txt").exists()
+
+
 def test_impossible_strategy_parameters_exit_1(tmp_path, capsys):
     data = tmp_path / "d.txt"
     run("gen", "--model", "unstructured", "--m", 20, "--r", 2, "--n1", 10,
@@ -284,9 +307,7 @@ _MINIMAL = {
     "gen": (["--model", "unstructured", "--out", "d.txt"],
             [models.gen_unstructured, models.gen_structured_outliers, models.gen_noisy,
              models.gen_clustered_inliers, models.gen_union]),
-    "cop": (["--in", "d.txt", "--r", "2", "--basis-out", "b.txt"],
-            [pursuit.CopConfig, pursuit.GreedyRank, pursuit.TopFraction,
-             pursuit.FixedCount, pursuit.Adaptive]),
+    "cop": (["--in", "d.txt", "--r", "2", "--basis-out", "b.txt"], [pursuit.CopConfig]),
     "phase": ([], [experiments.run_phase_transition]),
     "noise-sweep": ([], [experiments.run_noise_sweep]),
     "structured-sweep": ([], [experiments.run_structured_sweep]),
@@ -323,6 +344,11 @@ def test_unset_options_take_the_library_defaults(command):
             assert repr(value) == repr(default), (command, fn.__name__, name)
             checked += 1
     assert checked
+    if command == "cop":
+        # no strategy option is in the namespace unless given, so each
+        # strategy class fills in all of its own defaults
+        assert cli._OWNERS.keys() == {"rank_tol", "q", "count", "k", "upsilon", "passes"}
+        assert not cli._OWNERS.keys() & vars(ns).keys()
     if command == "check-condition":
         seed = _keyword_defaults(guarantees.validate_condition_empirically)["seed"]
         assert ns.seed == seed

@@ -49,8 +49,7 @@ def test_oracle_identical_columns():
 def test_block_power_sums_match_oracle(p):
     x = unit_columns(7, 23, seed=1)
     got = kernels.block_power_sums(x, p)
-    # the kernel includes the self term, which is exactly 1 for unit columns
-    want = naive_coherence(x, p) + 1.0
+    want = naive_coherence(x, p)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
@@ -59,13 +58,17 @@ def assert_matches_the_gram_oracle(x, p, seed):
     np.testing.assert_allclose(
         coherence(x, p).values, gram_coherence(x, p), rtol=0, atol=1e-12 * n
     )
-    # raw columns with norms from 1e-4 to 1e4; the rounding of any Gram
-    # route is bounded relative to ||d_i||^p * sum_k ||d_k||^p, not to the
-    # value itself, which is tiny for a column nearly orthogonal to the rest
-    d = x * 10.0 ** np.random.default_rng(seed).uniform(-4.0, 4.0, n)
+    # raw columns with norms from 1e-6 to 1e6, the whole matrix times 2^k;
+    # the rounding of any Gram route is bounded relative to
+    # ||d_i||^p * sum_{k != i} ||d_k||^p, not to the value itself, which is
+    # tiny for a column nearly orthogonal to the rest.  The column's own
+    # term is left out of the bound: a self term that is added and then
+    # subtracted would leave its rounding behind
+    rng = np.random.default_rng(seed)
+    d = x * 10.0 ** rng.uniform(-6.0, 6.0, n) * 2.0 ** int(rng.integers(-200, 201))
     scale = np.linalg.norm(d, axis=0) ** p
     err = np.abs(coherence_gram(d, p).values - gram_coherence(d, p))
-    assert np.all(err <= 1e-12 * scale * scale.sum())
+    assert np.all(err <= 1e-12 * scale * (scale.sum() - scale))
 
 
 @settings(max_examples=20, deadline=None)
@@ -105,6 +108,16 @@ def test_every_dispatch_path_matches_the_gram_oracle(p, slabs, shape, tail, shif
     # one, two or three slabs; the last one is ragged unless tail == BLOCK
     n = slabs * kernels.BLOCK + tail
     assert_matches_the_gram_oracle(unit_columns(SHAPES[shape](n, shift), n, seed), p, seed)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_coherence_gram_keeps_the_cross_terms_of_a_dominant_column(p):
+    # column 3's self term is 1e24 times the others' at p=2; subtracting it
+    # after summing left a relative error of 4e-5 on that column
+    d = np.random.default_rng(0).standard_normal((20, 50))
+    d[:, 3] *= 1e6
+    want = gram_coherence(d, p)
+    np.testing.assert_allclose(coherence_gram(d, p).values, want, rtol=1e-14, atol=0)
 
 
 def test_non_contiguous_and_float32_inputs_are_handled():
