@@ -158,7 +158,8 @@ def cmd_cop(ns):
     given = {opt: getattr(ns, opt) for opt in _OWNERS if hasattr(ns, opt)}
     for opt, value in given.items():
         if _OWNERS[opt] != ns.strategy:
-            raise DataError(f"--{opt.replace('_', '-')} {value} requires the {_OWNERS[opt]} strategy")
+            shown = "auto" if value is None else value  # only --upsilon auto parses to None
+            raise DataError(f"--{opt.replace('_', '-')} {shown} requires the {_OWNERS[opt]} strategy")
     strategy = _STRATEGIES[ns.strategy](**given)
     d = io.read_matrix(getattr(ns, "in"))
     res = cop(d, _call(CopConfig, ns, strategy=strategy))
@@ -234,18 +235,15 @@ def cmd_saliency(ns):
 
 
 def cmd_bench(ns):
-    rows = _call(run_bench, ns)
-    per_case = len(rows) // len(ns.cases)  # run_bench emits the cases in order
-    for i, (m, n) in enumerate(ns.cases):
-        picked = rows[i * per_case : (i + 1) * per_case]
-        total = sum(row["seconds"] for row in picked) / ns.runs
-        by_stage = {}
-        for row in picked:
-            by_stage.setdefault(row["stage"], []).append(row["seconds"])
+    report = _call(run_bench, ns)
+    for case in report["cases"]:
+        stages = case["stages"]
+        total = sum(sum(spread["seconds"]) for spread in stages.values()) / ns.runs
         medians = ", ".join(
-            f"{stage} {float(np.median(s)):.3f}s" for stage, s in by_stage.items()
+            f"{stage} {spread['median_s']:.3f}s" for stage, spread in stages.items()
         )
-        print(f"{m}x{n}: pipeline {total:.3f}s/run; stage medians: {medians}")
+        print(f"{case['m']}x{case['n']}: pipeline {total:.3f}s/run; stage medians: {medians}")
+    print(f"import cohpca: median {report['import']['median_s']:.3f}s in a fresh interpreter")
     return 0
 
 
@@ -393,7 +391,6 @@ def build_parser():
     sub.add_argument("--r", type=int)
     sub.add_argument("--p", type=int, choices=[1, 2])
     sub.add_argument("--runs", type=int)
-    sub.add_argument("--csv", dest="csv_path", metavar="CSV")
     sub.add_argument("--json", dest="json_path", metavar="JSON",
                      help="write the environment, the import time and per-stage "
                           "medians and IQRs")

@@ -3,7 +3,7 @@
 Every runner is a pure function of its parameters; randomness flows
 from one base seed into per-cell, per-trial sub-streams, so a run is
 reproducible column for column and any single trial can be replayed.
-Runners optionally write CSV files (first line is a "# cohpca <name> v<N>"
+Runners optionally write CSV files (first line is a "# cohpca <name> v1"
 schema comment, then a header row) and, where it makes sense, PGM
 heatmaps.
 """
@@ -49,14 +49,10 @@ __all__ = [
 ]
 
 
-# schema version of each CSV whose columns have changed; the rest are v1
-_SCHEMA_VERSIONS = {"bench": 4}
-
-
 def write_rows_csv(path, tag, header, rows):
     """Write dict rows to CSV with a schema comment line on top."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# cohpca {tag} v{_SCHEMA_VERSIONS.get(tag, 1)}\n")
+        fh.write(f"# cohpca {tag} v1\n")
         writer = csv.DictWriter(fh, fieldnames=header)
         writer.writeheader()
         for row in rows:
@@ -381,7 +377,9 @@ def _blas_version():
 
 def _bench_environment():
     """Versions, CPU count and BLAS thread settings that a timing depends on."""
-    import scipy  # only reports need scipy's version; the package imports without it
+    # the metadata names scipy's version without loading scipy; imported
+    # here, as importing it at module level slows every import cohpca
+    import importlib.metadata
 
     if hasattr(os, "sched_getaffinity"):
         nproc = len(os.sched_getaffinity(0))
@@ -390,7 +388,7 @@ def _bench_environment():
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
+        "scipy": importlib.metadata.version("scipy"),
         "blas": _blas_version(),
         "nproc": nproc,
         "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
@@ -432,27 +430,24 @@ def run_bench(
     p=2,
     runs=1,
     seed=0,
-    csv_path=None,
     json_path=None,
 ):
-    """Stage timings of the full pipeline on unstructured data.
+    """Stage timings of the full pipeline on unstructured data, as one report.
 
     ``cases`` lists (m, n) sizes; each gets n1 = n/5 inliers and the
     rest outliers.  Each run writes the data matrix to a text file in a
     temporary directory, reads it back, and times the calls ``cop``
     makes on the matrix it read: ``normalize_columns``, ``coherence``
-    and the ``select`` of ``CopConfig``'s default strategy.  One row per
-    (case, run, stage), seconds in the last column.  All non-timing
-    columns are deterministic for a fixed seed.
-    ``json_path`` receives the environment, the median and interquartile
-    range over the runs of the seconds a fresh interpreter takes to
-    ``import cohpca`` and, per case and stage, the same spread of the
-    stage seconds.
+    and the ``select`` of ``CopConfig``'s default strategy.  The
+    returned report holds the environment, the settings, the spread
+    (median, interquartile range and the seconds of every run, in run
+    order) of the time a fresh interpreter takes to ``import cohpca``
+    and, per case and stage, the same spread of the stage seconds.
+    ``json_path`` receives the same report as JSON.
     """
     _integer(runs, "runs", 1)
     cases = _nonempty("cases", cases)
     checked = [_bench_case(m, n, r, p) for m, n in cases]
-    rows = []
     summary = []
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "d.txt")
@@ -463,21 +458,18 @@ def run_bench(
                     case["m"], case["r"], case["n1"], case["n2"], seed=(seed, ci, run)
                 )
                 for stage, s in _bench_pipeline(ds.d, case["r"], p, path).items():
-                    rows.append({**case, "run": run, "stage": stage, "seconds": s})
                     seconds.setdefault(stage, []).append(s)
             stages = {stage: _spread(s) for stage, s in seconds.items()}
             summary.append({**case, "stages": stages})
-    if csv_path:
-        write_rows_csv(csv_path, "bench", list(rows[0]), rows)
+    report = {
+        "schema": "cohpca bench-json v3",
+        "environment": _bench_environment(),
+        "settings": {"runs": runs, "seed": seed},
+        "import": _spread(_import_seconds(runs)),
+        "cases": summary,
+    }
     if json_path:
-        report = {
-            "schema": "cohpca bench-json v3",
-            "environment": _bench_environment(),
-            "settings": {"runs": runs, "seed": seed},
-            "import": _spread(_import_seconds(runs)),
-            "cases": summary,
-        }
         with open(json_path, "w") as fh:
             json.dump(report, fh, indent=2)
             fh.write("\n")
-    return rows
+    return report

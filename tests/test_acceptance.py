@@ -5,11 +5,17 @@ verbose run doubles as a short report.  Runtimes are asserted where the
 behavior itself is about cost; everything else is seeded and exact.
 """
 
+import json
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 
+import cohpca
 from cohpca.experiments import (
+    _THREAD_VARS,
     run_cluster_correction,
     run_noise_sweep,
     run_phase_transition,
@@ -201,32 +207,51 @@ def test_label_correction_converges():
     )
 
 
-def alternating_medians(fn, xs, reps=5):
-    # the inputs take turns, so that a burst of load from elsewhere hits
-    # every size alike; one median per input, no retries
-    seconds = {key: [] for key in xs}
-    for _ in range(reps):
-        for key, x in xs.items():
-            t0 = time.perf_counter()
-            fn(x)
-            seconds[key].append(time.perf_counter() - t0)
-    return {key: float(np.median(t)) for key, t in seconds.items()}
+# Times coherence(x, p) on unit data of m rows and each n in sizes, in CPU
+# seconds.  The sizes take turns for 5 rounds, so a burst of load from
+# elsewhere hits every size alike; one median per size, no retries.
+CPU_MEDIANS = """
+import json, sys, time
+import numpy as np
+from cohpca.linalg import coherence, normalize_columns
+from cohpca.models import gen_unstructured
+m, p, sizes = json.loads(sys.argv[1])
+xs = {n: normalize_columns(gen_unstructured(m, 10, n // 5, n - n // 5, seed=(0, n)).d).x
+      for n in sizes}
+seconds = {n: [] for n in sizes}
+for _ in range(5):
+    for n, x in xs.items():
+        t0 = time.process_time()
+        coherence(x, p)
+        seconds[n].append(time.process_time() - t0)
+print(json.dumps([float(np.median(seconds[n])) for n in sizes]))
+"""
 
 
-def unit_data(m, n):
-    return normalize_columns(gen_unstructured(m, 10, n // 5, n - n // 5, seed=(0, n)).d).x
+def cpu_medians(m, p, sizes):
+    # one child with one BLAS thread: its process time is the call's own
+    # CPU time, so a competing process reaches it only through the caches
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cohpca.__file__)))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    env.update({var: "1" for var in _THREAD_VARS})
+    out = subprocess.run(
+        [sys.executable, "-c", CPU_MEDIANS, json.dumps([m, p, sizes])],
+        env=env, capture_output=True, text=True, check=True, timeout=600,
+    )
+    return dict(zip(sizes, json.loads(out.stdout)))
 
 
 def test_kernel_cost_scales_quadratically():
-    # p=1 always walks the Gram, O(m n^2): doubling n at fixed m should
-    # cost ~4x; n=5000 keeps each timing far above scheduler jitter
-    xs = {n: unit_data(200, n) for n in (5000, 10000)}
-    med = alternating_medians(lambda x: coherence(x, 1), xs)
+    # p=1 always walks the Gram, O(m n^2): doubling n at fixed m costs
+    # mn(n + BLOCK) flops, 3.90x; n=5000 keeps each timing far above
+    # scheduler jitter
+    med = cpu_medians(200, 1, [5000, 10000])
     ratio = med[10000] / med[5000]
     report(
         "kernel-cost-scaling",
         3.0 <= ratio <= 6.0,
-        f"p=1 coherence medians {med[5000]:.3f}s -> {med[10000]:.3f}s, "
+        f"p=1 coherence CPU medians {med[5000]:.3f}s -> {med[10000]:.3f}s, "
         f"ratio {ratio:.2f} in [3, 6]",
     )
 
@@ -234,13 +259,12 @@ def test_kernel_cost_scales_quadratically():
 def test_covariance_kernel_cost_scales_linearly():
     # p=2 with m < n takes the covariance form, O(m^2 n): doubling n at
     # fixed m should cost ~2x, where the Gram walk would cost ~4x
-    xs = {n: unit_data(300, n) for n in (10000, 20000)}
-    med = alternating_medians(lambda x: coherence(x, 2), xs)
+    med = cpu_medians(300, 2, [10000, 20000])
     ratio = med[20000] / med[10000]
     report(
         "covariance-kernel-cost-scaling",
         1.5 <= ratio <= 3.0,
-        f"p=2 coherence medians {med[10000]:.3f}s -> {med[20000]:.3f}s, "
+        f"p=2 coherence CPU medians {med[10000]:.3f}s -> {med[20000]:.3f}s, "
         f"ratio {ratio:.2f} in [1.5, 3]",
     )
 

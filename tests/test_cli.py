@@ -168,7 +168,8 @@ def test_cop_rejects_passes_for_a_strategy_without_rounds(tmp_path, capsys):
     ("greedy", ["--q", "0.3"], None, "--q 0.3 requires the top-fraction strategy"),
     ("adaptive", ["--count", "5"], None, "--count 5 requires the fixed-count strategy"),
     ("greedy", [], "k = 9", "--k 9 requires the adaptive strategy"),
-], ids=["greedy-q", "adaptive-count", "greedy-config-k"])
+    ("greedy", ["--upsilon", "auto"], None, "--upsilon auto requires the adaptive strategy"),
+], ids=["greedy-q", "adaptive-count", "greedy-config-k", "greedy-upsilon-auto"])
 def test_cop_rejects_the_options_of_another_strategy(
     tmp_path, capsys, strategy, option, line, message
 ):
@@ -206,17 +207,18 @@ def test_impossible_strategy_parameters_exit_1(tmp_path, capsys):
 
 def test_empty_experiment_grids_exit_1(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
+    json_path = tmp_path / "out.json"
     cases = [
         (("phase", "--n1-over-r", "", "--csv", csv_path), "n1_over_r"),
         (("phase", "--n2-over-m", "", "--pgm", tmp_path / "out.pgm"), "n2_over_m"),
         (("noise-sweep", "--taus", "", "--csv", csv_path), "taus"),
         (("structured-sweep", "--mus", "", "--csv", csv_path), "mus"),
         (("cluster-correct", "--seeds", 0, "--csv", csv_path), "seeds"),
-        (("bench", "--cases", "40x4", "--csv", csv_path), "bench case 40x4: inlier count n1=0"),
-        (("bench", "--cases", "3x1", "--csv", csv_path), "bench case 3x1"),
-        (("bench", "--cases", "3x100", "--csv", csv_path), "bench case 3x100: rank r=10"),
+        (("bench", "--cases", "40x4", "--json", json_path), "bench case 40x4: inlier count n1=0"),
+        (("bench", "--cases", "3x1", "--json", json_path), "bench case 3x1"),
+        (("bench", "--cases", "3x100", "--json", json_path), "bench case 3x100: rank r=10"),
         # a case that cannot run is named even after one that can
-        (("bench", "--cases", "20x30,3x100", "--csv", csv_path), "bench case 3x100"),
+        (("bench", "--cases", "20x30,3x100", "--json", json_path), "bench case 3x100"),
     ]
     for args, name in cases:
         capsys.readouterr()
@@ -280,11 +282,14 @@ def test_saliency_round_trip(tmp_path, capsys):
 
 def test_bench_runs_on_one_backend(tmp_path, capsys):
     assert run("bench", "--cases", "30x40", "--r", 3, "--runs", 1,
-               "--csv", tmp_path / "b.csv", "--json", tmp_path / "b.json") == 0
+               "--json", tmp_path / "b.json") == 0
     out = capsys.readouterr().out
     assert "30x40: pipeline" in out and "write" in out and "read" in out
+    assert "import cohpca: median" in out
     report = json.loads((tmp_path / "b.json").read_text())
     assert [(case["m"], case["n"]) for case in report["cases"]] == [(30, 40)]
+    # the report is the bench's one output; bench has no --csv
+    assert run("bench", "--cases", "30x40", "--csv", tmp_path / "b.csv") == 1
 
 
 def test_check_condition_report(tmp_path, capsys):

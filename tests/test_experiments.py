@@ -236,26 +236,21 @@ def test_saliency_degenerate_images():
 # ---- benchmark ----
 
 
-def test_bench_row_structure(tmp_path):
-    csv_path = tmp_path / "bench.csv"
-    rows = run_bench(
-        cases=((40, 50),), r=3, runs=2, seed=0, csv_path=csv_path,
-    )
-    assert len(rows) == 2 * 5  # runs x stages
-    stages = [row["stage"] for row in rows[:5]]
-    assert stages == ["write", "read", "normalize", "coherence", "select"]
-    for row in rows:
-        assert row["seconds"] >= 0.0
-        assert (row["m"], row["n"], row["n1"], row["n2"]) == (40, 50, 10, 40)
-    schema, _ = read_csv_rows(csv_path)
-    assert "block" not in rows[0]
-    assert schema == "# cohpca bench v4"
+def test_bench_row_structure():
+    report = run_bench(cases=((40, 50),), r=3, runs=2, seed=0)
+    (case,) = report["cases"]
+    assert (case["m"], case["n"], case["n1"], case["n2"]) == (40, 50, 10, 40)
+    assert list(case["stages"]) == ["write", "read", "normalize", "coherence", "select"]
+    for spread in case["stages"].values():
+        assert len(spread["seconds"]) == 2  # one entry per run
+        assert min(spread["seconds"]) >= 0.0
 
 
 def test_bench_json_report(tmp_path):
     json_path = tmp_path / "bench.json"
-    rows = run_bench(cases=((20, 30), (10, 25)), r=2, runs=3, seed=1, json_path=json_path)
+    returned = run_bench(cases=((20, 30), (10, 25)), r=2, runs=3, seed=1, json_path=json_path)
     report = json.loads(json_path.read_text())
+    assert returned == report
     assert set(report) == {"schema", "environment", "settings", "import", "cases"}
     assert report["schema"] == "cohpca bench-json v3"
     start = report["import"]
@@ -269,19 +264,16 @@ def test_bench_json_report(tmp_path):
         "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
     }
     assert report["settings"] == {"runs": 3, "seed": 1}
-    assert [(c["m"], c["n"], c["n1"], c["r"]) for c in report["cases"]] == [
-        (20, 30, 6, 2), (10, 25, 5, 2)
-    ]
+    assert [
+        (c["m"], c["n"], c["n1"], c["n2"], c["r"], c["p"]) for c in report["cases"]
+    ] == [(20, 30, 6, 24, 2, 2), (10, 25, 5, 20, 2, 2)]
     for case in report["cases"]:
         assert list(case["stages"]) == [
             "write", "read", "normalize", "coherence", "select"
         ]
-        for stage, spread in case["stages"].items():
-            seconds = [
-                row["seconds"] for row in rows
-                if (row["m"], row["n"], row["stage"]) == (case["m"], case["n"], stage)
-            ]
-            assert spread["seconds"] == seconds
+        for spread in case["stages"].values():
+            seconds = spread["seconds"]
+            assert len(seconds) == 3 and min(seconds) >= 0.0
             q1, median, q3 = np.percentile(seconds, [25, 50, 75])
             assert spread["median_s"] == median
             assert spread["iqr_s"] == q3 - q1 >= 0.0

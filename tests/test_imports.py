@@ -1,9 +1,9 @@
 """What a fresh interpreter loads.
 
 scipy serves only ``tail_f`` and ``clustering_error``, so importing the
-package and running ``gen`` then ``cop`` must not load it.  Each check
-runs in a new ``sys.executable`` process: this one has scipy loaded
-already (``tests/oracles.py`` imports ``scipy.special``).
+package, running ``gen`` then ``cop`` and running the bench must not
+load it.  Each check runs in a new ``sys.executable`` process: this one
+has scipy loaded already (``tests/oracles.py`` imports ``scipy.special``).
 """
 
 import json
@@ -28,6 +28,16 @@ codes = [
 ]
 scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 print(json.dumps({"codes": codes, "scipy": scipy}))
+"""
+
+BENCH = """
+import json, sys
+import cohpca
+metadata = "importlib.metadata" in sys.modules
+from cohpca.experiments import run_bench
+report = run_bench(cases=((20, 30),), runs=1, json_path=sys.argv[1])
+scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"metadata": metadata, "scipy": scipy, "version": report["environment"]["scipy"]}))
 """
 
 SCIPY_USERS = """
@@ -66,6 +76,15 @@ def test_import_and_gen_then_cop_load_no_scipy(tmp_path):
                  cwd=tmp_path)
     assert got == {"codes": [0, 0], "scipy": []}
     assert (tmp_path / "b.txt").exists()
+
+
+def test_bench_reports_scipy_without_loading_it(tmp_path):
+    import scipy  # already loaded in this process, see above
+
+    got = _fresh(BENCH, str(tmp_path / "b.json"), cwd=tmp_path)
+    # import cohpca alone leaves importlib.metadata out; the bench reads
+    # scipy's version from it
+    assert got == {"metadata": False, "scipy": [], "version": scipy.__version__}
 
 
 def test_scipy_users_load_it_on_first_call(tmp_path):
