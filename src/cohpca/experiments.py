@@ -421,7 +421,8 @@ def _bench_case(m, n, r, p):
         _check_sizes(m, case["r"], n1, case["n2"])
     except DataError as err:
         raise DataError(f"bench case {m}x{n}: {err}") from None
-    return case
+    # plain ints, so the report is JSON whatever integer types came in
+    return {key: _integer(value, key) for key, value in case.items()}
 
 
 def run_bench(
@@ -445,7 +446,11 @@ def run_bench(
     and, per case and stage, the same spread of the stage seconds.
     ``json_path`` receives the same report as JSON.
     """
-    _integer(runs, "runs", 1)
+    runs = _integer(runs, "runs", 1)
+    # the stream path of the seed as plain ints, so the report is JSON
+    # whatever integer types came in; a tuple seed is recorded as a list
+    head = tuple(seed) if isinstance(seed, tuple) else (seed,)
+    head = tuple(_integer(s, "seed component", 0) for s in head)
     cases = _nonempty("cases", cases)
     checked = [_bench_case(m, n, r, p) for m, n in cases]
     summary = []
@@ -455,7 +460,7 @@ def run_bench(
             seconds = {}
             for run in range(runs):
                 ds = gen_unstructured(
-                    case["m"], case["r"], case["n1"], case["n2"], seed=(seed, ci, run)
+                    case["m"], case["r"], case["n1"], case["n2"], seed=(*head, ci, run)
                 )
                 for stage, s in _bench_pipeline(ds.d, case["r"], p, path).items():
                     seconds.setdefault(stage, []).append(s)
@@ -464,12 +469,13 @@ def run_bench(
     report = {
         "schema": "cohpca bench-json v3",
         "environment": _bench_environment(),
-        "settings": {"runs": runs, "seed": seed},
+        "settings": {"runs": runs, "seed": list(head) if isinstance(seed, tuple) else head[0]},
         "import": _spread(_import_seconds(runs)),
         "cases": summary,
     }
     if json_path:
+        # serialized before the file is opened: a failure leaves no partial file
+        text = json.dumps(report, indent=2) + "\n"
         with open(json_path, "w") as fh:
-            json.dump(report, fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     return report

@@ -15,7 +15,9 @@ k = i is left out here.  The path follows from the shape of the m-by-n x:
   m >= n: slabs of ``BLOCK`` columns, each multiplied only against itself
   and the columns after it with its diagonal zeroed, so every symmetric
   entry is computed once and no self term is added: about m n (n + BLOCK)
-  flops, and one ``BLOCK``-by-n buffer that every slab reuses.
+  flops, and one ``BLOCK``-by-n buffer that every slab reuses.  Each slab's
+  row and column sums are two BLAS matrix-vector products with a ones
+  vector, written into one length-n vector that every slab reuses.
 """
 
 import numpy as np
@@ -45,6 +47,8 @@ def walk_power_sums(x, p):
     n = x.shape[1]
     out = np.zeros(n)
     buf = np.empty(min(BLOCK, n) * n)
+    ones = np.ones(n)
+    part = np.empty(n)
     for lo in range(0, n, BLOCK):
         hi = min(lo + BLOCK, n)
         # rows lo:hi of the Gram from column lo on, written into the front
@@ -59,8 +63,11 @@ def walk_power_sums(x, p):
             np.abs(g, out=g)
         else:
             np.square(g, out=g)
-        out[lo:hi] += g.sum(axis=1)
+        # row sums, then column sums, as matrix-vector products with ones:
+        # BLAS spreads them over its threads and writes them into ``part``,
+        # so no slab allocates
+        out[lo:hi] += np.matmul(g, ones[: n - lo], out=part[: hi - lo])
         # the entries right of the diagonal block also belong to the
         # later columns' sums
-        out[hi:] += g[:, hi - lo :].sum(axis=0)
+        out[hi:] += np.matmul(ones[: hi - lo], g[:, hi - lo :], out=part[: n - hi])
     return out

@@ -279,6 +279,26 @@ def test_bench_json_report(tmp_path):
             assert spread["iqr_s"] == q3 - q1 >= 0.0
 
 
+@pytest.mark.parametrize(
+    "kw, settings",
+    [
+        (dict(runs=np.int64(1), seed=np.int64(3)), {"runs": 1, "seed": 3}),
+        (dict(runs=1, seed=(1, np.int64(2))), {"runs": 1, "seed": [1, 2]}),
+        (
+            dict(cases=((np.int64(10), np.int64(25)),), r=np.int64(2), p=np.int64(1)),
+            {"runs": 1, "seed": 0},
+        ),
+    ],
+    ids=["numpy-runs-and-seed", "tuple-seed", "numpy-case"],
+)
+def test_bench_report_is_the_json_it_writes_for_any_integer_types(tmp_path, kw, settings):
+    json_path = tmp_path / "bench.json"
+    returned = run_bench(**{"cases": ((10, 25),), "r": 2, **kw}, json_path=json_path)
+    with open(json_path) as fh:
+        assert returned == json.load(fh)
+    assert returned["settings"] == settings
+
+
 def test_bench_validation():
     with pytest.raises(DataError):
         run_bench(cases=((20, 30),), runs=0)

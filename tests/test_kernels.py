@@ -111,6 +111,18 @@ def test_every_dispatch_path_matches_the_gram_oracle(p, slabs, shape, tail, shif
 
 
 @pytest.mark.parametrize("p", [1, 2])
+def test_the_walk_is_exactly_sign_invariant(p):
+    # three slabs, the last one ragged: a flipped column flips each of its
+    # Gram entries exactly, and |.| or ^2 removes the sign before any sum
+    n = 2 * kernels.BLOCK + 37
+    x = unit_columns(30, n, seed=7)
+    signs = np.where(np.random.default_rng(8).random(n) < 0.5, -1.0, 1.0)
+    np.testing.assert_array_equal(
+        kernels.walk_power_sums(x * signs, p), kernels.walk_power_sums(x, p)
+    )
+
+
+@pytest.mark.parametrize("p", [1, 2])
 def test_coherence_gram_keeps_the_cross_terms_of_a_dominant_column(p):
     # column 3's self term is 1e24 times the others' at p=2; subtracting it
     # after summing left a relative error of 4e-5 on that column
