@@ -9,8 +9,11 @@ k = i is left out here.  The path follows from the shape of the m-by-n x:
 
 * covariance form, for p = 2 with m < n: x_i' (X X') x_i minus ||x_i||^4,
   clamped at zero; it is the one path that subtracts.  m^2 n flops for
-  X X' (BLAS computes one triangle) and 2 m^2 n for (X X') X, so O(m^2 n)
-  time and O(m^2 + m n) extra memory.
+  C = X X' (BLAS computes one triangle) and 2 m^2 n for C X, so O(m^2 n)
+  time.  C X is taken ``COV_BLOCK`` columns at a time through one reused
+  m-by-``COV_BLOCK`` buffer, each block reduced to its x_i' C x_i before
+  the next, so the extra memory is O(m^2 + m COV_BLOCK + n), with no
+  m-by-n product.
 * half-Gram walk (``walk_power_sums``), for p = 1 and for p = 2 with
   m >= n: slabs of ``BLOCK`` columns, each multiplied only against itself
   and the columns after it with its diagonal zeroed, so every symmetric
@@ -24,16 +27,27 @@ import numpy as np
 
 from .errors import DataError
 
-__all__ = ["BLOCK", "block_power_sums", "walk_power_sums"]
+__all__ = ["BLOCK", "COV_BLOCK", "block_power_sums", "walk_power_sums"]
 
 BLOCK = 256
+COV_BLOCK = 1024
 
 
 def block_power_sums(x, p):
     """Per-column sums sum_{k != i} |x_i' x_k|^p; ``p`` must be 1 or 2."""
     x = np.ascontiguousarray(x, dtype=np.float64)
-    if p == 2 and x.shape[0] < x.shape[1]:
-        sums = np.einsum("ij,ij->j", x, (x @ x.T) @ x)
+    m, n = x.shape
+    if p == 2 and m < n:
+        c = x @ x.T
+        sums = np.empty(n)
+        buf = np.empty(m * min(COV_BLOCK, n))
+        for lo in range(0, n, COV_BLOCK):
+            hi = min(lo + COV_BLOCK, n)
+            # C times one block of columns, written into the front of the
+            # one buffer, then each column's x_i' (C x_i) straight into sums
+            cx = buf[: m * (hi - lo)].reshape(m, hi - lo)
+            np.matmul(c, x[:, lo:hi], out=cx)
+            np.einsum("ij,ij->j", x[:, lo:hi], cx, out=sums[lo:hi])
         sums -= np.einsum("ij,ij->j", x, x) ** 2
         return np.maximum(sums, 0.0, out=sums)
     return walk_power_sums(x, p)

@@ -84,8 +84,11 @@ def normalize_columns(d):
     matrix can be normalized: the columns are first multiplied by the
     power of two that brings the largest magnitude into [0.5, 1), which
     is exact, so no sum of squares overflows or, in a column that is
-    kept, underflows.  Besides ``d``, one matrix of its size is live at a
-    time: the squares while the norms are summed, then the output.
+    kept, underflows.  Besides ``d``, one matrix of its size is live: a
+    C-ordered buffer that holds the squares while the norms are summed
+    and is then overwritten with the output, so ``x`` is C-ordered
+    whatever the layout of ``d``.  Only when a column is dropped is that
+    buffer freed and the output made anew from the kept columns.
     """
     d = _as_2d(d)
     top = max(d.max(), -d.min())
@@ -95,19 +98,21 @@ def normalize_columns(d):
     if top == 0.0:
         raise DataError("all columns are zero")
     e = int(np.frexp(top)[1])
-    sq = np.ldexp(d, -e)
-    np.square(sq, out=sq)
-    norms = np.add.reduce(sq, axis=0)
-    del sq  # freed before the output is made
+    # C-ordered for any d, so the norms are summed row by row, in the
+    # same order, whatever the layout of d
+    x = np.ldexp(d, -e, order="C")
+    np.square(x, out=x)
+    norms = np.add.reduce(x, axis=0)
     np.sqrt(norms, out=norms)
     kept = np.flatnonzero(norms > ZERO_COLUMN_TOL * norms.max())
     if kept.size < d.shape[1]:
+        del x  # freed before the output is made
         norms = norms[kept]
         # np.take keeps x C-ordered, where d[:, kept] would be F-ordered
         x = np.take(d, kept, axis=1)
         np.ldexp(x, -e, out=x)
     else:
-        x = np.ldexp(d, -e)
+        np.ldexp(d, -e, out=x)
     x /= norms
     return Normalized(x, kept)
 
@@ -211,7 +216,7 @@ def random_projection(x, d, seed, phi=None):
 def _require_orthonormal(u, name):
     u = _as_matrix(u, name)
     gram = u.T @ u
-    if not np.allclose(gram, np.eye(u.shape[1]), atol=1e-8):
+    if not np.allclose(gram, np.eye(u.shape[1]), rtol=0, atol=1e-8):
         raise DataError(f"{name} does not have orthonormal columns")
     return u
 

@@ -13,18 +13,23 @@ import numpy as np
 from scipy.special import gammaln
 
 
-def naive_coherence(x, p):
-    """Per-column coherence by an explicit double loop with fsum."""
+def naive_coherence(x, p, columns=None):
+    """Per-column coherence by an explicit double loop with fsum.
+
+    ``columns`` limits the outer loop to those columns, in that order, so
+    a wide matrix can be checked at a few columns; by default all of them.
+    """
     m, n = x.shape
-    out = np.zeros(n)
-    for i in range(n):
+    columns = range(n) if columns is None else list(columns)
+    out = np.zeros(len(columns))
+    for j, i in enumerate(columns):
         terms = []
         for k in range(n):
             if k == i:
                 continue
             dot = math.fsum(float(x[q, i]) * float(x[q, k]) for q in range(m))
             terms.append(abs(dot) if p == 1 else dot * dot)
-        out[i] = math.fsum(terms)
+        out[j] = math.fsum(terms)
     return out
 
 

@@ -1,6 +1,7 @@
 """Coherence kernel against the hand-verified double-loop and full-Gram oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -120,6 +121,58 @@ def test_the_walk_is_exactly_sign_invariant(p):
     np.testing.assert_array_equal(
         kernels.walk_power_sums(x * signs, p), kernels.walk_power_sums(x, p)
     )
+
+
+# ---- the covariance form's column blocks (p=2, m < n) ----
+
+
+@pytest.mark.parametrize("tail", [1, kernels.COV_BLOCK])
+@pytest.mark.parametrize("blocks", [0, 1, 2])
+def test_every_covariance_block_matches_the_naive_oracle(blocks, tail):
+    # one, two or three blocks, the last one a single column or full; with
+    # no whole block before it, a one-column tail is a lone column, which
+    # the walk takes (m >= n)
+    n = blocks * kernels.COV_BLOCK + tail
+    x = unit_columns(5, n, seed=blocks * 10 + tail)
+    # the first and last column of every block
+    starts = range(0, n, kernels.COV_BLOCK)
+    edges = sorted({c for lo in starts for c in (lo, min(lo + kernels.COV_BLOCK, n) - 1)})
+    got = kernels.block_power_sums(x, 2)[edges]
+    np.testing.assert_allclose(got, naive_coherence(x, 2, edges), rtol=0, atol=1e-12 * n)
+
+
+def test_the_covariance_form_is_exactly_sign_invariant():
+    # three blocks, the last one ragged: X X' does not see the signs, and
+    # a flipped column flips its block's product column exactly
+    n = 2 * kernels.COV_BLOCK + 37
+    x = unit_columns(30, n, seed=9)
+    signs = np.where(np.random.default_rng(10).random(n) < 0.5, -1.0, 1.0)
+    np.testing.assert_array_equal(
+        kernels.block_power_sums(x * signs, 2), kernels.block_power_sums(x, 2)
+    )
+
+
+@pytest.mark.parametrize("m, n", [(1, 2), (20, 500), (100, kernels.COV_BLOCK)])
+def test_one_covariance_block_keeps_the_bits_of_the_whole_product(m, n):
+    # within one block the product is the one (X X') X of the whole matrix
+    x = unit_columns(m, n, seed=n)
+    want = np.einsum("ij,ij->j", x, (x @ x.T) @ x) - np.einsum("ij,ij->j", x, x) ** 2
+    np.testing.assert_array_equal(kernels.block_power_sums(x, 2), np.maximum(want, 0.0))
+
+
+def test_the_covariance_form_holds_one_block():
+    m, n = 20, 5000
+    x = unit_columns(m, n, seed=11)
+    tracemalloc.start()
+    try:
+        kernels.block_power_sums(x, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # X X', one m-by-COV_BLOCK block of the product and three length-n
+    # vectors: the sums, the squared norms and their squares
+    bound = 1.1 * 8 * (m * m + m * kernels.COV_BLOCK + 3 * n)
+    assert peak <= bound, f"peak {peak} B, bound {bound:.0f} B"
 
 
 @pytest.mark.parametrize("p", [1, 2])

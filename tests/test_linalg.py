@@ -1,6 +1,8 @@
 """Numeric core: normalization, coherence, bases, recovery error."""
 
+import dataclasses
 import math
+import pickle
 import tracemalloc
 
 import numpy as np
@@ -20,7 +22,7 @@ from cohpca.linalg import (
     top_r_singular_subspace,
 )
 from cohpca.models import gen_noisy, gen_unstructured, sigma_for_tau
-from cohpca.pursuit import Adaptive, CopConfig, cop
+from cohpca.pursuit import Adaptive, CopConfig, CopResult, cop, residual_outliers
 
 from oracles import naive_coherence, subspace_distance
 
@@ -296,6 +298,24 @@ def test_multipass_holds_one_normalized_copy_plus_one_slab(m, n):
     assert peak <= bound, f"peak {peak} B, bound {bound:.0f} B"
 
 
+@pytest.mark.parametrize("p", [1, 2])
+def test_cop_gives_f_ordered_data_the_same_bytes_in_no_more_memory(p):
+    # the normalized copy is C-ordered whatever the layout of d: its norms
+    # are summed in the same order, and the kernel takes it without a copy
+    d = gen_unstructured(40, 3, 600, 2400, seed=8).d
+    f = np.asfortranarray(d)
+    cfg = CopConfig(r=3, p=p)
+    want, got = cop(d, cfg), cop(f, cfg)
+    for field in dataclasses.fields(CopResult):
+        # pickle holds an array's bytes, dtype, shape and order
+        a, b = (pickle.dumps(getattr(res, field.name)) for res in (got, want))
+        assert a == b, field.name
+    # the first traced call can carry a few hundred bytes of one-off
+    # allocations, so each layout keeps the lower of two peaks
+    peak_f, peak_c = (min(traced_peak(cop, a, cfg) for _ in range(2)) for a in (f, d))
+    assert peak_f <= peak_c, f"F-ordered peak {peak_f} B, C-ordered {peak_c} B"
+
+
 def test_coherence_values_are_non_negative_and_profile_checks_p():
     x, _ = normalize_columns(random_matrix(5, 5, seed=2))
     assert np.all(coherence(x, 2).values >= 0.0)
@@ -418,6 +438,24 @@ def test_recovery_error_bounds_and_validation():
         recovery_error(u * 2.0, u)
     with pytest.raises(DataError):
         recovery_error(u, random_basis(9, 3, seed=22))
+
+
+@pytest.mark.parametrize("scale, orthonormal", [(1 + 5e-6, False), (1 + 1e-10, True)])
+def test_a_column_norm_off_by_more_than_1e_8_is_not_orthonormal(scale, orthonormal):
+    # the Gram's diagonal is held to the same 1e-8 as its other entries,
+    # with no relative slack on top
+    q = random_basis(10, 3, seed=23)
+    b = q.copy()
+    b[:, 1] *= scale
+    d = random_matrix(10, 6, seed=24)
+    if orthonormal:
+        assert recovery_error(q, b) < 1e-9
+        residual_outliers(d, b)
+        return
+    with pytest.raises(DataError, match="orthonormal"):
+        recovery_error(q, b)
+    with pytest.raises(DataError, match="orthonormal"):
+        residual_outliers(d, b)
 
 
 def test_rotated_basis_recovers_exactly():
