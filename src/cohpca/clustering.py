@@ -30,11 +30,11 @@ def assign_to_subspaces(d, bases, fallback=None):
     """Assign every column to the basis it projects onto most strongly.
 
     Scores are ||U_k' x||_2 on the columns scaled to unit norm by
-    ``normalize_columns``; ties go to the lowest cluster id.  A column
-    that rule drops as numerically zero keeps its label from
-    ``fallback`` (one label per column); without ``fallback`` it is an
-    error that names it.  Every basis must be orthonormal, with one row
-    per row of ``d``.
+    ``normalize_columns``; ties go to the lowest cluster id.  An
+    all-zero column, the only kind that rule drops, keeps its label from
+    ``fallback`` (one label per column, each in 0..L-1 for L bases);
+    without ``fallback`` it is an error that names it.  Every basis must
+    be orthonormal, with one row per row of ``d``.
     """
     x, kept = normalize_columns(d)
     m, n = x.shape[0], np.shape(d)[1]
@@ -44,16 +44,17 @@ def assign_to_subspaces(d, bases, fallback=None):
     for k, u in enumerate(bases):
         if u.shape[0] != m:
             raise DataError(f"basis {k} has shape {u.shape}, need {m} rows like the data")
-    if fallback is not None and np.shape(fallback) != (n,):
-        raise DataError(
-            f"fallback has shape {np.shape(fallback)}, need one label per column ({n})"
-        )
     labels = np.empty(n, dtype=np.intp)
-    if kept.size < n:
-        if fallback is None:
-            dead = np.setdiff1d(np.arange(n), kept)[0]
-            raise DataError(f"column {dead} has zero norm, no fallback")
+    if fallback is not None:
+        if np.shape(fallback) != (n,):
+            raise DataError(f"fallback has shape {np.shape(fallback)}, need {n} labels")
+        wrong = np.setdiff1d(fallback, np.arange(len(bases)))
+        if wrong.size:
+            raise DataError(f"fallback label {wrong[0]} is not in 0..{len(bases) - 1}")
         labels[:] = fallback
+    elif kept.size < n:
+        dead = np.setdiff1d(np.arange(n), kept)[0]
+        raise DataError(f"column {dead} has zero norm, no fallback")
     labels[kept] = np.argmax([np.linalg.norm(u.T @ x, axis=0) for u in bases], axis=0)
     return labels
 

@@ -140,9 +140,7 @@ def run_phase_transition(
     if csv_path:
         write_rows_csv(csv_path, "phase", list(rows[0]), rows)
     if pgm_path:
-        from .io import write_pgm
-
-        write_pgm(pgm_path, np.rint(255 * fractions))
+        io.write_pgm(pgm_path, np.rint(255 * fractions))
     return PhaseResult(
         fractions, n1_over_r, n2_over_m, m, r, trials, count, p, success_tol
     )

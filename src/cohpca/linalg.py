@@ -32,7 +32,6 @@ __all__ = [
     "recovery_error",
 ]
 
-ZERO_COLUMN_TOL = 1e-14
 UNIT_COLUMN_TOL = 1e-8
 RANK_REL_TOL = 1e-10
 SIGMA_GAP_TOL = 1e-12
@@ -78,41 +77,42 @@ def normalize_columns(d):
     """Scale every column to the unit sphere.
 
     Returns ``Normalized(x, kept)`` where ``kept`` maps columns of ``x``
-    back to columns of ``d``.  A column that is zero, or whose norm is
-    below 1e-14 times the largest column norm, is dropped and absent
-    from ``kept``; if every column is zero that is an error.  Any finite
-    matrix can be normalized: the columns are first multiplied by the
-    power of two that brings the largest magnitude into [0.5, 1), which
-    is exact, so no sum of squares overflows or, in a column that is
-    kept, underflows.  Besides ``d``, one matrix of its size is live: a
-    C-ordered buffer that holds the squares while the norms are summed
-    and is then overwritten with the output, so ``x`` is C-ordered
-    whatever the layout of ``d``.  Only when a column is dropped is that
-    buffer freed and the output made anew from the kept columns.
+    back to columns of ``d``.  Only an all-zero column is dropped, with
+    no threshold; if every column is zero that is an error.  Each column
+    is first multiplied by the power of two that brings its own largest
+    magnitude into [0.5, 1), which is exact, so no sum of squares
+    overflows or underflows, and a power-of-two column scale leaves
+    ``x`` bit for bit as it is.  Besides ``d``, one matrix of its size
+    is live: a C-ordered buffer that holds the magnitudes and then the
+    output, unless a column is dropped and the output is made anew.
     """
     d = _as_2d(d)
-    top = max(d.max(), -d.min())
-    # max and min propagate NaN, and an Inf makes top infinite
-    if not np.isfinite(top):
+    # made before any length-n array: one made first can cost 15 MiB of RSS
+    x = np.abs(d, order="C")
+    norms = x.max(axis=0)
+    # max propagates NaN, and an Inf makes its column's top infinite
+    if not np.isfinite(norms).all():
         raise DataError("matrix contains NaN or Inf entries")
-    if top == 0.0:
-        raise DataError("all columns are zero")
-    e = int(np.frexp(top)[1])
-    # C-ordered for any d, so the norms are summed row by row, in the
-    # same order, whatever the layout of d
-    x = np.ldexp(d, -e, order="C")
-    np.square(x, out=x)
-    norms = np.add.reduce(x, axis=0)
-    np.sqrt(norms, out=norms)
-    kept = np.flatnonzero(norms > ZERO_COLUMN_TOL * norms.max())
-    if kept.size < d.shape[1]:
+    # the mantissas overwrite norms, where a zero column stays 0
+    e = np.frexp(norms, out=(norms, None))[1]
+    np.negative(e, out=e)
+    if norms.all():
+        np.ldexp(d, e, out=x)
+        del e  # freed before kept is made
+        kept = np.arange(d.shape[1])
+    else:
         del x  # freed before the output is made
-        norms = norms[kept]
+        kept = np.flatnonzero(norms)
+        if kept.size == 0:
+            raise DataError("all columns are zero")
+        norms, e = None, e[kept]  # freed too; einsum makes the kept norms
         # np.take keeps x C-ordered, where d[:, kept] would be F-ordered
         x = np.take(d, kept, axis=1)
-        np.ldexp(x, -e, out=x)
-    else:
-        np.ldexp(d, -e, out=x)
+        np.ldexp(x, e, out=x)
+        del e
+    # summed row by row, in the same order, whatever the layout of d
+    norms = np.einsum("ij,ij->j", x, x, out=norms)
+    np.sqrt(norms, out=norms)
     x /= norms
     return Normalized(x, kept)
 

@@ -162,7 +162,7 @@ class CopResult:
     """basis: recovered orthonormal basis, exactly r columns.
     sampled: indices (into the input matrix) of the columns whose span
     was used.  profile: coherence values of the surviving columns.
-    dropped: indices of columns discarded as numerically zero.
+    dropped: indices of the all-zero columns, the only ones discarded.
     unique: False when an SVD truncation hit a tied singular value, so
     the subspace was not determined by the sampled columns alone."""
 
@@ -295,7 +295,7 @@ def _finish_svd(x, picked, r):
 def cop(d, cfg):
     """Recover an r-dimensional subspace from outlier-ridden columns.
 
-    Normalizes columns (dropping numerically zero ones), computes the
+    Normalizes columns (dropping only all-zero ones), computes the
     coherence profile, selects columns per ``cfg.strategy``, and returns
     the span of the selection.  Indices in the result refer to columns
     of ``d`` as given.  Fewer than r usable columns raise
@@ -341,9 +341,9 @@ def residual_outliers(d, basis, threshold=0.2):
     Returns an int array with 0 for inliers and 1 for outliers (the
     labeling convention of the data models).  The columns are measured
     through ``normalize_columns``, so the residual of a unit column is
-    the relative one, and a column that rule drops as numerically zero
-    counts as an outlier.  ``basis`` must be orthonormal with one row per
-    row of ``d``.
+    the relative one, and an all-zero column, the only kind that rule
+    drops, counts as an outlier.  ``basis`` must be orthonormal with one
+    row per row of ``d``.
     """
     if not 0.0 <= threshold:
         raise DataError(f"threshold {threshold} must be >= 0")

@@ -54,19 +54,21 @@ def test_normalize_lenient_drops_and_maps_indices():
 
 
 def test_normalize_drops_columns_relative_to_the_largest():
-    d = np.array([[1e-200, 3e-215, 1e-213, 0.0], [0.0, 4e-215, 0.0, 0.0]])
+    # no column is dropped for being small next to the largest: the norms
+    # 5 * 2**-714 and 1e-213 against 1e-200 are kept, the zero column is not
+    d = np.array([[1e-200, 3 * 2.0**-714, 1e-213, 0.0], [0.0, 4 * 2.0**-714, 0.0, 0.0]])
     x, kept = normalize_columns(d)
-    # 5e-215 is below 1e-14 * 1e-200, 1e-213 is not
-    assert kept.tolist() == [0, 2]
-    np.testing.assert_array_equal(x, [[1.0, 1.0], [0.0, 0.0]])
+    assert kept.tolist() == [0, 1, 2]
+    np.testing.assert_array_equal(x, [[1.0, 0.6, 1.0], [0.0, 0.8, 0.0]])
 
 
 def scaled_normalize(d):
-    """Normalization through a power-of-two scaled copy, for every input."""
-    top = np.abs(d).max()
+    """Normalization through a copy with each column scaled by a power of two."""
+    top = np.abs(d).max(axis=0)
+    # frexp(0) has exponent 0, so a zero column stays zero
     x = np.ldexp(d, -np.frexp(top)[1])
     norms = np.linalg.norm(x, axis=0)
-    kept = np.flatnonzero(norms > 1e-14 * norms.max())
+    kept = np.flatnonzero(top)
     x = x[:, kept]
     x /= norms[kept]
     return x, kept
@@ -108,12 +110,13 @@ def test_normalize_matches_the_scaled_route_bit_for_bit(name, tiny):
     else:
         body = rng.standard_normal((m, 40)) * (top / 8)
     lead = rng.standard_normal((m, 1)) * top
-    dropped = rng.standard_normal((m, 1)) * (top * 1e-17)
-    near_cut = rng.standard_normal((m, 1)) * (top * 1e-13)
-    d = with_top(np.hstack([body[:, :20], lead, body[:, 20:], dropped, near_cut]), top)
+    small = rng.standard_normal((m, 1)) * (top * 1e-17)
+    zero = np.zeros((m, 1))
+    d = with_top(np.hstack([body[:, :20], lead, body[:, 20:], small, zero]), top)
     want_x, want_kept = scaled_normalize(d)
     x, kept = normalize_columns(d)
-    assert want_kept.tolist() == [i for i in range(d.shape[1]) if i != 41]
+    # only the zero column goes; the one at 1e-17 times the top stays
+    assert want_kept.tolist() == list(range(42))
     np.testing.assert_array_equal(kept, want_kept)
     assert x.tobytes() == want_x.tobytes()
 
@@ -123,8 +126,8 @@ def test_normalize_matches_the_scaled_route_bit_for_bit(name, tiny):
     [
         # a subnormal entry in a unit column: halving it to scale rounds
         np.array([[1.0, 0.5], [1.5e-323, 0.25]]),
-        # entries whose scaled copies are subnormal under a top of 2**399,
-        # so the scaled route rounds them twice
+        # entries whose scaled copies are subnormal under a column top of
+        # 2**399, so the scaled route rounds them twice
         np.array([[2.0**399, 1.0], [1e-195, 3e-190], [1.0, 2.0]]),
         np.array([[2.0**399] * 3, [3.7e-200, 1.3e-196, 7.1e-188]]),
         # squares that are subnormal unscaled but normal scaled
@@ -265,7 +268,7 @@ def assert_one_matrix_plus_its_norms(d, dropped):
 def test_normalize_holds_one_matrix_plus_its_norms(top, drop):
     d = with_top(random_matrix(20, 5000, seed=5), top)
     if drop:
-        d[:, 7] *= 1e-16
+        d[:, 7] = 0.0
     assert_one_matrix_plus_its_norms(d, drop)
 
 

@@ -357,6 +357,31 @@ def test_cop_profile_matches_direct_computation():
     assert res.profile.p == 1
 
 
+STRATEGIES = [GreedyRank(), TopFraction(), FixedCount(), Adaptive(), Adaptive(passes=3)]
+
+
+@pytest.mark.parametrize("flip", [False, True], ids=["scale", "scale-and-sign"])
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("strategy", STRATEGIES, ids=repr)
+def test_cop_ignores_column_scale_over_the_float64_range(strategy, p, flip):
+    # each column times +-2**k, k in [-1000, 1000]: exact for this data, so
+    # every normalized column keeps its bits, or only flips its sign
+    d = np.insert(gen_unstructured(40, 3, 30, 200, seed=1).d, 17, 0.0, axis=1)
+    rng = np.random.default_rng(2)
+    k = rng.integers(-1000, 1001, d.shape[1])
+    signs = rng.choice([-1.0, 1.0], d.shape[1]) if flip else np.ones(d.shape[1])
+    moved = np.ldexp(d * signs, k)
+    assert np.array_equal(np.ldexp(moved, -k) * signs, d)
+    cfg = CopConfig(r=3, p=p, strategy=strategy, seed=3)
+    want, got = cop(d, cfg), cop(moved, cfg)
+    assert want.dropped.tolist() == [17]
+    np.testing.assert_array_equal(got.dropped, want.dropped)
+    np.testing.assert_array_equal(got.sampled, want.sampled)
+    assert got.profile.values.tobytes() == want.profile.values.tobytes()
+    if not flip:
+        assert got.basis.tobytes() == want.basis.tobytes()
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 5_000))
 def test_cop_basis_invariant_to_scale_sign_and_order(seed):
@@ -492,9 +517,11 @@ def test_residual_outliers_frozen_case():
 
 @pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-20, 1.0, 1e20, 1e200, 1e300])
 def test_residual_outliers_zero_columns_are_relative_to_the_largest(scale):
+    # they are not: the column at 1e-15 times the others is measured by its
+    # direction, and only the all-zero column counts as an outlier
     mixed = (E[:, 0] + E[:, 2]) / np.sqrt(2.0)
-    d = np.column_stack([E[:, 0], mixed, 1e-15 * E[:, 1]]) * scale
-    assert residual_outliers(d, E[:, :2]).tolist() == [0, 1, 1]
+    d = np.column_stack([E[:, 0], mixed, 1e-15 * E[:, 1], np.zeros(4)]) * scale
+    assert residual_outliers(d, E[:, :2]).tolist() == [0, 1, 0, 1]
 
 
 def test_residual_outliers_validates_the_basis():
