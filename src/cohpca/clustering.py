@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError, _integer
+from .errors import DataError, NumericalError, _integer, _labels
 from .linalg import _as_2d, _require_orthonormal, normalize_columns
 from .pursuit import CopConfig, TopFraction, cop
 
@@ -46,11 +46,10 @@ def assign_to_subspaces(d, bases, fallback=None):
             raise DataError(f"basis {k} has shape {u.shape}, need {m} rows like the data")
     labels = np.empty(n, dtype=np.intp)
     if fallback is not None:
-        if np.shape(fallback) != (n,):
-            raise DataError(f"fallback has shape {np.shape(fallback)}, need {n} labels")
-        wrong = np.setdiff1d(fallback, np.arange(len(bases)))
-        if wrong.size:
-            raise DataError(f"fallback label {wrong[0]} is not in 0..{len(bases) - 1}")
+        fallback = _labels(fallback, "fallback")
+        if fallback.shape != (n,):
+            raise DataError(f"fallback has shape {fallback.shape}, need {n} labels")
+        _check_range(fallback, len(bases), "fallback label")
         labels[:] = fallback
     elif kept.size < n:
         dead = np.setdiff1d(np.arange(n), kept)[0]
@@ -59,25 +58,35 @@ def assign_to_subspaces(d, bases, fallback=None):
     return labels
 
 
+def _check_range(labels, count, what):
+    # labels from _labels must lie in 0..count-1
+    wrong = labels[(labels < 0) | (labels >= count)]
+    if wrong.size:
+        raise DataError(f"{what} {wrong[0]} is not in 0..{count - 1}")
+
+
 def clustering_error(pred, truth):
     """Smallest misclassified fraction over all relabelings of ``pred``.
 
     Labels must be 0..L-1 with L taken from ``truth``.  The best
     relabeling is found exactly, for any L, as a maximum-weight matching
-    on the L x L table of (pred, truth) label co-occurrence counts.
+    on the table of (pred, truth) label co-occurrence counts, over the
+    labels present; absent labels would only add zero rows and columns.
     """
-    pred = np.asarray(pred)
-    truth = np.asarray(truth)
+    pred = _labels(pred, "pred")
+    truth = _labels(truth, "truth")
     if pred.shape != truth.shape:
         raise DataError(f"label vectors differ in length: {pred.shape} vs {truth.shape}")
     if truth.size == 0:
         raise DataError("label vectors are empty")
     n_clusters = int(truth.max()) + 1
-    if min(pred.min(), truth.min()) < 0 or pred.max() >= n_clusters:
-        raise DataError(f"labels fall outside 0..{n_clusters - 1}, the truth's label range")
+    _check_range(truth, n_clusters, "truth label")
+    _check_range(pred, n_clusters, "pred label")
     from scipy.optimize import linear_sum_assignment  # scipy loads on first use only
 
-    counts = np.zeros((n_clusters, n_clusters), dtype=np.int64)
+    pred_ids, pred = np.unique(pred, return_inverse=True)
+    truth_ids, truth = np.unique(truth, return_inverse=True)
+    counts = np.zeros((pred_ids.size, truth_ids.size), dtype=np.int64)
     np.add.at(counts, (pred, truth), 1)
     rows, cols = linear_sum_assignment(counts, maximize=True)
     return (len(truth) - int(counts[rows, cols].sum())) / len(truth)
@@ -108,13 +117,12 @@ def correct_clustering(d, labels, r, iterations, cfg=None, truth=None):
     point.
     """
     d = _as_2d(d)
-    labels = np.asarray(labels, dtype=np.int64).copy()
+    labels = _labels(labels, "initial labels")
     if labels.shape != (d.shape[1],):
         raise DataError(f"need one label per column, got {labels.shape}")
     _integer(iterations, "iterations", 1)
+    _check_range(labels, d.shape[1], "initial label")
     n_clusters = int(labels.max()) + 1
-    if labels.min() < 0:
-        raise DataError("labels must be non-negative")
     if cfg is None:
         cfg = CopConfig(r=r, strategy=TopFraction(0.5))
     elif cfg.r != r:

@@ -35,7 +35,7 @@ from .models import (
 )
 from .clustering import correct_clustering
 from .pursuit import CopConfig, FixedCount, TopFraction, cop, spca
-from .rng import stream
+from .rng import _flat, stream
 
 __all__ = [
     "PhaseResult",
@@ -447,8 +447,7 @@ def run_bench(
     runs = _integer(runs, "runs", 1)
     # the stream path of the seed as plain ints, so the report is JSON
     # whatever integer types came in; a tuple seed is recorded as a list
-    head = tuple(seed) if isinstance(seed, tuple) else (seed,)
-    head = tuple(_integer(s, "seed component", 0) for s in head)
+    head = tuple(_integer(s, "seed component", 0) for s in _flat(seed))
     cases = _nonempty("cases", cases)
     checked = [_bench_case(m, n, r, p) for m, n in cases]
     summary = []

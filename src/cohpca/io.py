@@ -25,7 +25,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, _labels
 
 __all__ = [
     "write_matrix",
@@ -257,22 +257,7 @@ def read_matrix(path):
 
 
 def write_labels(path, labels):
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise DataError(f"labels must be 1-d, got shape {labels.shape}")
-    if labels.dtype.kind == "f":
-        _check_finite(labels, "label list")
-        fractional = labels[labels != np.rint(labels)]
-        if fractional.size:
-            raise DataError(f"labels must be integers, got {float(fractional[0])!r}")
-    elif labels.dtype.kind not in "biu":
-        raise DataError(f"labels must be integers, got dtype {labels.dtype}")
-    if labels.size:
-        # as Python numbers, which compare exactly; numpy 1.x compares a
-        # uint64 with an int through float64
-        for v in (labels.min().item(), labels.max().item()):
-            if not -(2**63) <= v < 2**63:
-                raise DataError(f"labels must fit in int64, got {v!r}")
+    labels = _labels(labels)
     with open(path, "w") as fh:
         for v in labels:
             fh.write(f"{int(v)}\n")

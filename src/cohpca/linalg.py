@@ -184,12 +184,14 @@ def top_r_singular_subspace(y, r):
     Returns ``TopSubspace(basis, unique)``; ``unique`` is False when
     sigma_r - sigma_{r+1} is at most 1e-12 * sigma_1, meaning the subspace
     is not determined by ``y`` alone; scaling ``y`` does not change it.
+    Past the last singular value sigma_{r+1} counts as 0, so a ``y`` of
+    rank below r is never unique.
     """
     y = _as_matrix(y)
     if not 1 <= _integer(r, "r") <= min(y.shape):
         raise DataError(f"r={r} out of range for shape {y.shape}")
     u, s, _ = np.linalg.svd(y, full_matrices=False)
-    unique = r == len(s) or bool(s[r - 1] - s[r] > SIGMA_GAP_TOL * s[0])
+    unique = bool(s[r - 1] - (s[r] if r < len(s) else 0.0) > SIGMA_GAP_TOL * s[0])
     return TopSubspace(u[:, :r], unique)
 
 

@@ -75,8 +75,6 @@ class UnionDataset:
 def _rng_of(seed):
     if isinstance(seed, np.random.Generator):
         return seed
-    if isinstance(seed, tuple):
-        return stream(*seed)
     return stream(seed)
 
 

@@ -15,18 +15,20 @@ integer >= 1.  The four strategies:
 
 * GreedyRank     -- walk columns by decreasing coherence, keep one only
                     if it adds a new direction, stop at r;
-* TopFraction    -- keep the top (1-q) fraction, span by truncated SVD;
-* FixedCount     -- keep a fixed number of columns, span by truncated
-                    SVD;
+* TopFraction    -- keep the top (1-q) fraction;
+* FixedCount     -- keep a fixed number of columns;
 * Adaptive       -- work in a random low-dimensional sketch, repeatedly
                     take the highest-coherence column that survives a
                     residual-norm threshold and deflate it away; with
                     ``passes=h`` it does so h times and pools the picks
                     (the noisy-data variant).
 
-GreedyRank and one-pass Adaptive pick exactly r independent columns and
-span them directly; the others truncate by SVD.  ``cop`` is the one
-entry point: it normalizes, profiles and hands both to the strategy.
+Every strategy ends in the same finish: the top-r left singular
+subspace of its picks, flagged not unique when sigma_r - sigma_{r+1}
+(sigma_{r+1} = 0 past the last one) is at most 1e-12 * sigma_1, so picks
+that span fewer than r dimensions come back with ``unique=False``.
+``cop`` is the one entry point: it normalizes, profiles and hands both
+to the strategy.
 """
 
 from dataclasses import dataclass, replace
@@ -39,7 +41,6 @@ from .linalg import (
     _require_orthonormal,
     coherence,
     normalize_columns,
-    orthonormal_basis,
     random_projection,
     top_r_singular_subspace,
 )
@@ -73,7 +74,7 @@ class GreedyRank:
     def select(self, x, profile, cfg):
         _check_selection(x, profile, cfg)
         picked = greedy_rank_sampling(x, profile, cfg.r, self.rank_tol)
-        return _finish_exact(x, picked, cfg.r)
+        return _finish(x, picked, cfg.r)
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class TopFraction:
         if not 0.0 < self.q < 1.0:
             raise DataError(f"fraction q={self.q} must lie strictly between 0 and 1")
         keep = int(np.ceil((1.0 - self.q) * x.shape[1]))
-        return _finish_svd(x, _top_k(profile, keep), cfg.r)
+        return _finish(x, _top_k(profile, keep), cfg.r)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ class FixedCount:
         count = _integer(self.count, "column count")
         if count < cfg.r:
             raise DataError(f"column count {count} must be >= r={cfg.r}")
-        return _finish_svd(x, _top_k(profile, count), cfg.r)
+        return _finish(x, _top_k(profile, count), cfg.r)
 
 
 @dataclass(frozen=True)
@@ -128,7 +129,7 @@ class Adaptive:
             )
         if h == 1:
             picked = adaptive_sampling(x, profile, cfg.r, self.k, self.upsilon, cfg.seed)
-            return _finish_exact(x, picked, cfg.r)
+            return _finish(x, picked, cfg.r)
         pool = np.arange(x.shape[1])
         picked = []
         for i in range(h):
@@ -137,7 +138,7 @@ class Adaptive:
             )
             picked.extend(pool[local])
             pool = np.delete(pool, local)
-        return _finish_svd(x, np.array(picked), cfg.r)
+        return _finish(x, np.array(picked), cfg.r)
 
 
 @dataclass(frozen=True)
@@ -163,8 +164,9 @@ class CopResult:
     sampled: indices (into the input matrix) of the columns whose span
     was used.  profile: coherence values of the surviving columns.
     dropped: indices of the all-zero columns, the only ones discarded.
-    unique: False when an SVD truncation hit a tied singular value, so
-    the subspace was not determined by the sampled columns alone."""
+    unique: False when sigma_r of the sampled columns is tied with
+    sigma_{r+1}, or when they span fewer than r dimensions, so the
+    subspace was not determined by the sampled columns alone."""
 
     basis: np.ndarray
     sampled: np.ndarray
@@ -275,16 +277,7 @@ def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None, pool=None):
     return np.array(picked)
 
 
-def _finish_exact(x, picked, r):
-    basis = orthonormal_basis(x[:, picked])
-    if basis.shape[1] != r:
-        raise NumericalError(
-            f"sampled columns span {basis.shape[1]} dimensions, need r={r}"
-        )
-    return picked, basis, True
-
-
-def _finish_svd(x, picked, r):
+def _finish(x, picked, r):
     y = x[:, picked]
     if min(y.shape) < r:
         raise NumericalError(f"sampled set of {y.shape[1]} columns cannot span r={r}")

@@ -20,10 +20,16 @@ def stream(seed, *path):
     ``stream(seed)`` is the root stream; ``stream(seed, k)`` is the k-th
     child, ``stream(seed, k, j)`` the j-th grandchild, and so on.  The
     seed may itself be a tuple of integers (a previously derived path),
-    which is flattened in front of the new components.  Distinct paths
-    give statistically independent streams.  A negative or non-integral
+    nested to any depth, which is flattened in front of the new
+    components: ``stream(((5, 9), 2))`` is ``stream(5, 9, 2)``.
+    Distinct paths give statistically independent streams.  A negative or non-integral
     component is a ``DataError``.
     """
-    head = tuple(seed) if isinstance(seed, tuple) else (seed,)
-    entropy = tuple(_integer(p, "seed component", 0) for p in head + path)
+    entropy = tuple(_integer(p, "seed component", 0) for p in _flat(seed) + path)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
+
+
+def _flat(seed):
+    if isinstance(seed, tuple):
+        return tuple(c for s in seed for c in _flat(s))
+    return (seed,)

@@ -1,5 +1,6 @@
 """Subspace assignment, clustering metrics and label correction."""
 
+import re
 import warnings
 
 import numpy as np
@@ -12,6 +13,7 @@ from cohpca.clustering import (
     correct_clustering,
 )
 from cohpca.errors import DataError, NumericalError
+from cohpca.io import write_labels
 from cohpca.models import gen_union, gen_unstructured
 from cohpca.pursuit import CopConfig, TopFraction, cop, residual_outliers
 from cohpca.rng import stream
@@ -85,14 +87,80 @@ def test_assign_rejects_a_fallback_or_basis_of_the_wrong_shape():
         assign_to_subspaces(d, [e[:, 0]])
 
 
-@pytest.mark.parametrize("label", [1.7, 7, -3])
-def test_assign_rejects_a_fallback_label_outside_the_clusters(label):
+@pytest.mark.parametrize(
+    "label, message",
+    [
+        (1.7, "fallback: labels must be integers, got 1.7"),
+        (7, r"fallback label 7 is not in 0\.\.1"),
+        (-3, r"fallback label -3 is not in 0\.\.1"),
+    ],
+)
+def test_assign_rejects_a_fallback_label_outside_the_clusters(label, message):
     # labels are 0..L-1 for L bases: 1.7 is not truncated to 1, and 7 or
     # -3 are not returned as labels
     e = np.eye(3)
     d = np.column_stack([e[:, 0], np.zeros(3), e[:, 1]])
-    with pytest.raises(DataError, match=rf"fallback label {label} is not in 0\.\.1"):
+    with pytest.raises(DataError, match=message):
         assign_to_subspaces(d, [e[:, :1], e[:, 1:2]], fallback=[0, label, 0])
+
+
+# ---- one label rule for every entry point ----
+
+
+def _correct(labels):
+    e = np.eye(3)
+    return correct_clustering(np.column_stack([e[:, 0], e[:, 0], e[:, 1]]), labels, 1, 1)
+
+
+LABEL_ENTRY_POINTS = [
+    pytest.param(lambda labels, tmp_path: write_labels(tmp_path / "l.txt", labels), id="write"),
+    pytest.param(
+        lambda labels, tmp_path: assign_to_subspaces(
+            np.eye(3), [np.eye(3)[:, :1], np.eye(3)[:, 1:]], fallback=labels
+        ),
+        id="fallback",
+    ),
+    pytest.param(lambda labels, tmp_path: _correct(labels), id="correct"),
+    pytest.param(lambda labels, tmp_path: clustering_error(labels, [0, 1, 0]), id="pred"),
+    pytest.param(lambda labels, tmp_path: clustering_error([0, 1, 0], labels), id="truth"),
+]
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        pytest.param([0, 0.7, 0], "labels must be integers, got 0.7", id="0.7"),
+        pytest.param([0, np.nan, 0], "label list contains NaN or Inf", id="nan"),
+        pytest.param([0, "0", 0], "labels must be integers, got dtype <U", id="str"),
+        pytest.param([[0, 1, 0]], r"labels must be 1-d, got shape \(1, 3\)", id="2-d"),
+        pytest.param(
+            [0, 2**63, 0], re.escape("labels must fit in int64, got 9.223372036854776e+18"),
+            id="2**63",
+        ),
+    ],
+)
+@pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+def test_every_label_entry_point_names_the_label_it_rejects(entry, labels, message, tmp_path):
+    # 0.7 used to become 0 and "0" to parse in correct_clustering, and
+    # clustering_error raised raw numpy errors or scored a 2-d pred
+    with pytest.raises(DataError, match=message):
+        entry(labels, tmp_path)
+
+
+def test_label_entry_points_accept_integer_valued_floats(tmp_path):
+    labels = [0.0, 1.0, 0.0]
+    write_labels(tmp_path / "l.txt", labels)
+    e = np.eye(3)
+    assert assign_to_subspaces(e, [e[:, :1], e[:, 1:]], fallback=labels).tolist() == [0, 1, 1]
+    assert _correct(labels).labels.tolist() == _correct([0, 1, 0]).labels.tolist()
+    assert clustering_error(labels, [0, 1, 0]) == 0.0
+    assert clustering_error([0, 1, 0], labels) == 0.0
+
+
+def test_correction_rejects_a_label_past_the_column_count():
+    # a label of 10**12 used to size a count table of 10**12 entries
+    with pytest.raises(DataError, match=r"initial label 1000000000000 is not in 0\.\.2"):
+        _correct([0, 10**12, 0])
 
 
 def test_assign_rejects_a_basis_that_is_not_orthonormal():
@@ -157,6 +225,13 @@ def test_clustering_error_validation():
     pred = 11 - truth
     pred[[0, 4, 8, 12, 16]] = 0
     assert clustering_error(pred, truth) == pytest.approx(5 / 48)
+
+
+def test_clustering_error_counts_only_the_labels_present():
+    # a table over 0..10**9 would need 8e18 bytes
+    assert clustering_error([0, 1], [0, 10**9]) == 0.0
+    assert clustering_error([0, 0, 1], [0, 10**9, 10**9]) == pytest.approx(1 / 3)
+    assert clustering_error([0.0, 1.0], [0, 1]) == 0.0
 
 
 def test_clustering_error_rejects_empty_label_vectors():

@@ -366,7 +366,10 @@ def test_top_r_singular_subspace_frozen_case():
 
 def test_top_r_singular_subspace_flags_ties():
     assert not top_r_singular_subspace(np.eye(3), 2).unique
-    assert top_r_singular_subspace(np.eye(3), 3).unique  # r == len(s)
+    assert top_r_singular_subspace(np.eye(3), 3).unique  # sigma_4 counts as 0
+    # rank below r: sigma_2 = 0 is tied with the sigma_3 = 0 past the end
+    e1 = np.eye(3)[:, 0]
+    assert top_r_singular_subspace(np.column_stack([e1, e1]), 2).unique is False
     with pytest.raises(DataError):
         top_r_singular_subspace(np.eye(3), 4)
     with pytest.raises(DataError):

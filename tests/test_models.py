@@ -282,6 +282,12 @@ def test_seed_forms_agree():
     a = gen_unstructured(10, 2, 5, 5, seed=(5, 9))
     b = gen_unstructured(10, 2, 5, 5, seed=rng)
     np.testing.assert_array_equal(a.d, b.d)
+    # a nested tuple is the path it spells, and () is the root of no path
+    c = gen_unstructured(10, 2, 5, 5, seed=((5,), 9))
+    np.testing.assert_array_equal(a.d, c.d)
+    e = gen_unstructured(10, 2, 5, 5, seed=())
+    f = gen_unstructured(10, 2, 5, 5, seed=stream(()))
+    np.testing.assert_array_equal(e.d, f.d)
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from cohpca.linalg import (
     CoherenceProfile,
     coherence,
     normalize_columns,
+    orthonormal_basis,
     recovery_error,
     top_r_singular_subspace,
 )
@@ -346,7 +347,41 @@ def test_cop_flags_non_unique_svd_truncation():
     d = np.column_stack([E[:, 0], E[:, 1]])
     res = cop(d, CopConfig(r=1, strategy=TopFraction(q=0.4)))
     assert not res.unique
-    assert cop(d, CopConfig(r=1)).unique  # greedy route is exact
+    assert cop(d, CopConfig(r=1)).unique  # greedy picks one column
+
+
+# five near-copies of e1, 1e-14 apart, rank highest; two picks of them
+# span one dimension to 1e-14, so no strategy may call a rank-2 span unique
+NEAR_COPIES = np.column_stack(
+    [E[:, 0] + k * 1e-14 * E[:, 3] for k in range(5)] + [E[:, 1], E[:, 2]]
+)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize(
+    "strategy",
+    [GreedyRank(rank_tol=0.0), TopFraction(q=0.75), FixedCount(count=2), Adaptive(),
+     Adaptive(passes=2)],
+    ids=repr,
+)
+def test_every_strategy_flags_picks_that_span_fewer_than_r(strategy, p):
+    # FixedCount and TopFraction used to call two such picks unique, and
+    # GreedyRank and one-pass Adaptive raised on them
+    res = cop(NEAR_COPIES, CopConfig(r=2, p=p, strategy=strategy))
+    assert set(res.sampled.tolist()) <= set(range(5))
+    assert res.unique is False
+    assert res.basis.shape == (4, 2)
+    np.testing.assert_allclose(res.basis.T @ res.basis, np.eye(2), atol=1e-12)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_greedy_basis_is_the_orthonormal_basis_of_its_picks(seed):
+    # on full-rank picks the SVD finish is the picks' orthonormal basis, bit for bit
+    ds = gen_unstructured(30, 4, 20, 60, seed=seed)
+    x, _ = normalize_columns(ds.d)
+    picked, basis, unique = GreedyRank().select(x, coherence(x, 2), CopConfig(r=4))
+    assert unique is True
+    assert basis.tobytes() == orthonormal_basis(x[:, picked]).tobytes()
 
 
 def test_cop_profile_matches_direct_computation():
