@@ -5,10 +5,13 @@ values, unusable parameter combinations), 2 when the data defeats the
 numerics (rank collapse, exhausted candidate pools); the failing case is
 named on stderr.
 
-An option that a subcommand shares with the library function it calls
-takes that function's default and is passed to it by name: ``cohpca phase``
-with no flags runs ``run_phase_transition()``.  ``cohpca cop`` gives its
-strategy only the strategy options given, and rejects another strategy's.
+A subcommand's options are the keyword parameters of the library function
+it calls, plus its own files; each option's type and help are written once,
+in ``_OPTIONS``.  Such an option takes that function's default and is passed
+to it by name: ``cohpca phase`` with no flags runs ``run_phase_transition()``.
+``cohpca cop`` gives its strategy only the strategy options given, and
+rejects another strategy's; ``cohpca gen`` likewise rejects a parameter that
+only another model's generator takes, and ``--tau`` beside ``--sigma``.
 
 Every subcommand accepts ``--config FILE`` holding ``key = value`` lines
 (keys are the long option names with dashes or underscores, '#' starts a
@@ -113,14 +116,47 @@ def _pass_count(text):
         raise argparse.ArgumentTypeError(str(exc))
 
 
-def _defaults(*fns):
-    """The keyword defaults of ``fns`` by parameter name, the first function's winning."""
-    out = {}
-    for fn in fns:
-        for name, param in inspect.signature(fn).parameters.items():
-            if param.default is not param.empty:
-                out.setdefault(name, param.default)
-    return out
+# one entry per library parameter that an option fills: its add_argument
+# keywords, and the flag of each *_path parameter
+_OPTIONS = {
+    "m": dict(type=int, help="ambient dimension"),
+    "r": dict(type=int, help="subspace dimension; cop: target rank"),
+    "n1": dict(type=int, help="inlier count"),
+    "n2": dict(type=int, help="outlier count"),
+    "mu": dict(type=float, help="outlier mixing weight"),
+    "sigma": dict(type=float, help="noise amplitude"),
+    "nu": dict(type=float, help="inlier mixing weight"),
+    "inlier_nu": dict(type=float, help="cluster the inliers of the structured model too"),
+    "dims": dict(type=_ints, help="union ranks, e.g. 3,3"),
+    "sizes": dict(type=_ints, help="union cluster sizes"),
+    "shuffle": dict(type=_flag, nargs="?", const=True, help="shuffle column order"),
+    "seed": dict(type=int, help="base seed"),
+    "p": dict(type=int, choices=[1, 2], help="coherence power"),
+    "n1_over_r": dict(type=_ints),
+    "n2_over_m": dict(type=_ints),
+    "trials": dict(type=int),
+    "success_tol": dict(type=float, help="recovery error that counts as exact"),
+    "taus": dict(type=_floats),
+    "mus": dict(type=_floats),
+    "seeds": dict(type=int, help="trials per swept value"),
+    "corruption": dict(type=float),
+    "iterations": dict(type=int),
+    "patch": dict(type=int, help="patch edge in pixels"),
+    "cases": dict(type=_cases, help="comma separated MxN sizes"),
+    "runs": dict(type=int),
+    "delta": dict(type=float, help="failure probability for the high probability kinds"),
+    "rank_tol": dict(type=float, help="residual tolerance for greedy"),
+    "q": dict(type=float, help="discard fraction for top-fraction and the per-cluster fit"),
+    "count": dict(type=int, help="columns kept by fixed-count and per phase trial"),
+    "k": dict(type=int, help="sketch dimension factor for adaptive"),
+    "upsilon": dict(type=_upsilon, help="adaptive retirement threshold, number or 'auto'"),
+    "passes": dict(type=_pass_count, help="adaptive rounds to pool before the final truncation"),
+    "csv_path": dict(flag="--csv", metavar="CSV", help="per-row CSV output"),
+    "pgm_path": dict(flag="--pgm", metavar="PGM", help="success heatmap PGM output"),
+    "json_path": dict(flag="--json", metavar="JSON",
+                      help="write the environment, the import time and per-stage "
+                           "medians and IQRs"),
+}
 
 
 def _call(fn, ns, **given):
@@ -135,13 +171,23 @@ _OWNERS = {opt: name for name, cls in _STRATEGIES.items() for opt in inspect.sig
 
 
 def cmd_gen(ns):
+    if ns.tau is not None:
+        if ns.model != "noisy" or ns.sigma is not None:
+            raise DataError(f"--tau {ns.tau} requires the noisy model without --sigma")
+        ns.sigma = models.sigma_for_tau(ns.tau)
+    # a parameter that one generator alone takes belongs to that model
+    takers = {}
+    for model, (name, _) in models._MODELS.items():
+        for opt in inspect.signature(getattr(models, name)).parameters:
+            takers.setdefault(opt, []).append(model)
+    for opt, (owner, *others) in takers.items():
+        value = getattr(ns, opt)
+        if not others and owner != ns.model and value is not None:
+            shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
+            raise DataError(f"--{opt.replace('_', '-')} {shown} requires the {owner} model")
     name, needs = models._MODELS[ns.model]
-    flags = " and ".join(f"--{p}" for p in needs)
-    if ns.model == "noisy":
-        flags += " or --tau"
-        if ns.sigma is None and ns.tau is not None:
-            ns.sigma = models.sigma_for_tau(ns.tau)
     if any(getattr(ns, p) is None for p in needs):
+        flags = " and ".join(f"--{p}" for p in needs) + (" or --tau" if ns.model == "noisy" else "")
         raise DataError(f"{ns.model} model needs {flags}")
     ds = _call(getattr(models, name), ns)
     io.write_matrix(ns.out, ds.d)
@@ -160,9 +206,9 @@ def cmd_cop(ns):
         if _OWNERS[opt] != ns.strategy:
             shown = "auto" if value is None else value  # only --upsilon auto parses to None
             raise DataError(f"--{opt.replace('_', '-')} {shown} requires the {_OWNERS[opt]} strategy")
-    strategy = _STRATEGIES[ns.strategy](**given)
+    config = _call(CopConfig, ns, strategy=_STRATEGIES[ns.strategy](**given))
     d = io.read_matrix(getattr(ns, "in"))
-    res = cop(d, _call(CopConfig, ns, strategy=strategy))
+    res = cop(d, config)
     io.write_matrix(ns.basis_out, res.basis)
     if ns.profile_out:
         io.write_matrix(ns.profile_out, res.profile.values[:, None])
@@ -264,158 +310,89 @@ def cmd_check_condition(ns):
     return 0
 
 
-def _add_common(sub):
-    if sub.get_default("seed") is not None:  # the library takes a seed
-        sub.add_argument("--seed", type=int, help="base seed")
+def _option(container, name, **kw):
+    spec = {**_OPTIONS[name], **kw}
+    container.add_argument(spec.pop("flag", "--" + name.replace("_", "-")), dest=name, **spec)
+
+
+def _subcommand(subparsers, name, help, func, *fns, **cli_defaults):
+    """A subparser with an option for each parameter of ``fns`` that ``_OPTIONS`` holds.
+
+    Each option defaults to its ``cli_defaults`` entry, else to the first of
+    ``fns`` that has a default for it; one with neither, that every one of
+    ``fns`` takes, is required.  ``cli_defaults`` may also name an option
+    that none of ``fns`` takes.  ``--config`` is added too.
+    """
+    params = [inspect.signature(fn).parameters for fn in fns]
+    defaults = {}
+    for names in params:
+        for opt, param in names.items():
+            if param.default is not param.empty:
+                defaults.setdefault(opt, param.default)
+    defaults.update(cli_defaults)
+    sub = subparsers.add_parser(name, help=help)
+    # set before the options are added: an option without default= takes it
+    sub.set_defaults(func=func, **defaults)
+    for opt in dict.fromkeys([*(opt for names in params for opt in names), *cli_defaults]):
+        if opt in _OPTIONS:
+            required = opt not in defaults and all(opt in names for names in params)
+            _option(sub, opt, required=required)
     sub.add_argument("--config", help="key=value defaults file")
+    return sub
 
 
 def build_parser():
     parser = _Parser(prog="cohpca", description=__doc__.splitlines()[0])
     subparsers = parser.add_subparsers(dest="command", required=True)
-    # each subparser takes the library's defaults before its options are
-    # added, so an option the library does not have keeps its own default=
 
-    generators = (getattr(models, name) for name, _ in models._MODELS.values())
-    sub = subparsers.add_parser("gen", help="generate a synthetic dataset")
-    sub.set_defaults(func=cmd_gen, **_defaults(*generators))
+    generators = [getattr(models, name) for name, _ in models._MODELS.values()]
+    sub = _subcommand(subparsers, "gen", "generate a synthetic dataset", cmd_gen,
+                      *generators, m=100, r=5, n1=50, n2=100)
     sub.add_argument("--model", required=True, choices=list(models._MODELS))
-    sub.add_argument("--m", type=int, default=100, help="ambient dimension")
-    sub.add_argument("--r", type=int, default=5, help="subspace dimension")
-    sub.add_argument("--n1", type=int, default=50, help="inlier count")
-    sub.add_argument("--n2", type=int, default=100, help="outlier count")
-    sub.add_argument("--mu", type=float, help="outlier mixing weight")
-    sub.add_argument("--sigma", type=float, help="noise amplitude")
     sub.add_argument("--tau", type=float,
                      help="noise-to-signal ratio, alternative to --sigma")
-    sub.add_argument("--nu", type=float, help="inlier mixing weight")
-    sub.add_argument("--inlier-nu", type=float,
-                     help="cluster the inliers of the structured model too")
-    sub.add_argument("--dims", type=_ints, help="union ranks, e.g. 3,3")
-    sub.add_argument("--sizes", type=_ints, help="union cluster sizes")
-    sub.add_argument("--shuffle", type=_flag, nargs="?", const=True,
-                     help="shuffle column order")
     sub.add_argument("--out", required=True, help="output matrix file")
     sub.add_argument("--labels-out", help="output labels file")
     sub.add_argument("--basis-out",
                      help="ground truth basis file (union: clusters side by side)")
-    _add_common(sub)
 
-    sub = subparsers.add_parser("cop", help="recover a subspace from a matrix file")
-    sub.set_defaults(func=cmd_cop, **_defaults(CopConfig))
+    sub = _subcommand(subparsers, "cop", "recover a subspace from a matrix file", cmd_cop,
+                      CopConfig)
     sub.add_argument("--in", required=True, help="input matrix file")
-    sub.add_argument("--r", type=int, required=True, help="target rank")
-    sub.add_argument("--p", type=int, choices=[1, 2], help="coherence power")
     sub.add_argument("--strategy", default="greedy", choices=list(_STRATEGIES))
     options = sub.add_argument_group("strategy options", argument_default=argparse.SUPPRESS)
-    options.add_argument("--q", type=float, help="discard fraction for top-fraction")
-    options.add_argument("--count", type=int, help="columns kept by fixed-count")
-    options.add_argument("--k", type=int, help="sketch dimension factor for adaptive")
-    options.add_argument("--upsilon", type=_upsilon, help="adaptive retirement threshold, number or 'auto'")
-    options.add_argument("--rank-tol", type=float, help="residual tolerance for greedy")
-    options.add_argument("--passes", type=_pass_count,
-                         help="adaptive rounds to pool before the final truncation")
+    for opt in _OWNERS:
+        _option(options, opt)
     sub.add_argument("--basis-out", required=True, help="recovered basis file")
     sub.add_argument("--profile-out",
                      help="coherence profile file (kept columns, one per row)")
     sub.add_argument("--indices-out", help="sampled column indices file")
-    _add_common(sub)
 
-    sub = subparsers.add_parser("phase", help="success grid over inlier/outlier ratios")
-    sub.set_defaults(func=cmd_phase, **_defaults(run_phase_transition))
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--r", type=int)
-    sub.add_argument("--n1-over-r", type=_ints)
-    sub.add_argument("--n2-over-m", type=_ints)
-    sub.add_argument("--trials", type=int)
-    sub.add_argument("--count", type=int, help="columns kept per trial")
-    sub.add_argument("--p", type=int, choices=[1, 2])
-    sub.add_argument("--success-tol", type=float)
-    sub.add_argument("--csv", dest="csv_path", metavar="CSV", help="per-cell CSV output")
-    sub.add_argument("--pgm", dest="pgm_path", metavar="PGM",
-                     help="success heatmap PGM output")
-    _add_common(sub)
+    _subcommand(subparsers, "phase", "success grid over inlier/outlier ratios", cmd_phase,
+                run_phase_transition)
+    _subcommand(subparsers, "noise-sweep", "coherence gap under noise", cmd_noise_sweep,
+                run_noise_sweep)
+    _subcommand(subparsers, "structured-sweep", "recovery against clustered outliers",
+                cmd_structured_sweep, run_structured_sweep, success_tol=1e-5)
+    _subcommand(subparsers, "cluster-correct", "fix corrupted subspace clustering labels",
+                cmd_cluster_correct, run_cluster_correction)
 
-    sub = subparsers.add_parser("noise-sweep", help="coherence gap under noise")
-    sub.set_defaults(func=cmd_noise_sweep, **_defaults(run_noise_sweep))
-    sub.add_argument("--taus", type=_floats)
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--r", type=int)
-    sub.add_argument("--n1", type=int)
-    sub.add_argument("--n2", type=int)
-    sub.add_argument("--p", type=int, choices=[1, 2])
-    sub.add_argument("--seeds", type=int, help="trials per tau")
-    sub.add_argument("--csv", dest="csv_path", metavar="CSV")
-    _add_common(sub)
-
-    sub = subparsers.add_parser("structured-sweep",
-                                help="recovery against clustered outliers")
-    sub.set_defaults(func=cmd_structured_sweep, **_defaults(run_structured_sweep))
-    sub.add_argument("--mus", type=_floats)
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--r", type=int)
-    sub.add_argument("--n1", type=int)
-    sub.add_argument("--n2", type=int)
-    sub.add_argument("--nu", type=float, help="inlier cluster mixing")
-    sub.add_argument("--p", type=int, choices=[1, 2])
-    sub.add_argument("--seeds", type=int, help="trials per mu")
-    sub.add_argument("--success-tol", type=float, default=1e-5)
-    sub.add_argument("--csv", dest="csv_path", metavar="CSV")
-    _add_common(sub)
-
-    sub = subparsers.add_parser("cluster-correct",
-                                help="fix corrupted subspace clustering labels")
-    sub.set_defaults(func=cmd_cluster_correct, **_defaults(run_cluster_correction))
-    sub.add_argument("--m", type=int)
-    sub.add_argument("--dims", type=_ints)
-    sub.add_argument("--sizes", type=_ints)
-    sub.add_argument("--corruption", type=float)
-    sub.add_argument("--iterations", type=int)
-    sub.add_argument("--q", type=float,
-                     help="discard fraction of the per-cluster subspace fit")
-    sub.add_argument("--seeds", type=int)
-    sub.add_argument("--csv", dest="csv_path", metavar="CSV")
-    _add_common(sub)
-
-    sub = subparsers.add_parser("saliency", help="patch saliency map of a PGM image")
-    sub.set_defaults(func=cmd_saliency, **_defaults(saliency))
+    sub = _subcommand(subparsers, "saliency", "patch saliency map of a PGM image",
+                      cmd_saliency, saliency)
     sub.add_argument("--image", required=True, help="input PGM image")
-    sub.add_argument("--patch", type=int, help="patch edge in pixels")
-    sub.add_argument("--p", type=int, choices=[1, 2])
     sub.add_argument("--out", required=True, help="output PGM saliency map")
-    _add_common(sub)
 
-    sub = subparsers.add_parser("bench", help="time the pipeline stages")
-    sub.set_defaults(func=cmd_bench, **_defaults(run_bench))
-    sub.add_argument("--cases", type=_cases, help="comma separated MxN sizes")
-    sub.add_argument("--r", type=int)
-    sub.add_argument("--p", type=int, choices=[1, 2])
-    sub.add_argument("--runs", type=int)
-    sub.add_argument("--json", dest="json_path", metavar="JSON",
-                     help="write the environment, the import time and per-stage "
-                          "medians and IQRs")
-    _add_common(sub)
+    _subcommand(subparsers, "bench", "time the pipeline stages", cmd_bench, run_bench)
 
     # --seed goes to validate_condition_empirically, whose trials default is
     # not the one of --validate-trials
-    sub = subparsers.add_parser("check-condition",
-                                help="evaluate a recovery guarantee condition")
-    sub.set_defaults(func=cmd_check_condition, **_defaults(guarantees.ConditionParams),
-                     seed=_defaults(guarantees.validate_condition_empirically)["seed"])
+    seed = inspect.signature(guarantees.validate_condition_empirically).parameters["seed"]
+    sub = _subcommand(subparsers, "check-condition", "evaluate a recovery guarantee condition",
+                      cmd_check_condition, guarantees.ConditionParams, seed=seed.default)
     sub.add_argument("--kind", required=True, choices=list(guarantees.KINDS))
-    sub.add_argument("--m", type=int, required=True)
-    sub.add_argument("--r", type=int, required=True)
-    sub.add_argument("--n1", type=int, required=True)
-    sub.add_argument("--n2", type=int, required=True)
-    sub.add_argument("--delta", type=float,
-                     help="failure probability for the high probability kinds")
-    sub.add_argument("--mu", type=float)
-    sub.add_argument("--sigma", type=float)
-    sub.add_argument("--nu", type=float)
     sub.add_argument("--validate-trials", type=int, default=0,
                      help="also sample datasets and report the empirical hit rate")
     sub.add_argument("--out", help="write the report lines to a file")
-    _add_common(sub)
 
     return parser
 

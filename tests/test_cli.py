@@ -112,6 +112,23 @@ def test_unusable_generator_weights_exit_1_naming_them(tmp_path, capsys, args, n
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (("--model", "unstructured", "--mu", "0.3"), "--mu 0.3 requires the structured model"),
+    (("--model", "unstructured", "--tau", "0.5"),
+     "--tau 0.5 requires the noisy model without --sigma"),
+    (("--model", "noisy", "--sigma", "0.1", "--tau", "5"),
+     "--tau 5.0 requires the noisy model without --sigma"),
+    (("--model", "clustered", "--nu", "0.2", "--inlier-nu", "0.5"),
+     "--inlier-nu 0.5 requires the structured model"),
+    (("--model", "unstructured", "--dims", "2,2"), "--dims 2,2 requires the union model"),
+])
+def test_gen_rejects_the_parameters_of_another_model(tmp_path, capsys, args, message):
+    out = tmp_path / "d.txt"
+    assert run("gen", *args, "--m", 10, "--r", 2, "--n1", 3, "--n2", 4, "--out", out) == 1
+    assert capsys.readouterr().err == f"cohpca: error: {message}\n"
+    assert not out.exists()
+
+
 # ---- exit codes ----
 
 
@@ -129,6 +146,12 @@ def test_bad_rank_exits_1(tmp_path):
     run("gen", "--model", "unstructured", "--m", 20, "--r", 2, "--n1", 10,
         "--n2", 10, "--out", data)
     assert run("cop", "--in", data, "--r", 0, "--basis-out", tmp_path / "b.txt") == 1
+
+
+def test_bad_rank_is_named_before_the_input_is_read(tmp_path, capsys):
+    assert run("cop", "--in", tmp_path / "missing.txt", "--r", 0,
+               "--basis-out", tmp_path / "b.txt") == 1
+    assert capsys.readouterr().err == "cohpca: error: target rank r=0 must be >= 1\n"
 
 
 def test_rank_collapse_exits_2_and_names_the_failure(tmp_path, capsys):
@@ -473,3 +496,44 @@ def test_bad_option_values_exit_1_with_the_reason(
     assert main(args) == 1
     assert f"argument --{key}: {message}" in capsys.readouterr().err
     assert parsed == []
+
+
+# ---- each option is declared once ----
+
+
+def _subparser(command):
+    (subparsers,) = (a for a in cli.build_parser()._actions if a.dest == "command")
+    return subparsers.choices[command]
+
+
+@pytest.mark.parametrize("command", list(_MINIMAL))
+def test_each_library_parameter_is_an_option_of_its_name(command):
+    fns = _MINIMAL[command][1] + (list(cli._STRATEGIES.values()) if command == "cop" else [])
+    names = {name for fn in fns for name in inspect.signature(fn).parameters}
+    if command == "check-condition":
+        names.add("seed")  # validate_condition_empirically's
+    flags = {action.dest: action.option_strings for action in _subparser(command)._actions}
+    for name in names:
+        # a *_path parameter's flag drops the suffix: csv_path is --csv
+        assert flags[name] == ["--" + name.removesuffix("_path").replace("_", "-")], name
+
+
+@pytest.mark.parametrize("command", ["cop", "phase", "noise-sweep", "structured-sweep",
+                                     "saliency", "bench"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_coherence_power_3_exits_1_on_every_subcommand(
+    tmp_path, monkeypatch, capsys, source, command
+):
+    for name in vars(cli):
+        if name.startswith("cmd_"):
+            monkeypatch.setattr(cli, name, lambda ns: pytest.fail("ran with --p 3"))
+    assert "p" in {action.dest for action in _subparser(command)._actions}
+    args = [command] + _MINIMAL[command][0]
+    if source == "flag":
+        args += ["--p", "3"]
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("p = 3\n")
+        args += ["--config", str(cfg)]
+    assert main(args) == 1
+    assert "argument --p: invalid choice: 3" in capsys.readouterr().err
