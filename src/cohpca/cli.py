@@ -11,7 +11,7 @@ in ``_OPTIONS``.  Such an option takes that function's default and is passed
 to it by name: ``cohpca phase`` with no flags runs ``run_phase_transition()``.
 ``cohpca cop`` gives its strategy only the strategy options given, and
 rejects another strategy's; ``cohpca gen`` likewise rejects a parameter that
-only another model's generator takes, and ``--tau`` beside ``--sigma``.
+the chosen model's generator does not take, and ``--tau`` beside ``--sigma``.
 
 Every subcommand accepts ``--config FILE`` holding ``key = value`` lines
 (keys are the long option names with dashes or underscores, '#' starts a
@@ -175,16 +175,21 @@ def cmd_gen(ns):
         if ns.model != "noisy" or ns.sigma is not None:
             raise DataError(f"--tau {ns.tau} requires the noisy model without --sigma")
         ns.sigma = models.sigma_for_tau(ns.tau)
-    # a parameter that one generator alone takes belongs to that model
+    # a parameter given to a model whose generator does not take it is an error
     takers = {}
     for model, (name, _) in models._MODELS.items():
         for opt in inspect.signature(getattr(models, name)).parameters:
             takers.setdefault(opt, []).append(model)
-    for opt, (owner, *others) in takers.items():
+    for opt, owners in takers.items():
         value = getattr(ns, opt)
-        if not others and owner != ns.model and value is not None:
+        if ns.model not in owners and value is not None:
             shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
-            raise DataError(f"--{opt.replace('_', '-')} {shown} requires the {owner} model")
+            listed = ", ".join(owners[:-1]) + " or " + owners[-1] if owners[1:] else owners[0]
+            raise DataError(f"--{opt.replace('_', '-')} {shown} requires the {listed} model")
+    # no parser default, so that a size given to union is seen above
+    for opt, default in (("r", 5), ("n1", 50), ("n2", 100)):
+        if getattr(ns, opt) is None:
+            setattr(ns, opt, default)
     name, needs = models._MODELS[ns.model]
     if any(getattr(ns, p) is None for p in needs):
         flags = " and ".join(f"--{p}" for p in needs) + (" or --tau" if ns.model == "noisy" else "")
@@ -347,7 +352,7 @@ def build_parser():
 
     generators = [getattr(models, name) for name, _ in models._MODELS.values()]
     sub = _subcommand(subparsers, "gen", "generate a synthetic dataset", cmd_gen,
-                      *generators, m=100, r=5, n1=50, n2=100)
+                      *generators, m=100)
     sub.add_argument("--model", required=True, choices=list(models._MODELS))
     sub.add_argument("--tau", type=float,
                      help="noise-to-signal ratio, alternative to --sigma")

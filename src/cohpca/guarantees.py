@@ -373,8 +373,8 @@ def validate_condition_empirically(kind, params, trials=20, seed=0):
     for trial in range(trials):
         ds = gen(params.m, params.r, params.n1, params.n2, *extra, seed=(seed, trial))
         prof = coherence_gram(ds.d, p).values
-        inl = prof[ds.labels == 0]
-        out = prof[ds.labels == 1]
+        inl = prof[ds.labels == models.INLIER]
+        out = prof[ds.labels == models.OUTLIER]
         if want_worst_case:
             hits += bool(inl.min() > out.max())
         else:

@@ -26,14 +26,12 @@ __all__ = [
     "normalize_columns",
     "coherence",
     "coherence_gram",
-    "orthonormal_basis",
     "top_r_singular_subspace",
     "random_projection",
     "recovery_error",
 ]
 
 UNIT_COLUMN_TOL = 1e-8
-RANK_REL_TOL = 1e-10
 SIGMA_GAP_TOL = 1e-12
 
 
@@ -162,20 +160,6 @@ def coherence_gram(d, p=2):
     if np.any((values < np.finfo(np.float64).tiny) & (sums > 0.0)):
         raise NumericalError(f"power sums at p={p} underflow float64; rescale the columns")
     return CoherenceProfile(values, p)
-
-
-def orthonormal_basis(y):
-    """Orthonormal basis for the column span of ``y`` at numerical rank.
-
-    Singular directions with sigma_i <= 1e-10 * sigma_1 are discarded;
-    only an all-zero matrix has no basis.
-    """
-    y = _as_matrix(y)
-    u, s, _ = np.linalg.svd(y, full_matrices=False)
-    if s[0] == 0.0:
-        raise NumericalError("matrix is zero, no basis exists")
-    rank = int(np.sum(s > RANK_REL_TOL * s[0]))
-    return u[:, :rank]
 
 
 def top_r_singular_subspace(y, r):

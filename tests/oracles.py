@@ -45,6 +45,19 @@ def gram_coherence(d, p):
     return np.abs(g).sum(axis=0) if p == 1 else (g * g).sum(axis=0)
 
 
+def orthonormal_basis(y):
+    """Orthonormal basis for the column span of ``y`` at numerical rank.
+
+    Left singular vectors with sigma_i <= 1e-10 * sigma_1 are discarded;
+    an all-zero matrix has no basis and is a ValueError.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    u, s, _ = np.linalg.svd(y, full_matrices=False)
+    if s[0] == 0.0:
+        raise ValueError("matrix is zero, no basis exists")
+    return u[:, : int(np.sum(s > 1e-10 * s[0]))]
+
+
 def subspace_distance(u, v):
     """Relative distance of span(u) from span(v) via explicit least squares."""
     total = 0.0

@@ -8,7 +8,7 @@ import pytest
 
 from cohpca import cli, experiments, guarantees, models, pursuit
 from cohpca.cli import main
-from cohpca.io import read_labels, read_matrix, read_pgm, write_pgm
+from cohpca.io import read_labels, read_matrix, read_pgm, write_matrix, write_pgm
 from cohpca.linalg import recovery_error
 from cohpca.models import gen_unstructured
 
@@ -127,6 +127,38 @@ def test_gen_rejects_the_parameters_of_another_model(tmp_path, capsys, args, mes
     assert run("gen", *args, "--m", 10, "--r", 2, "--n1", 3, "--n2", 4, "--out", out) == 1
     assert capsys.readouterr().err == f"cohpca: error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("opt, value", [("r", "9"), ("n1", "1"), ("n2", "4")])
+@pytest.mark.parametrize("in_config", [False, True])
+def test_gen_union_rejects_the_sizes_of_the_other_models(tmp_path, capsys, opt, value, in_config):
+    out = tmp_path / "d.txt"
+    args = ["gen", "--model", "union", "--dims", "2,2", "--sizes", "3,3", "--out", out]
+    if in_config:
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"{opt} = {value}\n")
+        args += ["--config", cfg]
+    else:
+        args += [f"--{opt}", value]
+    assert run(*args) == 1
+    assert capsys.readouterr().err == (
+        f"cohpca: error: --{opt} {value} requires the unstructured, structured, noisy "
+        "or clustered model\n"
+    )
+    assert not out.exists()
+
+
+def test_gen_sizes_left_unset_take_the_command_line_defaults(tmp_path):
+    # m=100 for every model; r=5, n1=50 and n2=100 for the models that take them
+    for args, ds in [
+        (("--model", "union", "--dims", "2,2", "--sizes", "3,3"),
+         models.gen_union(100, (2, 2), (3, 3))),
+        (("--model", "unstructured", "--n1", "7"), models.gen_unstructured(100, 5, 7, 100)),
+    ]:
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        assert run("gen", *args, "--out", got) == 0
+        write_matrix(want, ds.d)
+        assert got.read_bytes() == want.read_bytes()
 
 
 # ---- exit codes ----

@@ -13,7 +13,6 @@ from cohpca.linalg import (
     CoherenceProfile,
     coherence,
     normalize_columns,
-    orthonormal_basis,
     recovery_error,
     top_r_singular_subspace,
 )
@@ -30,6 +29,8 @@ from cohpca.pursuit import (
     residual_outliers,
     spca,
 )
+
+from oracles import orthonormal_basis
 
 
 def profile(values):
