@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NumericalError, _integer, _labels
-from .linalg import _as_2d, _require_orthonormal, normalize_columns
+from .errors import DataError, NumericalError, _as_2d, _integer, _labels
+from .linalg import _require_orthonormal, normalize_columns
 from .pursuit import CopConfig, TopFraction, cop
 
 __all__ = [

@@ -1,9 +1,12 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the rules that check
+arguments against them.
 
 Two failure families matter to callers: bad inputs (files, shapes, flag
 values) and numerical breakdowns discovered mid-computation (rank
 deficiency, exhausted candidate pools).  The CLI maps them to distinct
-exit codes, so library code should pick the right one.
+exit codes, so library code should pick the right one.  Every matrix,
+image, label and power argument, and every integer size, is checked by
+one rule here, so each kind of bad input gets one message.
 """
 
 import operator
@@ -28,6 +31,37 @@ def _integer(value, name, low=None):
     if low is not None and value < low:
         raise DataError(f"{name}={value} must be >= {low}")
     return value
+
+
+def _power(p):
+    """Reject a power ``p`` other than 1 and 2, the two the coherence kernels sum."""
+    if p not in (1, 2):
+        raise DataError(f"power p must be 1 or 2, got {p}")
+
+
+def _as_2d(d, name="matrix"):
+    """``d`` as a 2-d, non-empty float64 array; float64 input is not copied."""
+    d = np.asarray(d, dtype=np.float64)
+    if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
+        raise DataError(f"{name} must be 2-d and non-empty, got shape {d.shape}")
+    return d
+
+
+def _as_matrix(d, name="matrix"):
+    """``_as_2d`` with every entry finite."""
+    d = _as_2d(d, name)
+    if not np.all(np.isfinite(d)):
+        raise DataError(f"{name} contains NaN or Inf entries")
+    return d
+
+
+def _as_image(img, maxval, name="image"):
+    """``_as_matrix`` with every pixel in 0..``maxval``."""
+    img = _as_matrix(img, name)
+    low, high = img.min(), img.max()
+    if low < 0 or high > maxval:
+        raise DataError(f"{name} pixels must lie in 0..{maxval}, got {low if low < 0 else high:g}")
+    return img
 
 
 def _labels(values, where=None):

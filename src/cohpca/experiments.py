@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import DataError, NumericalError, _integer
+from .errors import DataError, NumericalError, _as_matrix, _integer
 from .linalg import coherence, normalize_columns, recovery_error
 from .models import (
     INLIER,
@@ -318,9 +318,7 @@ def saliency(image, patch=10, p=2):
     tile gets 0 and unusual tiles approach 1.  All-zero tiles are
     maximally salient by convention.
     """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise DataError(f"image must be 2-d, got shape {img.shape}")
+    img = _as_matrix(image, "image")
     _integer(patch, "patch", 1)
     gh, gw = img.shape[0] // patch, img.shape[1] // patch
     if gh < 1 or gw < 1:

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from . import models
-from .errors import DataError, _integer
+from .errors import DataError, _integer, _power
 from .linalg import coherence_gram
 from .models import _check_sizes, _squarable
 
@@ -304,7 +304,7 @@ def expected_coherence(role, p, m, r, n1, n2):
     a one-sided bound, and the ``bound`` field says which side.
     """
     _require(role in ("inlier", "outlier"), f"role must be inlier or outlier, got {role!r}")
-    _require(p in (1, 2), f"power p must be 1 or 2, got {p}")
+    _power(p)
     _check_sizes(m, r, n1, n2)
     _require(role == "inlier" or n2 >= 1, f"n2={n2} too small for role {role}")
     if p == 2:

@@ -11,13 +11,14 @@ cannot round with certainty (near-ties, and magnitudes outside
 [1e-280, 1e280]) go through the per-value ``%`` format, so the bytes
 are those of the per-value writer.  A path ending in ".npy"
 selects NumPy's binary format instead (``np.save`` / ``np.load``
-without pickles), which holds only 2-d float64 arrays and is bit-exact
-too.  Readers reject NaN and Inf, as does the writer; nothing
-downstream can cope with them.
+without pickles), which holds only float64 arrays and is bit-exact
+too.  Both directions apply the package's matrix rule, 2-d, non-empty
+and finite; nothing downstream can cope with NaN or Inf.
 
 Label files carry one integer per line.  Images use PGM: the reader
 accepts both ASCII (P2) and binary (P5) with maxval up to 255, the
-writer emits P2.
+writer emits P2 with maxval 255.  Both directions apply the image rule:
+the matrix rule with every pixel in 0..maxval.
 """
 
 import os
@@ -25,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DataError, _labels
+from .errors import DataError, _as_image, _as_matrix, _labels
 
 __all__ = [
     "write_matrix",
@@ -35,11 +36,6 @@ __all__ = [
     "write_pgm",
     "read_pgm",
 ]
-
-
-def _check_finite(a, where):
-    if not np.all(np.isfinite(a)):
-        raise DataError(f"{where} contains NaN or Inf")
 
 
 def _is_npy(path):
@@ -186,13 +182,8 @@ def _format_block(v, row_ends):
 
 
 def write_matrix(path, a):
-    a = np.asarray(a, dtype=np.float64)
-    if a.ndim != 2:
-        raise DataError(f"matrix must be 2-d, got shape {a.shape}")
-    m, n = a.shape
-    if a.size == 0:
-        raise DataError(f"dimensions must be positive, got {m} x {n}")
-    _check_finite(a, "matrix")
+    a = _as_matrix(a)
+    n = a.shape[1]
     with open(path, "wb") as fh:
         if _is_npy(path):
             np.save(fh, a)
@@ -211,13 +202,9 @@ def _read_npy(path):
     if not isinstance(data, np.ndarray):
         data.close()
         raise DataError(f"{path}: expected one .npy array, got an .npz archive")
-    if data.ndim != 2:
-        raise DataError(f"{path}: matrix must be 2-d, got shape {data.shape}")
+    # checked before the matrix rule, which would convert an int64 array
     if data.dtype != np.float64:
         raise DataError(f"{path}: matrix must be float64, got {data.dtype}")
-    if data.size == 0:
-        m, n = data.shape
-        raise DataError(f"{path}: dimensions must be positive, got {m} x {n}")
     return data
 
 
@@ -251,9 +238,7 @@ def _read_text(path):
 
 def read_matrix(path):
     data = _read_npy(path) if _is_npy(path) else _read_text(path)
-    if not np.all(np.isfinite(data)):
-        raise DataError(f"{path}: matrix contains NaN or Inf")
-    return data
+    return _as_matrix(data, f"{path}: matrix")
 
 
 def write_labels(path, labels):
@@ -274,14 +259,8 @@ def read_labels(path):
 
 
 def write_pgm(path, img):
-    """Write a grayscale image (2-d array of 0..255) as ASCII PGM."""
-    img = np.asarray(img)
-    if img.ndim != 2:
-        raise DataError(f"image must be 2-d, got shape {img.shape}")
-    _check_finite(img, "image")
-    if img.min() < 0 or img.max() > 255:
-        raise DataError("pixel values must lie in 0..255")
-    img = np.rint(img).astype(np.int64)
+    """Write a grayscale image (2-d array of 0..255, rounded to integers) as ASCII PGM."""
+    img = np.rint(_as_image(img, 255)).astype(np.int64)
     with open(path, "w") as fh:
         fh.write("P2\n")
         fh.write(f"{img.shape[1]} {img.shape[0]}\n255\n")
@@ -335,14 +314,9 @@ def read_pgm(path):
         img = np.frombuffer(body, dtype=np.uint8, count=width * height)
     else:
         try:
-            values = [int(v) for v in raw[end:].split()]
-        except ValueError:
+            img = np.array([int(v) for v in raw[end:].split()], dtype=np.int64)
+        except (ValueError, OverflowError):  # a word, or a pixel beyond int64
             raise DataError(f"{path}: unparseable PGM pixel data")
-        if len(values) != width * height:
-            raise DataError(
-                f"{path}: expected {width * height} pixels, found {len(values)}"
-            )
-        img = np.array(values, dtype=np.int64)
-    if img.max(initial=0) > maxval:
-        raise DataError(f"{path}: pixel value exceeds maxval {maxval}")
-    return img.reshape(height, width).astype(np.uint8)
+        if img.size != width * height:
+            raise DataError(f"{path}: expected {width * height} pixels, found {img.size}")
+    return _as_image(img.reshape(height, width), maxval, f"{path}: image").astype(np.uint8)

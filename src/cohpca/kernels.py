@@ -25,7 +25,7 @@ k = i is left out here.  The path follows from the shape of the m-by-n x:
 
 import numpy as np
 
-from .errors import DataError
+from .errors import _as_2d, _power
 
 __all__ = ["BLOCK", "COV_BLOCK", "block_power_sums", "walk_power_sums"]
 
@@ -35,7 +35,7 @@ COV_BLOCK = 1024
 
 def block_power_sums(x, p):
     """Per-column sums sum_{k != i} |x_i' x_k|^p; ``p`` must be 1 or 2."""
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    x = np.ascontiguousarray(_as_2d(x))
     m, n = x.shape
     if p == 2 and m < n:
         c = x @ x.T
@@ -55,9 +55,8 @@ def block_power_sums(x, p):
 
 def walk_power_sums(x, p):
     """``block_power_sums`` by the half-Gram walk; a lone column sums to 0."""
-    if p not in (1, 2):
-        raise DataError(f"power p must be 1 or 2, got {p}")
-    x = np.ascontiguousarray(x, dtype=np.float64)
+    _power(p)
+    x = np.ascontiguousarray(_as_2d(x))
     n = x.shape[1]
     out = np.zeros(n)
     buf = np.empty(min(BLOCK, n) * n)

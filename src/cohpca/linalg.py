@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from .errors import DataError, NumericalError, _integer
+from .errors import DataError, NumericalError, _as_2d, _as_matrix, _integer, _power
 from .rng import stream
 
 __all__ = [
@@ -43,8 +43,7 @@ class CoherenceProfile:
     p: int
 
     def __post_init__(self):
-        if self.p not in (1, 2):
-            raise DataError(f"power p must be 1 or 2, got {self.p}")
+        _power(self.p)
 
 
 class Normalized(NamedTuple):
@@ -55,20 +54,6 @@ class Normalized(NamedTuple):
 class TopSubspace(NamedTuple):
     basis: np.ndarray
     unique: bool
-
-
-def _as_2d(d, name="matrix"):
-    d = np.asarray(d, dtype=np.float64)
-    if d.ndim != 2 or d.shape[0] < 1 or d.shape[1] < 1:
-        raise DataError(f"{name} must be 2-d and non-empty, got shape {d.shape}")
-    return d
-
-
-def _as_matrix(d, name="matrix"):
-    d = _as_2d(d, name)
-    if not np.all(np.isfinite(d)):
-        raise DataError(f"{name} contains NaN or Inf entries")
-    return d
 
 
 def normalize_columns(d):

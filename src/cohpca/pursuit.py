@@ -11,7 +11,7 @@ Each strategy holds its own defaults and has one method,
 of the normalized ``x``, their orthonormal span, and whether the picks
 alone determined it.  Every ``select`` first checks that the profile has
 one value per column and that r <= m; ``CopConfig`` checks that r is an
-integer >= 1.  The four strategies:
+integer >= 1 and p is 1 or 2.  The four strategies:
 
 * GreedyRank     -- walk columns by decreasing coherence, keep one only
                     if it adds a new direction, stop at r;
@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DataError, NumericalError, _integer
+from .errors import DataError, NumericalError, _integer, _power
 from .linalg import (
     CoherenceProfile,
     _require_orthonormal,
@@ -156,6 +156,7 @@ class CopConfig:
 
     def __post_init__(self):
         _integer(self.r, "target rank r", 1)
+        _power(self.p)
 
 
 @dataclass(frozen=True)
@@ -323,7 +324,9 @@ def spca(d, r):
     Same normalization path as cop(), no outlier handling at all.
     """
     x, _ = normalize_columns(d)
-    if min(x.shape) < r:
+    if r > x.shape[0]:
+        raise DataError(f"r={r} must not exceed m={x.shape[0]}")
+    if x.shape[1] < r:
         raise NumericalError(f"cannot extract r={r} directions from shape {x.shape}")
     return top_r_singular_subspace(x, r).basis
 

@@ -184,7 +184,7 @@ def test_matrix_writer_fallback_writes_the_reference(tmp_path, monkeypatch):
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
 def test_matrix_writer_rejects_empty_matrices(tmp_path, name, shape):
     path = tmp_path / name
-    with pytest.raises(DataError, match="dimensions must be positive, got %d x %d" % shape):
+    with pytest.raises(DataError, match=r"matrix must be 2-d and non-empty, got shape \(%d, %d\)" % shape):
         write_matrix(path, np.zeros(shape))
     assert not path.exists()
 
@@ -219,11 +219,11 @@ def test_npy_writer_rejects_what_the_text_writer_rejects(tmp_path):
 
 def test_npy_reader_rejects_all_but_finite_2d_float64(tmp_path):
     cases = {
-        "vector.npy": (np.arange(3.0), r"matrix must be 2-d, got shape \(3,\)"),
+        "vector.npy": (np.arange(3.0), r"matrix must be 2-d and non-empty, got shape \(3,\)"),
         "cube.npy": (np.zeros((2, 2, 2)), "matrix must be 2-d"),
         "float32.npy": (np.ones((2, 2), np.float32), "matrix must be float64, got float32"),
         "int.npy": (np.ones((2, 2), np.int64), "matrix must be float64, got int64"),
-        "empty.npy": (np.zeros((0, 3)), "dimensions must be positive, got 0 x 3"),
+        "empty.npy": (np.zeros((0, 3)), r"matrix must be 2-d and non-empty, got shape \(0, 3\)"),
         "nan.npy": (np.array([[1.0, np.nan]]), "matrix contains NaN or Inf"),
         "inf.npy": (np.array([[-np.inf]]), "matrix contains NaN or Inf"),
     }
@@ -357,6 +357,8 @@ def test_pgm_writer_rejects_out_of_range():
         write_pgm("/dev/null", np.zeros(4))
     with pytest.raises(DataError, match="NaN or Inf"):
         write_pgm("/dev/null", np.array([[np.nan]]))
+    with pytest.raises(DataError, match=r"image must be 2-d and non-empty, got shape \(0, 3\)"):
+        write_pgm("/dev/null", np.zeros((0, 3)))
 
 
 def test_pgm_reads_binary_p5(tmp_path):
@@ -383,6 +385,8 @@ def test_pgm_reader_rejects_malformed_files(tmp_path):
         "few-pixels.pgm": b"P2\n2 2\n255\n1 2 3\n",
         "bad-pixel.pgm": b"P2\n1 1\n255\nx\n",
         "over-maxval.pgm": b"P2\n1 1\n100\n101\n",
+        "negative-pixel.pgm": b"P2\n2 1\n255\n-1 5\n",
+        "int64-overflow.pgm": b"P2\n1 1\n255\n99999999999999999999\n",
         "short-binary.pgm": b"P5\n2 2\n255\n\x00\x01",
     }
     for name, blob in cases.items():

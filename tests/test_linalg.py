@@ -11,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from cohpca import kernels
 from cohpca.errors import DataError, NumericalError
+from cohpca.experiments import saliency
+from cohpca.io import read_matrix, write_matrix, write_pgm
 from cohpca.linalg import (
     CoherenceProfile,
     coherence,
@@ -21,7 +23,7 @@ from cohpca.linalg import (
     top_r_singular_subspace,
 )
 from cohpca.models import gen_noisy, gen_unstructured, sigma_for_tau
-from cohpca.pursuit import Adaptive, CopConfig, CopResult, cop, residual_outliers
+from cohpca.pursuit import Adaptive, CopConfig, CopResult, cop, residual_outliers, spca
 
 from oracles import naive_coherence, orthonormal_basis, subspace_distance
 
@@ -149,6 +151,57 @@ def test_normalize_rejects_all_zero_and_non_finite():
         normalize_columns(np.array([[1.0, np.nan]]))
     with pytest.raises(DataError):
         normalize_columns(np.empty((0, 0)))
+
+
+# ---- the one rule for matrix and image arguments ----
+
+
+def _read_back(d, tmp_path):
+    np.save(tmp_path / "in.npy", d)
+    return read_matrix(tmp_path / "in.npy")
+
+
+def _with(value):
+    d = np.eye(3)
+    d[1, 2] = value
+    return d
+
+
+# each public entry point that takes a matrix or an image, the name its
+# errors give that argument, and whether it requires finite values
+ENTRY_POINTS = [
+    ("write_matrix", lambda d, tmp: write_matrix(tmp / "w.txt", d), "matrix", True),
+    ("read_matrix", _read_back, r"in\.npy: matrix", True),
+    ("write_pgm", lambda d, tmp: write_pgm(tmp / "w.pgm", d), "image", True),
+    ("saliency", lambda d, tmp: saliency(d, patch=1), "image", True),
+    ("coherence", lambda d, tmp: coherence(d), "matrix", True),
+    ("coherence_gram", lambda d, tmp: coherence_gram(d), "matrix", True),
+    ("top_r_singular_subspace", lambda d, tmp: top_r_singular_subspace(d, 1), "matrix", True),
+    ("block_power_sums", lambda d, tmp: kernels.block_power_sums(d, 2), "matrix", False),
+    ("walk_power_sums", lambda d, tmp: kernels.walk_power_sums(d, 1), "matrix", False),
+    ("cop", lambda d, tmp: cop(d, CopConfig(r=1)), "matrix", True),
+    ("spca", lambda d, tmp: spca(d, 1), "matrix", True),
+]
+BAD_MATRICES = [
+    ("1-d", np.ones(4), r"must be 2-d and non-empty, got shape \(4,\)", False),
+    ("empty", np.zeros((0, 3)), r"must be 2-d and non-empty, got shape \(0, 3\)", False),
+    ("nan", _with(np.nan), "contains NaN or Inf entries", True),
+    ("inf", _with(np.inf), "contains NaN or Inf entries", True),
+]
+
+
+@pytest.mark.parametrize(
+    "call, d, cause",
+    [
+        pytest.param(call, d, f"{name} {cause}", id=f"{entry}-{case}")
+        for entry, call, name, finite in ENTRY_POINTS
+        for case, d, cause, needs_finite in BAD_MATRICES
+        if finite or not needs_finite
+    ],
+)
+def test_entry_points_name_the_matrix_they_reject(tmp_path, call, d, cause):
+    with pytest.raises(DataError, match=cause):
+        call(d, tmp_path)
 
 
 # ---- coherence, two implementations vs the oracle ----

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from cohpca import kernels, pursuit
 from cohpca.errors import DataError, NumericalError
+from cohpca.guarantees import expected_coherence
 from cohpca.linalg import (
     CoherenceProfile,
     coherence,
@@ -183,6 +184,21 @@ def test_non_integer_sizes_are_data_errors(call):
     d = gen_unstructured(20, 2, 10, 30, seed=0).d
     with pytest.raises(DataError, match="must be an integer"):
         call(d)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: CopConfig(r=2, p=3),
+        lambda: CoherenceProfile(np.zeros(3), 3),
+        lambda: kernels.walk_power_sums(np.eye(2), 3),
+        lambda: expected_coherence("inlier", 3, 10, 2, 5, 5),
+    ],
+    ids=["CopConfig", "CoherenceProfile", "walk_power_sums", "expected_coherence"],
+)
+def test_every_power_but_1_and_2_is_one_data_error(call):
+    with pytest.raises(DataError, match="power p must be 1 or 2, got 3"):
+        call()
 
 
 def test_numpy_integer_sizes_and_seeds_give_the_int_result():
@@ -538,6 +554,13 @@ def test_spca_fails_where_cop_succeeds():
     assert recovery_error(ds.basis, spca(ds.d, 3)) > 0.05
     with pytest.raises(NumericalError):
         spca(ds.d[:, :2], 3)
+
+
+def test_spca_rejects_r_above_m_like_cop():
+    small = gen_unstructured(4, 2, 10, 10, seed=1)
+    for method in (lambda d, r: cop(d, CopConfig(r=r)), spca):
+        with pytest.raises(DataError, match="r=5 must not exceed m=4"):
+            method(small.d, 5)
 
 
 def test_residual_outliers_frozen_case():
