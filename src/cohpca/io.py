@@ -22,6 +22,7 @@ the matrix rule with every pixel in 0..maxval.
 """
 
 import os
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -286,6 +287,9 @@ def _pgm_tokens(raw):
         yield start, raw[start:pos]
 
 
+_PGM_PIXEL = re.compile(rb"-?[0-9]+")
+
+
 def read_pgm(path):
     """Read a P2 or P5 PGM image into a uint8 array."""
     with open(path, "rb") as fh:
@@ -313,9 +317,14 @@ def read_pgm(path):
             raise DataError(f"{path}: truncated PGM pixel data")
         img = np.frombuffer(body, dtype=np.uint8, count=width * height)
     else:
+        words = raw[end:].split()
+        # int() alone would also take +7 and 1_0; the minus sign passes so
+        # that a negative pixel gets the range message
+        if not all(map(_PGM_PIXEL.fullmatch, words)):
+            raise DataError(f"{path}: unparseable PGM pixel data")
         try:
-            img = np.array([int(v) for v in raw[end:].split()], dtype=np.int64)
-        except (ValueError, OverflowError):  # a word, or a pixel beyond int64
+            img = np.array([int(v) for v in words], dtype=np.int64)
+        except (ValueError, OverflowError):  # beyond int64 or int()'s digit limit
             raise DataError(f"{path}: unparseable PGM pixel data")
         if img.size != width * height:
             raise DataError(f"{path}: expected {width * height} pixels, found {img.size}")

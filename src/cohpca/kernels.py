@@ -15,10 +15,15 @@ k = i is left out here.  The path follows from the shape of the m-by-n x:
   the next, so the extra memory is O(m^2 + m COV_BLOCK + n), with no
   m-by-n product.
 * half-Gram walk (``walk_power_sums``), for p = 1 and for p = 2 with
-  m >= n: slabs of ``BLOCK`` columns, each multiplied only against itself
-  and the columns after it with its diagonal zeroed, so every symmetric
-  entry is computed once and no self term is added: about m n (n + BLOCK)
-  flops, and one ``BLOCK``-by-n buffer that every slab reuses.  Each slab's
+  m >= n: slabs of columns lo:hi, each multiplied only against itself and
+  the columns after it with its diagonal zeroed, so every symmetric entry
+  is computed once and no self term is added.  Every slab holds at most
+  ``BLOCK`` * n Gram entries (``_slabs``): the first is ``BLOCK`` columns
+  tall and later ones grow as the columns after them get fewer, so one
+  buffer of min(``BLOCK``, n) * n floats serves every slab (10 MB at
+  n = 10000, which takes 41 slabs of 128 to 821 columns).  The walk
+  computes at most n^2 / 2 + ``BLOCK`` n (1 + ln(n / ``BLOCK``) / 2)
+  entries, 2 m flops each: m n (n + 350) flops at n = 10000.  Each slab's
   row and column sums are two BLAS matrix-vector products with a ones
   vector, written into one length-n vector that every slab reuses.
 """
@@ -29,7 +34,7 @@ from .errors import _as_2d, _power
 
 __all__ = ["BLOCK", "COV_BLOCK", "block_power_sums", "walk_power_sums"]
 
-BLOCK = 256
+BLOCK = 128
 COV_BLOCK = 1024
 
 
@@ -53,6 +58,16 @@ def block_power_sums(x, p):
     return walk_power_sums(x, p)
 
 
+def _slabs(n):
+    """The walk's slabs lo:hi over n columns: as many columns as keep
+    (hi - lo) * (n - lo), the slab's Gram entries, within ``BLOCK`` * n."""
+    lo = 0
+    while lo < n:
+        hi = min(lo + BLOCK * n // (n - lo), n)
+        yield lo, hi
+        lo = hi
+
+
 def walk_power_sums(x, p):
     """``block_power_sums`` by the half-Gram walk; a lone column sums to 0."""
     _power(p)
@@ -62,8 +77,7 @@ def walk_power_sums(x, p):
     buf = np.empty(min(BLOCK, n) * n)
     ones = np.ones(n)
     part = np.empty(n)
-    for lo in range(0, n, BLOCK):
-        hi = min(lo + BLOCK, n)
+    for lo, hi in _slabs(n):
         # rows lo:hi of the Gram from column lo on, written into the front
         # of the one buffer; the transposed view and the column slice both
         # go to BLAS without a copy

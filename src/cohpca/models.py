@@ -197,8 +197,10 @@ def gen_noisy(m, r, n1, n2, sigma, seed=0, shuffle=False):
     e = unit_sphere(rng, m, n1)
     alpha = rng.normal(0.0, sigma, n1) if sigma > 0 else np.zeros(n1)
     a_noisy = (a + alpha * e) / np.sqrt(1.0 + sigma**2)
-    b = unit_sphere(rng, m, n2)
-    return _dataset(rng, u, a_noisy, b, shuffle, clean=np.hstack([a, b]))
+    # the outliers are kept only inside ``clean``, and ``d`` copies them
+    # from there, so no third dataset-sized array is held
+    clean = np.hstack([a, unit_sphere(rng, m, n2)])
+    return _dataset(rng, u, a_noisy, clean[:, n1:], shuffle, clean=clean)
 
 
 def gen_clustered_inliers(m, r, n1, n2, nu, seed=0, shuffle=False):

@@ -323,6 +323,7 @@ def spca(d, r):
 
     Same normalization path as cop(), no outlier handling at all.
     """
+    r = _integer(r, "r")
     x, _ = normalize_columns(d)
     if r > x.shape[0]:
         raise DataError(f"r={r} must not exceed m={x.shape[0]}")

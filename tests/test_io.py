@@ -386,6 +386,8 @@ def test_pgm_reader_rejects_malformed_files(tmp_path):
         "bad-pixel.pgm": b"P2\n1 1\n255\nx\n",
         "over-maxval.pgm": b"P2\n1 1\n100\n101\n",
         "negative-pixel.pgm": b"P2\n2 1\n255\n-1 5\n",
+        "plus-sign.pgm": b"P2\n2 1\n255\n3 +7\n",
+        "digit-group.pgm": b"P2\n2 1\n255\n1_0 5\n",
         "int64-overflow.pgm": b"P2\n1 1\n255\n99999999999999999999\n",
         "short-binary.pgm": b"P5\n2 2\n255\n\x00\x01",
     }

@@ -72,17 +72,39 @@ def assert_matches_the_gram_oracle(x, p, seed):
     assert np.all(err <= 1e-12 * scale * (scale.sum() - scale))
 
 
+def slab_count(n):
+    return len(list(kernels._slabs(n)))
+
+
+# the widths up to 6 BLOCK by the number of slabs the walk takes them in,
+# 3 standing for three or more; the last slab is ragged, cut short by n,
+# in all but two of them (n = 128 and 335)
+WIDTHS = {
+    k: [n for n in range(1, 6 * kernels.BLOCK + 1) if min(slab_count(n), 3) == k]
+    for k in (1, 2, 3)
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 5000))
+def test_the_slabs_tile_the_columns_and_each_fits_the_buffer(n):
+    slabs = list(kernels._slabs(n))
+    assert slabs[0][0] == 0 and slabs[-1][1] == n
+    assert all(a[1] == b[0] for a, b in zip(slabs, slabs[1:]))
+    for lo, hi in slabs:
+        assert lo < hi and (hi - lo) * (n - lo) <= min(kernels.BLOCK, n) * n
+    # the first slab is BLOCK columns tall, as tall as the buffer allows
+    assert slabs[0][1] == min(kernels.BLOCK, n)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     m=st.integers(2, 12),
-    slabs=st.integers(0, 2),
-    tail=st.integers(1, kernels.BLOCK),
+    n=st.sampled_from([1, 2, 3]).flatmap(lambda k: st.sampled_from(WIDTHS[k])),
     p=st.sampled_from([1, 2]),
     seed=st.integers(0, 10_000),
 )
-def test_every_slab_walk_matches_the_gram_oracle(m, slabs, tail, p, seed):
-    # one, two or three slabs; the last one is ragged unless tail == BLOCK
-    n = slabs * kernels.BLOCK + tail
+def test_every_slab_walk_matches_the_gram_oracle(m, n, p, seed):
     assert_matches_the_gram_oracle(unit_columns(m, n, seed), p, seed)
 
 
@@ -97,25 +119,21 @@ SHAPES = {
 
 
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-@pytest.mark.parametrize("slabs", [0, 1, 2])
+@pytest.mark.parametrize("slabs", [1, 2, 3])
 @pytest.mark.parametrize("p", [1, 2])
 @settings(max_examples=6, deadline=None)
-@given(
-    tail=st.integers(1, kernels.BLOCK),
-    shift=st.integers(-1, 1),
-    seed=st.integers(0, 10_000),
-)
-def test_every_dispatch_path_matches_the_gram_oracle(p, slabs, shape, tail, shift, seed):
-    # one, two or three slabs; the last one is ragged unless tail == BLOCK
-    n = slabs * kernels.BLOCK + tail
+@given(data=st.data(), shift=st.integers(-1, 1), seed=st.integers(0, 10_000))
+def test_every_dispatch_path_matches_the_gram_oracle(p, slabs, shape, data, shift, seed):
+    n = data.draw(st.sampled_from(WIDTHS[slabs]), label="n")
     assert_matches_the_gram_oracle(unit_columns(SHAPES[shape](n, shift), n, seed), p, seed)
 
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_the_walk_is_exactly_sign_invariant(p):
-    # three slabs, the last one ragged: a flipped column flips each of its
+    # four slabs, the last one ragged: a flipped column flips each of its
     # Gram entries exactly, and |.| or ^2 removes the sign before any sum
-    n = 2 * kernels.BLOCK + 37
+    n = 600
+    assert slab_count(n) == 4
     x = unit_columns(30, n, seed=7)
     signs = np.where(np.random.default_rng(8).random(n) < 0.5, -1.0, 1.0)
     np.testing.assert_array_equal(

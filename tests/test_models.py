@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -191,6 +192,29 @@ def test_noisy_sigma_zero_reproduces_clean_data():
     ds = gen_noisy(30, 3, 12, 8, sigma=0.0, seed=8)
     np.testing.assert_array_equal(ds.d, ds.clean)
     np.testing.assert_allclose(np.linalg.norm(ds.d, axis=0), 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "gen",
+    [
+        lambda: gen_noisy(200, 5, 400, 9600, sigma_for_tau(0.5), seed=1),
+        lambda: gen_unstructured(200, 5, 400, 9600, seed=1),
+    ],
+    ids=["noisy", "unstructured"],
+)
+def test_a_generator_holds_at_most_two_dataset_sized_arrays(gen):
+    # gen_noisy returns d and clean, two arrays of d's size, so building
+    # them may hold no third one.  The first call in a process can carry
+    # one-off allocations, so the lower of two peaks counts
+    peaks = []
+    for _ in range(2):
+        tracemalloc.start()
+        try:
+            nbytes = gen().d.nbytes
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert min(peaks) <= 2.2 * nbytes, f"peak {min(peaks) / nbytes:.2f}x of d"
 
 
 def test_noisy_inliers_leave_the_subspace_but_keep_expected_norm():

@@ -177,8 +177,9 @@ def test_every_strategy_rejects_a_wrong_profile_length_and_r_above_m(strategy):
         lambda d: cop(d, CopConfig(r=2, strategy=Adaptive(k=1.5))),
         lambda d: cop(d, CopConfig(r=2, strategy=Adaptive(passes=2.0))),
         lambda d: spca(d, 2.5),
+        lambda d: spca(d, "a"),
     ],
-    ids=["r=2.5", "r=2.0", "count=5.5", "k=1.5", "h=2.0", "spca-r=2.5"],
+    ids=["r=2.5", "r=2.0", "count=5.5", "k=1.5", "h=2.0", "spca-r=2.5", "spca-r=a"],
 )
 def test_non_integer_sizes_are_data_errors(call):
     d = gen_unstructured(20, 2, 10, 30, seed=0).d
