@@ -212,16 +212,17 @@ def cmd_cop(ns):
             shown = "auto" if value is None else value  # only --upsilon auto parses to None
             raise DataError(f"--{opt.replace('_', '-')} {shown} requires the {_OWNERS[opt]} strategy")
     config = _call(CopConfig, ns, strategy=_STRATEGIES[ns.strategy](**given))
-    d = io.read_matrix(getattr(ns, "in"))
-    res = cop(d, config)
+    # passed straight in, so cop can release the raw matrix once normalized
+    res = cop(io.read_matrix(getattr(ns, "in")), config)
     io.write_matrix(ns.basis_out, res.basis)
     if ns.profile_out:
         io.write_matrix(ns.profile_out, res.profile.values[:, None])
     if ns.indices_out:
         io.write_labels(ns.indices_out, res.sampled)
     flag = "" if res.unique else " (subspace not unique at this rank)"
+    kept = len(res.profile.values)
     print(
-        f"kept {d.shape[1] - len(res.dropped)} of {d.shape[1]} columns, "
+        f"kept {kept} of {kept + len(res.dropped)} columns, "
         f"sampled {len(res.sampled)}, basis rank {res.basis.shape[1]}{flag}"
     )
     return 0

@@ -9,7 +9,8 @@ arithmetic, lays sign, digits, point and exponent out in a fixed-width
 byte template and deletes the unused bytes.  The few values that path
 cannot round with certainty (near-ties, and magnitudes outside
 [1e-280, 1e280]) go through the per-value ``%`` format, so the bytes
-are those of the per-value writer.  A path ending in ".npy"
+are those of the per-value writer.  The reader makes the matrix
+once, at the size its header gives.  A path ending in ".npy"
 selects NumPy's binary format instead (``np.save`` / ``np.load``
 without pickles), which holds only float64 arrays and is bit-exact
 too.  Both directions apply the package's matrix rule, 2-d, non-empty
@@ -23,6 +24,7 @@ the matrix rule with every pixel in 0..maxval.
 
 import os
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -227,13 +229,23 @@ def _read_text(path):
                 break
         else:
             raise DataError(f"{path}: no matrix rows after the header, expected {m} x {n}")
+        # loadtxt allocates max_rows rows up front: reject first a header
+        # that no file of this size can fill, a digit and a separator a value
+        size = os.fstat(fh.fileno()).st_size
+        if 2 * m * n - 1 > size:
+            raise DataError(f"{path}: header {m} x {n} needs more than the file's {size} bytes")
         fh.seek(body)
+        # made once at its size, never grown; one more row shows a longer
+        # body.  max_rows counts data rows, and warns of each line it skips
         try:
-            data = np.loadtxt(fh, dtype=np.float64, ndmin=2)
+            with warnings.catch_warnings():
+                warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+                data = np.loadtxt(fh, dtype=np.float64, ndmin=2, max_rows=m + 1)
         except ValueError as exc:
             raise DataError(f"{path}: unparseable matrix body: {exc}")
     if data.shape != (m, n):
-        raise DataError(f"{path}: body shape {data.shape} does not match header {m} x {n}")
+        unread = f" (reading stopped at row {m + 1})" if len(data) > m else ""
+        raise DataError(f"{path}: body shape {data.shape} does not match header {m} x {n}{unread}")
     return data
 
 
@@ -288,6 +300,7 @@ def _pgm_tokens(raw):
 
 
 _PGM_PIXEL = re.compile(rb"-?[0-9]+")
+_PGM_SIZE = re.compile(rb"[0-9]+")
 
 
 def read_pgm(path):
@@ -302,9 +315,13 @@ def read_pgm(path):
         raise DataError(f"{path}: truncated PGM header")
     if magic not in (b"P2", b"P5"):
         raise DataError(f"{path}: not a PGM file (magic {magic!r})")
+    # plain decimal digits, as for the pixels; int() would also take +2 and 1_0
+    header = (w_tok, h_tok, maxval_tok)
+    if not all(map(_PGM_SIZE.fullmatch, header)):
+        raise DataError(f"{path}: malformed PGM header {b' '.join((magic, *header))!r}")
     try:
-        width, height, maxval = int(w_tok), int(h_tok), int(maxval_tok)
-    except ValueError:
+        width, height, maxval = map(int, header)
+    except ValueError:  # beyond int()'s digit limit
         raise DataError(f"{path}: malformed PGM header")
     if width < 1 or height < 1:
         raise DataError(f"{path}: image dimensions must be positive")

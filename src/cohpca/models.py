@@ -104,18 +104,21 @@ def _check_sizes(m, r, n1, n2):
         raise DataError(f"rank r={r} must satisfy 1 <= r <= m={m}")
 
 
-def _shuffled(rng, d, labels, *others):
-    perm = rng.permutation(d.shape[1])
-    shuffled_others = tuple(o[:, perm] if o is not None else None for o in others)
-    return (d[:, perm], labels[perm]) + shuffled_others
-
-
 def _dataset(rng, u, a, b, shuffle, clean=None, aux=None):
-    """Inliers ``a`` then outliers ``b``, labeled, shuffled when asked."""
+    """Inliers ``a`` then outliers ``b``, labeled, shuffled when asked.
+
+    ``a`` and ``b`` are released once stacked, and each permuted copy
+    replaces its unshuffled array before the next one is made, so no
+    more than one permuted copy is held at a time.
+    """
     d = np.hstack([a, b])
     labels = np.concatenate([np.full(a.shape[1], INLIER), np.full(b.shape[1], OUTLIER)])
+    del a, b
     if shuffle:
-        d, labels, clean = _shuffled(rng, d, labels, clean)
+        perm = rng.permutation(d.shape[1])
+        d, labels = d[:, perm], labels[perm]
+        if clean is not None:
+            clean = clean[:, perm]
     return LabeledDataset(d, labels, u, clean=clean, aux={} if aux is None else aux)
 
 
@@ -141,9 +144,8 @@ def gen_unstructured(m, r, n1, n2, seed=0, shuffle=False):
     _check_sizes(m, r, n1, n2)
     rng = _rng_of(seed)
     u = random_subspace(rng, m, r)
-    a = u @ unit_sphere(rng, r, n1)
-    b = unit_sphere(rng, m, n2)
-    return _dataset(rng, u, a, b, shuffle)
+    # both draws passed straight in, so _dataset can release them once stacked
+    return _dataset(rng, u, u @ unit_sphere(rng, r, n1), unit_sphere(rng, m, n2), shuffle)
 
 
 def gen_structured_outliers(m, r, n1, n2, mu, seed=0, inlier_nu=None, shuffle=False):
@@ -242,7 +244,8 @@ def gen_union(m, dims, sizes, seed=0, shuffle=False):
     d = np.hstack(blocks)
     labels = np.concatenate(labels)
     if shuffle:
-        d, labels = _shuffled(rng, d, labels)
+        perm = rng.permutation(d.shape[1])
+        d, labels = d[:, perm], labels[perm]
     return UnionDataset(d, labels, tuple(bases))
 
 

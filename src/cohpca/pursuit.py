@@ -294,11 +294,15 @@ def cop(d, cfg):
     the span of the selection.  Indices in the result refer to columns
     of ``d`` as given.  Fewer than r usable columns raise
     ``NumericalError`` before the kernel runs.
+
+    ``d`` is not referenced once normalized: on Python 3.11 and later,
+    ``cop(read_matrix(path), cfg)`` frees the raw matrix before the kernel.
     """
     if not hasattr(cfg.strategy, "select"):
         raise DataError(f"unknown sampling strategy {cfg.strategy!r}")
     x, kept = normalize_columns(d)
     dropped = np.delete(np.arange(np.asarray(d).shape[1]), kept)
+    del d
     if x.shape[1] < cfg.r:
         raise NumericalError(f"only {x.shape[1]} usable columns for target rank r={cfg.r}")
     prof = coherence(x, cfg.p)

@@ -79,6 +79,50 @@ def test_matrix_reader_rejects_rows_beyond_the_header(tmp_path):
         read_matrix(path)
 
 
+def test_matrix_reader_stops_one_row_past_the_header(tmp_path):
+    # one extra row is enough to see a longer body, comment lines between
+    path = tmp_path / "long.txt"
+    path.write_text("2 2\n" + "".join(f"{i} {i}\n# between\n\n" for i in range(7)))
+    with pytest.raises(DataError, match=r"body shape \(3, 2\) does not match header 2 x 2 \(reading stopped at row 3\)"):
+        read_matrix(path)
+
+
+def test_matrix_reader_skips_comment_and_blank_lines_between_rows_and_warns_nothing(tmp_path):
+    path = tmp_path / "comments.txt"
+    path.write_text("2 3\n# first\n1 2 3\n\n   \n# second\n4 5 6\n# end\n\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(read_matrix(path), [[1, 2, 3], [4, 5, 6]])
+
+
+def test_matrix_reader_rejects_a_header_its_file_cannot_fill_before_allocating(tmp_path):
+    path = tmp_path / "huge-header.txt"
+    path.write_text("1000000000000 3\n1 2 3\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(DataError, match="huge-header.txt: header 1000000000000 x 3 needs more"):
+            read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, f"peak {peak / 1e6:.1f} MB"
+
+
+def test_text_reader_makes_the_matrix_once_at_the_header_size(tmp_path):
+    # a matrix grown row block by row block peaks at about 1.24x; made once,
+    # the matrix and the finite check's mask of an eighth of its size remain
+    a = np.random.default_rng(6).standard_normal((400, 5050))
+    path = tmp_path / "big.txt"
+    write_matrix(path, a)
+    tracemalloc.start()
+    try:
+        read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * a.nbytes, f"peak {peak / a.nbytes:.3f}x of the matrix"
+
+
 def test_matrix_reader_reports_the_path(tmp_path):
     path = tmp_path / "named.txt"
     path.write_text("bogus\n")
@@ -387,6 +431,9 @@ def test_pgm_reader_rejects_malformed_files(tmp_path):
         "over-maxval.pgm": b"P2\n1 1\n100\n101\n",
         "negative-pixel.pgm": b"P2\n2 1\n255\n-1 5\n",
         "plus-sign.pgm": b"P2\n2 1\n255\n3 +7\n",
+        "plus-sign-width.pgm": b"P2\n+2 1\n255\n3 7\n",
+        "digit-group-height.pgm": b"P2\n1 1_0\n255\n" + b"0 " * 10,
+        "plus-sign-maxval.pgm": b"P2\n2 1\n+255\n3 7\n",
         "digit-group.pgm": b"P2\n2 1\n255\n1_0 5\n",
         "int64-overflow.pgm": b"P2\n1 1\n255\n99999999999999999999\n",
         "short-binary.pgm": b"P5\n2 2\n255\n\x00\x01",
@@ -396,6 +443,13 @@ def test_pgm_reader_rejects_malformed_files(tmp_path):
         path.write_bytes(blob)
         with pytest.raises(DataError):
             read_pgm(path)
+
+
+def test_pgm_header_error_names_the_header(tmp_path):
+    path = tmp_path / "header.pgm"
+    path.write_bytes(b"P2\n+2 1_0\n255\n" + b"0 " * 20)
+    with pytest.raises(DataError, match=re.escape("header.pgm: malformed PGM header b'P2 +2 1_0 255'")):
+        read_pgm(path)
 
 
 def test_pgm_low_maxval_is_accepted(tmp_path):
