@@ -20,8 +20,14 @@ Label files carry one integer per line.  Images use PGM: the reader
 accepts both ASCII (P2) and binary (P5) with maxval up to 255, the
 writer emits P2 with maxval 255.  Both directions apply the image rule:
 the matrix rule with every pixel in 0..maxval.
+
+Every integer the readers take, the matrix header's m and n, a label,
+the PGM header's width, height and maxval and a P2 pixel, is ASCII
+digits after an optional minus sign; int() alone would also take a
+plus sign, a digit group such as 1_0 and non-ASCII digits.
 """
 
+import itertools
 import os
 import re
 import warnings
@@ -43,6 +49,21 @@ __all__ = [
 
 def _is_npy(path):
     return os.fspath(path).endswith(".npy")
+
+
+_INTEGER = re.compile(rb"-?[0-9]+")
+
+
+def _integers(tokens, message):
+    """The byte-string tokens as ints; DataError(message) unless each is
+    ASCII digits after an optional minus sign and within int()'s digit
+    limit.  The minus passes so that the caller's range rule names it."""
+    try:
+        if all(map(_INTEGER.fullmatch, tokens)):
+            return [int(t) for t in tokens]
+    except ValueError:  # beyond int()'s digit limit
+        pass
+    raise DataError(message)
 
 
 # ---- the text matrix writer ----
@@ -212,14 +233,13 @@ def _read_npy(path):
 
 
 def _read_text(path):
-    with open(path) as fh:
+    # a byte that does not decode reads as U+FFFD, which no header or value takes
+    with open(path, errors="replace") as fh:
         header = fh.readline().split()
         if len(header) != 2:
             raise DataError(f"{path}: expected header 'm n', got {header!r}")
-        try:
-            m, n = int(header[0]), int(header[1])
-        except ValueError:
-            raise DataError(f"{path}: non-integer dimensions in header {header!r}")
+        message = f"{path}: non-integer dimensions in header {header!r}"
+        m, n = _integers([t.encode() for t in header], message)
         if m < 1 or n < 1:
             raise DataError(f"{path}: dimensions must be positive, got {m} x {n}")
         # loadtxt only warns on a body without rows; find one first
@@ -262,11 +282,11 @@ def write_labels(path, labels):
 
 
 def read_labels(path):
+    with open(path, "rb") as fh:
+        lines = map(bytes.strip, fh.read().splitlines())
+    labels = _integers([t for t in lines if t], f"{path}: unparseable label file")
     try:
-        with open(path) as fh:
-            return np.array([int(line) for line in fh if line.strip()], dtype=np.int64)
-    except ValueError as exc:
-        raise DataError(f"{path}: unparseable label file: {exc}")
+        return np.array(labels, dtype=np.int64)
     except OverflowError as exc:
         raise DataError(f"{path}: label outside int64: {exc}")
 
@@ -281,68 +301,38 @@ def write_pgm(path, img):
             fh.write(" ".join(str(v) for v in row) + "\n")
 
 
-def _pgm_tokens(raw):
-    # yields whitespace-separated header tokens, skipping '#' comments
-    pos = 0
-    while True:
-        while pos < len(raw) and raw[pos : pos + 1].isspace():
-            pos += 1
-        if pos < len(raw) and raw[pos : pos + 1] == b"#":
-            while pos < len(raw) and raw[pos : pos + 1] != b"\n":
-                pos += 1
-            continue
-        start = pos
-        while pos < len(raw) and not raw[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            return
-        yield start, raw[start:pos]
-
-
-_PGM_PIXEL = re.compile(rb"-?[0-9]+")
-_PGM_SIZE = re.compile(rb"[0-9]+")
+# a '#' that starts a token comments out the rest of its line
+_PGM_TOKEN = re.compile(rb"#[^\n]*|\S+")
 
 
 def read_pgm(path):
     """Read a P2 or P5 PGM image into a uint8 array."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    tokens = _pgm_tokens(raw)
-    try:
-        _, magic = next(tokens)
-        (_, w_tok), (_, h_tok), (end, maxval_tok) = next(tokens), next(tokens), next(tokens)
-    except StopIteration:
+    tokens = (t for t in _PGM_TOKEN.finditer(raw) if not t[0].startswith(b"#"))
+    header = list(itertools.islice(tokens, 4))
+    if len(header) < 4:
         raise DataError(f"{path}: truncated PGM header")
+    magic, *size = (t[0] for t in header)
     if magic not in (b"P2", b"P5"):
         raise DataError(f"{path}: not a PGM file (magic {magic!r})")
-    # plain decimal digits, as for the pixels; int() would also take +2 and 1_0
-    header = (w_tok, h_tok, maxval_tok)
-    if not all(map(_PGM_SIZE.fullmatch, header)):
-        raise DataError(f"{path}: malformed PGM header {b' '.join((magic, *header))!r}")
-    try:
-        width, height, maxval = map(int, header)
-    except ValueError:  # beyond int()'s digit limit
-        raise DataError(f"{path}: malformed PGM header")
+    width, height, maxval = _integers(size, f"{path}: malformed PGM header {b' '.join((magic, *size))!r}")
     if width < 1 or height < 1:
         raise DataError(f"{path}: image dimensions must be positive")
     if not 0 < maxval <= 255:
         raise DataError(f"{path}: only maxval in 1..255 is supported, got {maxval}")
-    end += len(maxval_tok)
+    end = header[3].end()
     if magic == b"P5":
         body = raw[end + 1 : end + 1 + width * height]
         if len(body) < width * height:
             raise DataError(f"{path}: truncated PGM pixel data")
         img = np.frombuffer(body, dtype=np.uint8, count=width * height)
     else:
-        words = raw[end:].split()
-        # int() alone would also take +7 and 1_0; the minus sign passes so
-        # that a negative pixel gets the range message
-        if not all(map(_PGM_PIXEL.fullmatch, words)):
-            raise DataError(f"{path}: unparseable PGM pixel data")
+        message = f"{path}: unparseable PGM pixel data"
         try:
-            img = np.array([int(v) for v in words], dtype=np.int64)
-        except (ValueError, OverflowError):  # beyond int64 or int()'s digit limit
-            raise DataError(f"{path}: unparseable PGM pixel data")
+            img = np.array(_integers(raw[end:].split(), message), dtype=np.int64)
+        except OverflowError:  # beyond int64
+            raise DataError(message)
         if img.size != width * height:
             raise DataError(f"{path}: expected {width * height} pixels, found {img.size}")
     return _as_image(img.reshape(height, width), maxval, f"{path}: image").astype(np.uint8)

@@ -15,7 +15,7 @@ from cohpca.clustering import (
 from cohpca.errors import DataError, NumericalError
 from cohpca.io import write_labels
 from cohpca.models import gen_union, gen_unstructured
-from cohpca.pursuit import CopConfig, TopFraction, cop, residual_outliers
+from cohpca.pursuit import CopConfig, TopFraction, cop, residual_outliers, spca
 from cohpca.rng import stream
 
 from oracles import brute_assign, brute_clustering_error
@@ -367,6 +367,35 @@ def test_labels_ignore_column_scale_sign_and_order(shifts, flips, order):
     )
     for g, want in zip(got, AT_SCALE_ONE):
         np.testing.assert_array_equal(g, want[order])
+
+
+# spca answers with a basis, the other two with labels
+OTHER_LABELERS = {
+    "spca": (OUTLIERS.d, lambda d: spca(d, 2)),
+    "residual_outliers": (OUTLIERS.d, lambda d: residual_outliers(d, BASIS)),
+    "assign_to_subspaces": (UNION.d, lambda d: assign_to_subspaces(d, BASES)),
+}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", OTHER_LABELERS)
+def test_spca_and_the_labelers_ignore_column_scale_over_the_float64_range(name, seed):
+    # column j times +-2**k[j], k in [-1000, 1000], then permuted: exact in
+    # float64, so mapping the columns back restores d bit for bit
+    d, run = OTHER_LABELERS[name]
+    rng = np.random.default_rng(seed)
+    n = d.shape[1]
+    factor = np.ldexp(rng.choice([-1.0, 1.0], n), rng.integers(-1000, 1001, n))
+    order = rng.permutation(n)
+    moved = (d * factor)[:, order]
+    back = np.empty_like(moved)
+    back[:, order] = moved
+    assert np.array_equal(back / factor, d)
+    want, got = run(d), run(moved)
+    if name == "spca":
+        np.testing.assert_allclose(got @ got.T, want @ want.T, rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_array_equal(got, want[order])
 
 
 def _eye_with(value):

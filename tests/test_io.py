@@ -130,6 +130,19 @@ def test_matrix_reader_reports_the_path(tmp_path):
         read_matrix(path)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [b"+1 0_2\n1 2\n", b"1 2_0\n" + b"1 " * 20 + b"\n", b"2 1\xff\n1\n2\n"],
+    ids=["plus-sign-and-digit-group", "digit-group", "byte-not-text"],
+)
+def test_matrix_header_dimensions_are_plain_decimal_digits(tmp_path, text):
+    # int() alone reads the first two as 1 x 2 and 1 x 20 and takes the body
+    path = tmp_path / "header.txt"
+    path.write_bytes(text)
+    with pytest.raises(DataError, match=re.escape(f"{path}: non-integer dimensions in header")):
+        read_matrix(path)
+
+
 # the extremes of float64 and values whose shortest repr is not 17 digits
 EDGE_VALUES = [
     -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308,
@@ -371,6 +384,48 @@ def test_labels_reader_names_the_file_of_a_label_outside_int64(tmp_path):
     path.write_text(f"0\n{2**63}\n")
     with pytest.raises(DataError, match=re.escape(f"{path}: label outside int64")):
         read_labels(path)
+
+
+# ---- the integer rule of every reader ----
+
+
+# each site's file around one token, the reader and the integer it yields,
+# the message of a token that is not an integer, and that of a negative one
+INTEGER_SITES = {
+    "matrix-header": (
+        "{} 1\n" + "0\n" * 7, lambda p: read_matrix(p).shape[0],
+        "non-integer dimensions in header", "dimensions must be positive",
+    ),
+    "label-line": ("0\n{}\n", lambda p: read_labels(p)[1], "unparseable label file", None),
+    "pgm-width": (
+        "P2\n{} 1\n255\n" + "0 " * 7, lambda p: read_pgm(p).shape[1],
+        "malformed PGM header", "image dimensions must be positive",
+    ),
+    "p2-pixel": (
+        "P2\n1 1\n255\n{}\n", lambda p: read_pgm(p)[0, 0],
+        "unparseable PGM pixel data", "image pixels must lie in 0..255",
+    ),
+}
+# whitespace separates tokens at every site, so " 7" is the token 7
+PLAIN_INTEGERS = {"7": 7, "-7": -7, " 7": 7}
+# each token with its test id
+TOKENS = {"7": "7", "-7": "-7", "+7": "+7", "1_0": "1_0", "\u0663": "arabic-3", "7.0": "7.0", " 7": "space-7"}
+
+
+@pytest.mark.parametrize("token", TOKENS, ids=TOKENS.values())
+@pytest.mark.parametrize("site", INTEGER_SITES)
+def test_every_reader_takes_only_plain_decimal_integers(tmp_path, site, token):
+    layout, read, not_an_integer, negative = INTEGER_SITES[site]
+    path = tmp_path / "f"
+    path.write_bytes(layout.format(token).encode())
+    if token not in PLAIN_INTEGERS:
+        with pytest.raises(DataError, match=re.escape(f"{path}: {not_an_integer}")):
+            read(path)
+    elif PLAIN_INTEGERS[token] < 0 and negative:
+        with pytest.raises(DataError, match=re.escape(f"{path}: {negative}")):
+            read(path)
+    else:
+        assert read(path) == PLAIN_INTEGERS[token]
 
 
 # ---- PGM images ----
