@@ -189,6 +189,18 @@ def test_saliency_flags_the_textured_block():
     np.testing.assert_array_equal(res.image, np.rint(255 * upsampled))
 
 
+@pytest.mark.parametrize("k", [-1000, 1000])
+def test_saliency_does_not_change_with_the_whole_image_scale(k):
+    # scaling by 2**k is exact while the pixels stay normal floats, and
+    # each tile is normalized, so the map is the same to the bit
+    images = [checkerboard_fixture(), np.random.default_rng(8).uniform(0.5, 1.0, (40, 60))]
+    for img in images:
+        base = saliency(img, patch=10)
+        scaled = saliency(np.ldexp(img, k), patch=10)
+        np.testing.assert_array_equal(scaled.values, base.values)
+        np.testing.assert_array_equal(scaled.image, base.image)
+
+
 def test_saliency_of_a_constant_image_is_flat():
     res = saliency(np.full((30, 30), 3.0), patch=10)
     assert np.all(res.values == 0.0)

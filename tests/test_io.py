@@ -1,6 +1,9 @@
 """File formats: text and .npy matrices, label lists, PGM images."""
 
+import os
 import re
+import sys
+import time
 import tracemalloc
 import warnings
 
@@ -310,6 +313,205 @@ def test_npy_reader_rejects_files_that_are_not_one_array(tmp_path):
         np.savez(fh, a=np.ones((2, 2)))
     with pytest.raises(DataError, match="archive.npy: .*npz"):
         read_matrix(path)
+
+
+# ---- text matrices in forked parts ----
+
+# the split needs Linux and a second usable CPU; tests that assert it ran
+# skip without them
+SPLITS = sys.platform == "linux" and len(os.sched_getaffinity(0)) >= 2
+needs_split = pytest.mark.skipif(not SPLITS, reason="no split without Linux and 2 usable CPUs")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """split(size) makes matrices of 2 * size values or more split in two
+    parts, and returns the list that gets each split's result: False
+    where the serial path reran."""
+    outcomes = []
+    real = io._in_children
+
+    def in_children(jobs, receive):
+        outcomes.append(real(jobs, receive))
+        return outcomes[-1]
+
+    def split_at(size):
+        monkeypatch.setattr(io, "_PART_VALUES", size)
+        monkeypatch.setattr(io, "_in_children", in_children)
+        return outcomes
+
+    return split_at
+
+
+def read_outcome(path):
+    """The values read, as bits, or the DataError message."""
+    try:
+        return read_matrix(path).view(np.uint64).tolist()
+    except DataError as exc:
+        return str(exc)
+
+
+def cut_of(data):
+    # where the reader cuts a text matrix in two parts: after the first
+    # newline from the middle of the body on
+    body = data.index(b"\n") + 1
+    return data.index(b"\n", body + (len(data) - body) // 2) + 1
+
+
+def count_rows(k, n, start=0, pad=b""):
+    return b"".join(b" ".join(b"%d" % (start + i * n + j) for j in range(n)) + pad + b"\n" for i in range(k))
+
+
+# 8 x 3 files, each with what the cut in two parts sees before and after it;
+# the last four are input errors
+SPLIT_FILES = {
+    "comments-straddle": (
+        b"8 3\n" + count_rows(4, 3) + b"# a comment\n\n   \n# another\n\n" + count_rows(4, 3, 12),
+        b"# another\n", b"\n12 13 14\n",
+    ),
+    "crlf": ((b"8 3\n" + count_rows(8, 3)).replace(b"\n", b"\r\n"), b"12 13 14\r\n", b"15 16 17\r\n"),
+    "non-utf8-comment": (
+        b"8 3\n" + count_rows(6, 3) + b"# caf\xe9\n" + count_rows(2, 3, 18), b"12 13 14\n", b"15 16 17\n# caf\xe9",
+    ),
+    "columns-change": (
+        b"8 3\n" + count_rows(4, 3, pad=b" " * 6) + count_rows(4, 4, 12), b"9 10 11      \n", b"12 13 14 15\n",
+    ),
+    "rows-beyond-header": (b"8 3\n" + count_rows(10, 3), b"15 16 17\n", b"18 19 20\n"),
+    "garbage-after-row-m+1": (b"8 3\n" + count_rows(9, 3) + b"pear 1 2\n" * 3, b"18 19 20\n", b"21 22 23\n"),
+    "non-utf8-value": (
+        b"8 3\n" + count_rows(4, 3) + count_rows(4, 3, 12).replace(b"22", b"2\xff2"), b"12 13 14\n", b"15 16 17\n",
+    ),
+}
+
+
+@needs_split
+@pytest.mark.parametrize("name", SPLIT_FILES)
+def test_split_reader_gives_the_serial_values_or_message(tmp_path, split, name):
+    data, before, after = SPLIT_FILES[name]
+    cut = cut_of(data)
+    assert data[:cut].endswith(before) and data[cut:].startswith(after)
+    path = tmp_path / "m.txt"
+    path.write_bytes(data)
+    serial = read_outcome(path)
+    outcomes = split(12)
+    assert read_outcome(path) == serial
+    # the serial path reran exactly where it raised
+    assert outcomes == [not isinstance(serial, str)]
+    assert_no_child_left()
+
+
+@needs_split
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.resize(EDGE_VALUES, (3, 600)) * np.linspace(-1.0, 1.0, 600),
+        _RNG.standard_normal((7, 1001)) * 10.0 ** _RNG.integers(-20, 20, (7, 1001)),
+        _RNG.standard_normal((5000, 1)) * 1e-3,
+    ],
+    ids=["edges", "rows-across-blocks", "nx1"],
+)
+def test_split_writer_and_reader_give_the_serial_bytes_and_bits(tmp_path, split, a):
+    outcomes = split(a.size // 2)
+    assert_writes_the_reference(tmp_path / "a.txt", a)
+    assert outcomes == [True, True]
+    assert_no_child_left()
+
+
+def fail_last_part(monkeypatch, name):
+    # the children inherit the patch, and the serial path does not call it;
+    # the first part arrives whole, so the writer has copied it to the file
+    real = getattr(io, name)
+
+    def fail(*args):
+        last = args[1].start > 0 if name == "_format_part" else args[2] == len(args[0])
+        if last:
+            raise RuntimeError("the last part failed")
+        return real(*args)
+
+    monkeypatch.setattr(io, name, fail)
+
+
+@needs_split
+@pytest.mark.parametrize("failing", ["_format_part", "_load_part"])
+def test_a_failed_child_reruns_the_serial_path(tmp_path, split, monkeypatch, failing):
+    fail_last_part(monkeypatch, failing)
+    a = _RNG.standard_normal((7, 1001))
+    outcomes = split(a.size // 2)
+    assert_writes_the_reference(tmp_path / "a.txt", a)
+    assert outcomes == ([False, True] if failing == "_format_part" else [True, False])
+    assert_no_child_left()
+
+
+class InterruptedPipe:
+    """A pipe whose read number `at` raises KeyboardInterrupt."""
+
+    def __init__(self, pipe, at):
+        self.pipe, self.at, self.closed = pipe, at, False
+
+    def readinto(self, buffer):
+        self.at -= 1
+        if not self.at:
+            raise KeyboardInterrupt
+        return self.pipe.readinto(buffer)
+
+    def close(self):
+        self.pipe.close()
+        self.closed = True
+
+
+@needs_split
+@pytest.mark.parametrize("direction", ["write", "read"])
+@pytest.mark.parametrize("children", ["blocked-writing", "still-working"])
+def test_an_interrupt_mid_drain_leaves_no_child_and_no_pipe(tmp_path, split, monkeypatch, direction, children):
+    # each part is several times the 64 KiB a pipe holds, so the children
+    # are blocked writing when the parent stops reading after the first read;
+    # or they sleep, and only a kill lets the call return within the bound
+    a = _RNG.standard_normal((200, 300))
+    path = tmp_path / "a.txt"
+    write_matrix(path, a)
+    at = 2
+    if children == "still-working":
+        at = 1
+        for name in ("_format_part", "_load_part"):
+            monkeypatch.setattr(io, name, lambda *args: time.sleep(120))
+    pipes = []
+    real = io._fork
+
+    def fork(job):
+        pid, pipe = real(job)
+        pipes.append(InterruptedPipe(pipe, at))
+        return pid, pipes[-1]
+
+    monkeypatch.setattr(io, "_fork", fork)
+    split(a.size // 2)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        write_matrix(path, a) if direction == "write" else read_matrix(path)
+    assert time.monotonic() - start < 60
+    assert len(pipes) == 2 and all(p.closed for p in pipes)
+    assert_no_child_left()
+
+
+@needs_split
+@settings(max_examples=60, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(b"0123456789 .-+e\n\r#x\xff")),
+                      min_size=1, max_size=4))
+def test_split_reader_agrees_with_the_serial_reader_on_edited_files(tmp_path_factory, edits):
+    path = tmp_path_factory.mktemp("edit") / "m.txt"
+    data = bytearray(b"6 4\n" + b"".join(b"%.17g %r -0.5 1e-300\n" % (i / 7, i * 1e6) for i in range(6)))
+    for at, byte in edits:
+        data[at % len(data)] = byte
+    path.write_bytes(data)
+    serial = read_outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_PART_VALUES", 12)
+        assert read_outcome(path) == serial
+    assert_no_child_left()
 
 
 # ---- labels ----

@@ -428,12 +428,23 @@ def test_top_r_singular_subspace_flags_ties():
         top_r_singular_subspace(np.eye(3), 0)
 
 
-@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e20])
+@pytest.mark.parametrize("scale", [2.0**-1000, 1e-20, 1.0, 1e20, 2.0**1000])
 def test_top_r_singular_subspace_tie_test_is_scale_free(scale):
     # sigma_1 - sigma_2 = 1e-13 * sigma_1 is a tie at every scale
     y = np.diag([1.0, 1.0 + 1e-13, 0.5]) * scale
     assert not top_r_singular_subspace(y, 1).unique
     assert top_r_singular_subspace(y, 2).unique
+
+
+@pytest.mark.parametrize("k", [-1000, 0, 1000])
+def test_top_r_singular_subspace_recovers_a_span_at_any_whole_matrix_scale(k):
+    # exact in float64: the scaled entries stay normal, and the singular
+    # values scale by 2**k; column scale is no invariance of an SVD
+    truth = random_basis(30, 4, seed=13)
+    y = np.ldexp(truth @ random_matrix(4, 50, seed=14), k)
+    top = top_r_singular_subspace(y, 4)
+    assert top.unique
+    assert subspace_distance(truth, top.basis) < 1e-12
 
 
 # ---- projection and deflation ----
