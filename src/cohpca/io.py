@@ -21,10 +21,8 @@ its part through a pipe, and the parent gathers the parts in row
 order into the one m x n matrix, or copies them to the file.  Values,
 bytes and errors are the serial path's: a child that fails, a part cut
 short and parts that do not make m x n all rerun the serial path.
-The parent peaks as on the serial path; each child's peak, ru_maxrss
-of RUSAGE_CHILDREN in a fresh process (pages shared with the parent
-included), was 74 MiB reading a 400 x 5050 matrix and 63 MiB writing
-it.  Other platforms, and smaller matrices, take the serial path.
+The parent peaks as on the serial path.  Other platforms, and
+smaller matrices, take the serial path.
 
 A path ending in ".npy" selects NumPy's binary format instead
 (``np.save`` / ``np.load`` without pickles), which holds only float64

@@ -28,10 +28,11 @@ subspace of its picks, flagged not unique when sigma_r - sigma_{r+1}
 (sigma_{r+1} = 0 past the last one) is at most 1e-12 * sigma_1, so picks
 that span fewer than r dimensions come back with ``unique=False``.
 ``cop`` is the one entry point: it normalizes, profiles and hands both
-to the strategy.
+to the strategy; its ``seconds`` are the stage times ``cohpca bench`` reports.
 """
 
-from dataclasses import dataclass, replace
+import time
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -167,13 +168,17 @@ class CopResult:
     dropped: indices of the all-zero columns, the only ones discarded.
     unique: False when sigma_r of the sampled columns is tied with
     sigma_{r+1}, or when they span fewer than r dimensions, so the
-    subspace was not determined by the sampled columns alone."""
+    subspace was not determined by the sampled columns alone.
+    seconds: the seconds cop's stages took, {"normalize": s, "coherence":
+    s, "select": s} in that order, which ``cohpca bench`` reports; ``==``
+    ignores them, as they are read off the clock."""
 
     basis: np.ndarray
     sampled: np.ndarray
     profile: CoherenceProfile
     dropped: np.ndarray
     unique: bool = True
+    seconds: dict = field(default=None, compare=False)
 
 
 # greedy_rank_sampling and adaptive_sampling are looked up by name, so a wrapper
@@ -300,14 +305,18 @@ def cop(d, cfg):
     """
     if not hasattr(cfg.strategy, "select"):
         raise DataError(f"unknown sampling strategy {cfg.strategy!r}")
+    t0 = time.perf_counter()
     x, kept = normalize_columns(d)
     dropped = np.delete(np.arange(np.asarray(d).shape[1]), kept)
     del d
     if x.shape[1] < cfg.r:
         raise NumericalError(f"only {x.shape[1]} usable columns for target rank r={cfg.r}")
+    t1 = time.perf_counter()
     prof = coherence(x, cfg.p)
+    t2 = time.perf_counter()
     picked, basis, unique = cfg.strategy.select(x, prof, cfg)
-    return CopResult(basis, kept[picked], prof, dropped, unique)
+    seconds = {"normalize": t1 - t0, "coherence": t2 - t1, "select": time.perf_counter() - t2}
+    return CopResult(basis, kept[picked], prof, dropped, unique, seconds)
 
 
 def cop_multipass(d, cfg, h):
@@ -319,7 +328,10 @@ def cop_multipass(d, cfg, h):
     """
     if not isinstance(cfg.strategy, Adaptive):
         raise DataError("cop_multipass requires an Adaptive strategy")
-    return cop(d, replace(cfg, strategy=replace(cfg.strategy, passes=h)))
+    # d goes to cop with no reference left here, so cop can free it
+    box = [d]
+    del d
+    return cop(box.pop(), replace(cfg, strategy=replace(cfg.strategy, passes=h)))
 
 
 def spca(d, r):

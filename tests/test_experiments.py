@@ -6,6 +6,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from cohpca import experiments
 from cohpca.errors import DataError, NumericalError
 from cohpca.experiments import (
     run_bench,
@@ -311,6 +312,24 @@ def test_bench_report_is_the_json_it_writes_for_any_integer_types(tmp_path, kw, 
     assert returned["settings"] == settings
 
 
+def test_bench_stage_seconds_are_the_seconds_cop_reports(monkeypatch):
+    cop, calls = experiments.cop, []
+
+    def counting(d, cfg):
+        res = cop(d, cfg)
+        calls.append((cfg.r, cfg.p, res.seconds))
+        return res
+
+    monkeypatch.setattr(experiments, "cop", counting)
+    report = run_bench(cases=((20, 30), (10, 25)), r=2, p=1, runs=3, seed=1)
+    assert len(calls) == 2 * 3  # one cop call per case and run
+    for ci, case in enumerate(report["cases"]):
+        mine = calls[3 * ci : 3 * ci + 3]
+        assert [(r, p) for r, p, _ in mine] == [(case["r"], case["p"])] * 3
+        for stage in ("normalize", "coherence", "select"):
+            assert case["stages"][stage]["seconds"] == [s[stage] for _, _, s in mine]
+
+
 def test_bench_validation():
     with pytest.raises(DataError):
         run_bench(cases=((20, 30),), runs=0)
@@ -341,5 +360,5 @@ def test_runner_counts_must_be_integers(call):
 
 def test_write_rows_csv_layout(tmp_path):
     path = tmp_path / "rows.csv"
-    write_rows_csv(path, "demo", ["a", "b"], [{"a": 1, "b": 2.5}])
+    write_rows_csv(path, "demo", [{"a": 1, "b": 2.5}])
     assert path.read_text() == "# cohpca demo v1\na,b\n1,2.5\n"

@@ -23,7 +23,15 @@ from cohpca.linalg import (
     top_r_singular_subspace,
 )
 from cohpca.models import gen_noisy, gen_unstructured, sigma_for_tau
-from cohpca.pursuit import Adaptive, CopConfig, CopResult, cop, residual_outliers, spca
+from cohpca.pursuit import (
+    Adaptive,
+    CopConfig,
+    CopResult,
+    cop,
+    cop_multipass,
+    residual_outliers,
+    spca,
+)
 
 from oracles import naive_coherence, orthonormal_basis, subspace_distance
 
@@ -353,6 +361,20 @@ def test_multipass_holds_one_normalized_copy_plus_one_slab(m, n):
     assert peak <= bound, f"peak {peak} B, bound {bound:.0f} B"
 
 
+def test_cop_multipass_frees_the_raw_matrix_as_cop_does(tmp_path):
+    # the noisy-l1 benchmark's dataset: cop_multipass keeps no reference
+    # to d, so the loaded matrix is freed before the p=1 walk, as in cop
+    path = tmp_path / "d.npy"
+    np.save(path, gen_noisy(200, 5, 400, 9600, sigma_for_tau(0.5), seed=3).d)
+    cfg = CopConfig(r=5, p=1, strategy=Adaptive(k=2, upsilon=None), seed=3)
+    passes = CopConfig(r=5, p=1, strategy=Adaptive(k=2, upsilon=None, passes=3), seed=3)
+    # each keeps the lower of two peaks, as the first traced call can
+    # carry one-off allocations
+    multi = min(traced_peak(lambda: cop_multipass(np.load(path), cfg, h=3)) for _ in range(2))
+    single = min(traced_peak(lambda: cop(np.load(path), passes)) for _ in range(2))
+    assert multi <= 1.02 * single, f"cop_multipass peak {multi} B, cop {single} B"
+
+
 @pytest.mark.parametrize("p", [1, 2])
 def test_cop_gives_f_ordered_data_the_same_bytes_in_no_more_memory(p):
     # the normalized copy is C-ordered whatever the layout of d: its norms
@@ -362,6 +384,8 @@ def test_cop_gives_f_ordered_data_the_same_bytes_in_no_more_memory(p):
     cfg = CopConfig(r=3, p=p)
     want, got = cop(d, cfg), cop(f, cfg)
     for field in dataclasses.fields(CopResult):
+        if not field.compare:
+            continue
         # pickle holds an array's bytes, dtype, shape and order
         a, b = (pickle.dumps(getattr(res, field.name)) for res in (got, want))
         assert a == b, field.name
