@@ -22,14 +22,20 @@ class NumericalError(RuntimeError):
     """Computation cannot proceed: rank collapse, empty pools, divergence."""
 
 
-def _integer(value, name, low=None):
-    """``value`` as an int, at least ``low`` if given; numpy integers pass, 2.0 does not."""
+def _integer(value, name, low=None, high=None):
+    """``value`` as an int, at least ``low`` and at most ``high`` where given;
+    numpy integers pass, 2.0 does not.  ``high`` is a (label, int) pair, so
+    the message names it: ``rank r=11 must satisfy 1 <= r <= m=10``, with
+    the last word of ``name`` between the bounds."""
     try:
         value = operator.index(value)
     except TypeError:
         raise DataError(f"{name}={value!r} must be an integer") from None
-    if low is not None and value < low:
-        raise DataError(f"{name}={value} must be >= {low}")
+    if (low is not None and value < low) or (high is not None and value > high[1]):
+        if high is None:
+            raise DataError(f"{name}={value} must be >= {low}")
+        floor = "" if low is None else f"{low} <= "
+        raise DataError(f"{name}={value} must satisfy {floor}{name.split()[-1]} <= {high[0]}={high[1]}")
     return value
 
 

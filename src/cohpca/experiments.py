@@ -165,8 +165,7 @@ def run_noise_sweep(
     the normalized data and their gap; a positive gap means coherence
     ranking still separates the classes perfectly.
     """
-    if n2 < 1:
-        raise DataError("the sweep needs at least one outlier column")
+    _integer(n2, "outlier count n2", 1)
     _integer(seeds, "seeds", 1)
     taus = _nonempty("taus", taus)
     rows = []
@@ -319,10 +318,8 @@ def saliency(image, patch=10, p=2):
     maximally salient by convention.
     """
     img = _as_matrix(image, "image")
-    _integer(patch, "patch", 1)
+    _integer(patch, "patch", 1, ("min(height, width)", min(img.shape)))
     gh, gw = img.shape[0] // patch, img.shape[1] // patch
-    if gh < 1 or gw < 1:
-        raise DataError(f"image {img.shape} is smaller than one {patch}x{patch} patch")
     cropped = img.shape != (gh * patch, gw * patch)
     img = img[: gh * patch, : gw * patch]
     tiles = (

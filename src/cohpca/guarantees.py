@@ -101,7 +101,7 @@ def _require(cond, msg):
 
 def _base_checks(p, kind):
     _check_sizes(p.m, p.r, p.n1, p.n2)
-    _require(p.m >= 2, f"m={p.m} must be >= 2")
+    _integer(p.m, "ambient dimension m", 2)
     if kind.endswith("whp"):
         _require(0.0 < p.delta < 1.0, f"delta={p.delta} must lie in (0, 1)")
         _require(p.n2 >= 1, f"n2={p.n2} must be >= 1 for whp kinds")

@@ -387,9 +387,10 @@ def _read_npy(path):
 
 def _load(fh, rows):
     """np.loadtxt on fh, at most rows data rows."""
-    # max_rows counts data rows, and warns of each line it skips
+    # max_rows counts data rows, and warns of each line it skips; a forked
+    # part of only comment or blank lines warns that it has no data
     with warnings.catch_warnings():
-        warnings.filterwarnings("ignore", r"Input line \d+ contained no data", UserWarning)
+        warnings.filterwarnings("ignore", r"(Input line \d+|loadtxt: input) contained no data", UserWarning)
         return np.loadtxt(fh, dtype=np.float64, ndmin=2, max_rows=rows)
 
 
@@ -433,7 +434,8 @@ def _read_parts(fh, body, m, n):
             if pipe.readinto(shape) != shape.nbytes:
                 return False
             rows, cols = (int(k) for k in shape)
-            if cols != n or not 0 <= rows <= m - filled:
+            # a part of only comment or blank lines has no rows and one column
+            if rows and cols != n or not 0 <= rows <= m - filled:
                 return False
             if pipe.readinto(data[filled : filled + rows]) != rows * n * data.itemsize:
                 return False

@@ -157,8 +157,7 @@ def top_r_singular_subspace(y, r):
     rank below r is never unique.
     """
     y = _as_matrix(y)
-    if not 1 <= _integer(r, "r") <= min(y.shape):
-        raise DataError(f"r={r} out of range for shape {y.shape}")
+    r = _integer(r, "rank r", 1, ("min(m, n)", min(y.shape)))
     u, s, _ = np.linalg.svd(y, full_matrices=False)
     unique = bool(s[r - 1] - (s[r] if r < len(s) else 0.0) > SIGMA_GAP_TOL * s[0])
     return TopSubspace(u[:, :r], unique)
@@ -173,8 +172,7 @@ def random_projection(x, d, seed, phi=None):
     """
     x = _as_matrix(x)
     m = x.shape[0]
-    if not 1 <= d <= m:
-        raise DataError(f"projection dimension d={d} must satisfy 1 <= d <= m={m}")
+    d = _integer(d, "projection dimension d", 1, ("m", m))
     if phi is None:
         phi = stream(seed).standard_normal((d, m)) / np.sqrt(d)
     else:

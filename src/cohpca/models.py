@@ -80,7 +80,8 @@ def _rng_of(seed):
 
 def unit_sphere(rng, m, count):
     """``count`` independent uniform samples on the unit sphere in R^m."""
-    g = rng.standard_normal((m, count))
+    m = _integer(m, "ambient dimension m", 1)
+    g = rng.standard_normal((m, _integer(count, "sample count", 0)))
     # in place: a second m-by-count array per call left the heap holding
     # a matrix-sized hole or not, depending on the data, so peak memory
     # of repeated gen calls varied from one seed to the next
@@ -90,18 +91,17 @@ def unit_sphere(rng, m, count):
 
 def random_subspace(rng, m, r):
     """Orthonormal basis of a uniformly random r-dimensional subspace."""
-    if not 1 <= r <= m:
-        raise DataError(f"subspace dimension r={r} must satisfy 1 <= r <= m={m}")
+    m = _integer(m, "ambient dimension m", 1)
+    r = _integer(r, "subspace dimension r", 1, ("m", m))
     q, _ = np.linalg.qr(rng.standard_normal((m, r)))
     return q
 
 
 def _check_sizes(m, r, n1, n2):
-    _integer(m, "ambient dimension m", 1)
+    m = _integer(m, "ambient dimension m", 1)
     _integer(n1, "inlier count n1", 1)
     _integer(n2, "outlier count n2", 0)
-    if not 1 <= _integer(r, "rank r") <= m:
-        raise DataError(f"rank r={r} must satisfy 1 <= r <= m={m}")
+    _integer(r, "rank r", 1, ("m", m))
 
 
 def _dataset(rng, u, a, b, shuffle, clean=None, aux=None):
@@ -228,12 +228,12 @@ def gen_union(m, dims, sizes, seed=0, shuffle=False):
     cluster.  Subspaces are drawn independently; their dimensions must
     not exceed m in total, so that the clusters are genuinely distinct.
     """
+    m = _integer(m, "ambient dimension m", 1)
     dims = tuple(_integer(v, "cluster rank", 1) for v in dims)
     sizes = tuple(_integer(v, "cluster size", 1) for v in sizes)
     if len(dims) != len(sizes) or not dims:
         raise DataError("dims and sizes must be non-empty and of equal length")
-    if sum(dims) > m:
-        raise DataError(f"total subspace dimension {sum(dims)} exceeds m={m}")
+    _integer(sum(dims), "total rank sum(dims)", high=("m", m))
     rng = _rng_of(seed)
     bases, blocks, labels = [], [], []
     for cluster, (r, count) in enumerate(zip(dims, sizes)):

@@ -64,8 +64,7 @@ def _check_selection(x, profile, cfg):
     # what every select relies on: one profile value per column, r <= m
     if np.shape(profile.values) != x.shape[1:]:
         raise DataError(f"profile length {np.shape(profile.values)} does not match {x.shape[1]} columns")
-    if cfg.r > x.shape[0]:
-        raise DataError(f"r={cfg.r} must not exceed m={x.shape[0]}")
+    _integer(cfg.r, "target rank r", 1, ("m", x.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -96,9 +95,7 @@ class FixedCount:
 
     def select(self, x, profile, cfg):
         _check_selection(x, profile, cfg)
-        count = _integer(self.count, "column count")
-        if count < cfg.r:
-            raise DataError(f"column count {count} must be >= r={cfg.r}")
+        count = _integer(self.count, "column count", cfg.r)
         return _finish(x, _top_k(profile, count), cfg.r)
 
 
@@ -246,11 +243,7 @@ def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None, pool=None):
     over the pool.
     """
     _integer(k, "sketch factor k", 1)
-    m = x.shape[0]
-    if k * r > m:
-        raise DataError(
-            f"sketch dimension k*r = {k}*{r} = {k * r} must not exceed m={m}"
-        )
+    _integer(k * r, "sketch dimension k*r", high=("m", x.shape[0]))
     values = np.array(profile.values, dtype=np.float64, copy=True)
     sketch = random_projection(x, k * r, seed, phi=phi)
     if pool is not None:
@@ -339,10 +332,8 @@ def spca(d, r):
 
     Same normalization path as cop(), no outlier handling at all.
     """
-    r = _integer(r, "r")
     x, _ = normalize_columns(d)
-    if r > x.shape[0]:
-        raise DataError(f"r={r} must not exceed m={x.shape[0]}")
+    r = _integer(r, "target rank r", 1, ("m", x.shape[0]))
     if x.shape[1] < r:
         raise NumericalError(f"cannot extract r={r} directions from shape {x.shape}")
     return top_r_singular_subspace(x, r).basis

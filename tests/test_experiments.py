@@ -235,7 +235,7 @@ def test_saliency_degenerate_images():
     img = np.zeros((8, 4))
     img[4:, :] = np.random.default_rng(1).standard_normal((4, 4))
     np.testing.assert_array_equal(saliency(img, patch=4).values, [[1.0], [0.0]])
-    with pytest.raises(DataError, match="smaller"):
+    with pytest.raises(DataError, match=r"patch=10 must satisfy 1 <= patch <= min\(height, width\)=5"):
         saliency(np.zeros((5, 8)), patch=10)
     with pytest.raises(DataError, match="2-d"):
         saliency(np.zeros(12), patch=2)

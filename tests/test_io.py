@@ -378,6 +378,8 @@ SPLIT_FILES = {
     "non-utf8-comment": (
         b"8 3\n" + count_rows(6, 3) + b"# caf\xe9\n" + count_rows(2, 3, 18), b"12 13 14\n", b"15 16 17\n# caf\xe9",
     ),
+    # the cut lands 16 lines into the tail: the second part has no rows
+    "comment-tail": (b"8 3\n" + count_rows(8, 3) + b"# tail\n" * 40, b"# tail\n", b"# tail\n"),
     "columns-change": (
         b"8 3\n" + count_rows(4, 3, pad=b" " * 6) + count_rows(4, 4, 12), b"9 10 11      \n", b"12 13 14 15\n",
     ),
