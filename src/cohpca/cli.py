@@ -23,6 +23,7 @@ given on the command line.
 """
 
 import argparse
+import contextlib
 import inspect
 import sys
 
@@ -59,11 +60,21 @@ class _Parser(argparse.ArgumentParser):
 
 
 # argparse prints an ArgumentTypeError's message; other ValueErrors lose it
+def _integers(tokens, what, text):
+    """``tokens`` as ints by the rule of every integer the package reads:
+    ASCII digits after an optional minus sign, so that "1_0", "+5" and
+    " 7" are rejected rather than read by int()."""
+    with contextlib.suppress(ValueError):  # a DataError, or a token that cannot encode
+        return io._integers([tok.encode() for tok in tokens], "")
+    raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+
+
+def _int(text):
+    return _integers([text], "an integer", text)[0]
+
+
 def _ints(text):
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma separated integers, got {text!r}")
+    return tuple(_integers(list(filter(None, text.split(","))), "comma separated integers", text))
 
 
 def _floats(text):
@@ -75,15 +86,11 @@ def _floats(text):
 
 def _cases(text):
     out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        try:
-            m, n = (int(v) for v in tok.split("x"))
-        except ValueError:
+    for tok in filter(None, text.split(",")):
+        case = _integers(tok.split("x"), "MxN case syntax", tok)
+        if len(case) != 2:
             raise argparse.ArgumentTypeError(f"expected MxN case syntax, got {tok!r}")
-        out.append((m, n))
+        out.append(tuple(case))
     if not out:
         raise argparse.ArgumentTypeError(f"no cases in {text!r}")
     return tuple(out)
@@ -111,18 +118,18 @@ def _flag(text):
 
 def _pass_count(text):
     try:  # a count below 1 is named here, whatever the strategy
-        return _integer(int(text), "pass count h", 1)
-    except ValueError as exc:  # DataError is one too
+        return _integer(_int(text), "pass count h", 1)
+    except DataError as exc:
         raise argparse.ArgumentTypeError(str(exc))
 
 
 # one entry per library parameter that an option fills: its add_argument
 # keywords, and the flag of each *_path parameter
 _OPTIONS = {
-    "m": dict(type=int, help="ambient dimension"),
-    "r": dict(type=int, help="subspace dimension; cop: target rank"),
-    "n1": dict(type=int, help="inlier count"),
-    "n2": dict(type=int, help="outlier count"),
+    "m": dict(type=_int, help="ambient dimension"),
+    "r": dict(type=_int, help="subspace dimension; cop: target rank"),
+    "n1": dict(type=_int, help="inlier count"),
+    "n2": dict(type=_int, help="outlier count"),
     "mu": dict(type=float, help="outlier mixing weight"),
     "sigma": dict(type=float, help="noise amplitude"),
     "nu": dict(type=float, help="inlier mixing weight"),
@@ -130,25 +137,25 @@ _OPTIONS = {
     "dims": dict(type=_ints, help="union ranks, e.g. 3,3"),
     "sizes": dict(type=_ints, help="union cluster sizes"),
     "shuffle": dict(type=_flag, nargs="?", const=True, help="shuffle column order"),
-    "seed": dict(type=int, help="base seed"),
-    "p": dict(type=int, choices=[1, 2], help="coherence power"),
+    "seed": dict(type=_int, help="base seed"),
+    "p": dict(type=_int, choices=[1, 2], help="coherence power"),
     "n1_over_r": dict(type=_ints),
     "n2_over_m": dict(type=_ints),
-    "trials": dict(type=int),
+    "trials": dict(type=_int),
     "success_tol": dict(type=float, help="recovery error that counts as exact"),
     "taus": dict(type=_floats),
     "mus": dict(type=_floats),
-    "seeds": dict(type=int, help="trials per swept value"),
+    "seeds": dict(type=_int, help="trials per swept value"),
     "corruption": dict(type=float),
-    "iterations": dict(type=int),
-    "patch": dict(type=int, help="patch edge in pixels"),
+    "iterations": dict(type=_int),
+    "patch": dict(type=_int, help="patch edge in pixels"),
     "cases": dict(type=_cases, help="comma separated MxN sizes"),
-    "runs": dict(type=int),
+    "runs": dict(type=_int),
     "delta": dict(type=float, help="failure probability for the high probability kinds"),
     "rank_tol": dict(type=float, help="residual tolerance for greedy"),
     "q": dict(type=float, help="discard fraction for top-fraction and the per-cluster fit"),
-    "count": dict(type=int, help="columns kept by fixed-count and per phase trial"),
-    "k": dict(type=int, help="sketch dimension factor for adaptive"),
+    "count": dict(type=_int, help="columns kept by fixed-count and per phase trial"),
+    "k": dict(type=_int, help="sketch dimension factor for adaptive"),
     "upsilon": dict(type=_upsilon, help="adaptive retirement threshold, number or 'auto'"),
     "passes": dict(type=_pass_count, help="adaptive rounds to pool before the final truncation"),
     "csv_path": dict(flag="--csv", metavar="CSV", help="per-row CSV output"),
@@ -396,7 +403,7 @@ def build_parser():
     sub = _subcommand(subparsers, "check-condition", "evaluate a recovery guarantee condition",
                       cmd_check_condition, guarantees.ConditionParams, seed=seed.default)
     sub.add_argument("--kind", required=True, choices=list(guarantees.KINDS))
-    sub.add_argument("--validate-trials", type=int, default=0,
+    sub.add_argument("--validate-trials", type=_int, default=0,
                      help="also sample datasets and report the empirical hit rate")
     sub.add_argument("--out", help="write the report lines to a file")
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import DataError, NumericalError, _as_matrix, _integer
+from .errors import DataError, NumericalError, _as_matrix, _integer, _power
 from .linalg import coherence, normalize_columns, recovery_error
 from .models import (
     INLIER,
@@ -59,10 +59,15 @@ def write_rows_csv(path, tag, rows):
             writer.writerow(row)
 
 
-def _nonempty(name, values):
+def _axis(name, values):
+    """``values`` as a tuple of at least one value, none repeated: the rows
+    of a sweep are grouped by value, so a repeat would be counted twice."""
     values = tuple(values)
     if not values:
         raise DataError(f"{name} must hold at least one value")
+    for i, v in enumerate(values):
+        if v in values[:i]:
+            raise DataError(f"{name} repeats the value {v}")
     return values
 
 
@@ -105,8 +110,8 @@ def run_phase_transition(
     value, and pixel round(255 * fraction), so 255 means every trial
     succeeded.
     """
-    n1_over_r = _nonempty("n1_over_r", n1_over_r)
-    n2_over_m = _nonempty("n2_over_m", n2_over_m)
+    n1_over_r = _axis("n1_over_r", n1_over_r)
+    n2_over_m = _axis("n2_over_m", n2_over_m)
     _integer(trials, "trials", 1)
     cfg = CopConfig(r=r, p=p, strategy=FixedCount(count))
     fractions = np.zeros((len(n1_over_r), len(n2_over_m)))
@@ -167,7 +172,7 @@ def run_noise_sweep(
     """
     _integer(n2, "outlier count n2", 1)
     _integer(seeds, "seeds", 1)
-    taus = _nonempty("taus", taus)
+    taus = _axis("taus", taus)
     rows = []
     for ti, tau in enumerate(taus):
         sigma = sigma_for_tau(tau)
@@ -218,7 +223,7 @@ def run_structured_sweep(
     data as the baseline.
     """
     _integer(seeds, "seeds", 1)
-    mus = _nonempty("mus", mus)
+    mus = _axis("mus", mus)
     cfg = CopConfig(r=r, p=p)
     rows = []
     for mi, mu in enumerate(mus):
@@ -319,6 +324,7 @@ def saliency(image, patch=10, p=2):
     """
     img = _as_matrix(image, "image")
     _integer(patch, "patch", 1, ("min(height, width)", min(img.shape)))
+    _power(p)  # checked here too, as an all-zero image reaches no kernel
     gh, gw = img.shape[0] // patch, img.shape[1] // patch
     cropped = img.shape != (gh * patch, gw * patch)
     img = img[: gh * patch, : gw * patch]
@@ -328,11 +334,12 @@ def saliency(image, patch=10, p=2):
         .reshape(gh * gw, patch * patch)
         .T
     )
-    x, kept = normalize_columns(tiles)
-    values = coherence(x, p).values
-    vmax = values.max()
     sal = np.ones(gh * gw)  # all-zero tiles, absent from kept
-    sal[kept] = 1.0 - values / vmax if vmax > 0 else 0.0
+    if tiles.any():  # else every tile is zero, and normalize_columns keeps none
+        x, kept = normalize_columns(tiles)
+        values = coherence(x, p).values
+        vmax = values.max()
+        sal[kept] = 1.0 - values / vmax if vmax > 0 else 0.0
     grid = sal.reshape(gh, gw)
     upsampled = np.kron(grid, np.ones((patch, patch)))
     out = np.rint(255 * upsampled).astype(np.uint8)
@@ -426,7 +433,7 @@ def run_bench(
     # the stream path of the seed as plain ints, so the report is JSON
     # whatever integer types came in; a tuple seed is recorded as a list
     head = tuple(_integer(s, "seed component", 0) for s in _flat(seed))
-    cases = _nonempty("cases", cases)
+    cases = _axis("cases", cases)
     checked = [_bench_case(m, n, r, p) for m, n in cases]
     summary = []
     with tempfile.TemporaryDirectory() as tmp:

@@ -21,7 +21,7 @@ live on the ambient unit sphere.  Five models are provided:
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,18 +49,11 @@ OUTLIER = 1
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Data matrix with per-column inlier/outlier labels and ground truth.
-
-    ``clean`` holds the noise-free counterpart of every column when
-    noise was injected.  ``aux`` carries model internals (anchor
-    directions and such) that the statistical tests want to inspect.
-    """
+    """Data matrix with per-column inlier/outlier labels and the true basis."""
 
     d: np.ndarray
     labels: np.ndarray
     basis: np.ndarray
-    clean: np.ndarray | None = None
-    aux: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -104,22 +97,22 @@ def _check_sizes(m, r, n1, n2):
     _integer(r, "rank r", 1, ("m", m))
 
 
-def _dataset(rng, u, a, b, shuffle, clean=None, aux=None):
-    """Inliers ``a`` then outliers ``b``, labeled, shuffled when asked.
+def _dataset(rng, blocks, shuffle):
+    """``(d, labels)``: the ``blocks`` side by side, block i's columns labeled
+    i (INLIER, OUTLIER; or the cluster), shuffled when asked.
 
-    ``a`` and ``b`` are released once stacked, and each permuted copy
-    replaces its unshuffled array before the next one is made, so no
-    more than one permuted copy is held at a time.
+    ``blocks`` is emptied once stacked, so the blocks are released even
+    while the caller holds the list, and each permuted copy replaces its
+    unshuffled array before the next one is made: no more than two
+    dataset-sized arrays are held at a time.
     """
-    d = np.hstack([a, b])
-    labels = np.concatenate([np.full(a.shape[1], INLIER), np.full(b.shape[1], OUTLIER)])
-    del a, b
+    labels = np.concatenate([np.full(b.shape[1], i) for i, b in enumerate(blocks)])
+    d = np.hstack(blocks)
+    blocks.clear()
     if shuffle:
         perm = rng.permutation(d.shape[1])
         d, labels = d[:, perm], labels[perm]
-        if clean is not None:
-            clean = clean[:, perm]
-    return LabeledDataset(d, labels, u, clean=clean, aux={} if aux is None else aux)
+    return d, labels
 
 
 def _squarable(x, label):
@@ -135,8 +128,7 @@ def _clustered(rng, u, n1, nu, name="nu"):
         raise DataError(f"mixing parameter {name}={nu} must be > 0")
     _squarable(nu, f"mixing parameter {name}={nu}")
     t = u @ unit_sphere(rng, u.shape[1], 1)
-    dirs = u @ unit_sphere(rng, u.shape[1], n1)
-    return (t + nu * dirs) / np.sqrt(1.0 + nu**2), t[:, 0]
+    return (t + nu * (u @ unit_sphere(rng, u.shape[1], n1))) / np.sqrt(1.0 + nu**2)
 
 
 def gen_unstructured(m, r, n1, n2, seed=0, shuffle=False):
@@ -144,8 +136,8 @@ def gen_unstructured(m, r, n1, n2, seed=0, shuffle=False):
     _check_sizes(m, r, n1, n2)
     rng = _rng_of(seed)
     u = random_subspace(rng, m, r)
-    # both draws passed straight in, so _dataset can release them once stacked
-    return _dataset(rng, u, u @ unit_sphere(rng, r, n1), unit_sphere(rng, m, n2), shuffle)
+    d, labels = _dataset(rng, [u @ unit_sphere(rng, r, n1), unit_sphere(rng, m, n2)], shuffle)
+    return LabeledDataset(d, labels, u)
 
 
 def gen_structured_outliers(m, r, n1, n2, mu, seed=0, inlier_nu=None, shuffle=False):
@@ -163,20 +155,17 @@ def gen_structured_outliers(m, r, n1, n2, mu, seed=0, inlier_nu=None, shuffle=Fa
     _squarable(mu, f"mixing parameter mu={mu}")
     rng = _rng_of(seed)
     u = random_subspace(rng, m, r)
-    aux = {}
     if inlier_nu is None:
         a = u @ unit_sphere(rng, r, n1)
     else:
-        a, aux["inlier_center"] = _clustered(rng, u, n1, inlier_nu, "inlier_nu")
-    if n2:
+        a = _clustered(rng, u, n1, inlier_nu, "inlier_nu")
+    if n2:  # no q is drawn without outliers
         q = unit_sphere(rng, m, 1)
-        dirs = unit_sphere(rng, m, n2)
-        b = (q + mu * dirs) / np.sqrt(1.0 + mu**2)
-        aux["outlier_center"] = q[:, 0]
-        aux["outlier_dirs"] = dirs
+        b = (q + mu * unit_sphere(rng, m, n2)) / np.sqrt(1.0 + mu**2)
     else:
         b = np.empty((m, 0))
-    return _dataset(rng, u, a, b, shuffle, aux=aux)
+    d, labels = _dataset(rng, [a, b], shuffle)
+    return LabeledDataset(d, labels, u)
 
 
 def gen_noisy(m, r, n1, n2, sigma, seed=0, shuffle=False):
@@ -185,9 +174,7 @@ def gen_noisy(m, r, n1, n2, sigma, seed=0, shuffle=False):
     Each inlier a_i is replaced by (a_i + alpha_i e_i) / sqrt(1 +
     sigma^2) with e_i uniform on the ambient sphere and alpha_i ~
     N(0, sigma^2), so the expected squared norm stays 1.  sigma = 0
-    reproduces the clean inliers exactly.  ``clean`` holds the noiseless
-    counterpart of every column (outliers are their own counterpart), so
-    it stays aligned with ``d`` under shuffling.
+    reproduces the clean inliers exactly.
     """
     _check_sizes(m, r, n1, n2)
     if sigma < 0:
@@ -198,11 +185,10 @@ def gen_noisy(m, r, n1, n2, sigma, seed=0, shuffle=False):
     a = u @ unit_sphere(rng, r, n1)
     e = unit_sphere(rng, m, n1)
     alpha = rng.normal(0.0, sigma, n1) if sigma > 0 else np.zeros(n1)
-    a_noisy = (a + alpha * e) / np.sqrt(1.0 + sigma**2)
-    # the outliers are kept only inside ``clean``, and ``d`` copies them
-    # from there, so no third dataset-sized array is held
-    clean = np.hstack([a, unit_sphere(rng, m, n2)])
-    return _dataset(rng, u, a_noisy, clean[:, n1:], shuffle, clean=clean)
+    noisy = (a + alpha * e) / np.sqrt(1.0 + sigma**2)
+    del a, e
+    d, labels = _dataset(rng, [noisy, unit_sphere(rng, m, n2)], shuffle)
+    return LabeledDataset(d, labels, u)
 
 
 def gen_clustered_inliers(m, r, n1, n2, nu, seed=0, shuffle=False):
@@ -216,9 +202,8 @@ def gen_clustered_inliers(m, r, n1, n2, nu, seed=0, shuffle=False):
     _check_sizes(m, r, n1, n2)
     rng = _rng_of(seed)
     u = random_subspace(rng, m, r)
-    a, center = _clustered(rng, u, n1, nu)
-    b = unit_sphere(rng, m, n2)
-    return _dataset(rng, u, a, b, shuffle, aux={"inlier_center": center})
+    d, labels = _dataset(rng, [_clustered(rng, u, n1, nu), unit_sphere(rng, m, n2)], shuffle)
+    return LabeledDataset(d, labels, u)
 
 
 def gen_union(m, dims, sizes, seed=0, shuffle=False):
@@ -235,17 +220,11 @@ def gen_union(m, dims, sizes, seed=0, shuffle=False):
         raise DataError("dims and sizes must be non-empty and of equal length")
     _integer(sum(dims), "total rank sum(dims)", high=("m", m))
     rng = _rng_of(seed)
-    bases, blocks, labels = [], [], []
-    for cluster, (r, count) in enumerate(zip(dims, sizes)):
-        u = random_subspace(rng, m, r)
-        bases.append(u)
-        blocks.append(u @ unit_sphere(rng, r, count))
-        labels.append(np.full(count, cluster))
-    d = np.hstack(blocks)
-    labels = np.concatenate(labels)
-    if shuffle:
-        perm = rng.permutation(d.shape[1])
-        d, labels = d[:, perm], labels[perm]
+    bases, blocks = [], []
+    for r, count in zip(dims, sizes):
+        bases.append(random_subspace(rng, m, r))
+        blocks.append(bases[-1] @ unit_sphere(rng, r, count))
+    d, labels = _dataset(rng, blocks, shuffle)
     return UnionDataset(d, labels, tuple(bases))
 
 

@@ -322,6 +322,22 @@ def test_empty_experiment_grids_exit_1(tmp_path, capsys):
         assert name in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_repeated_sweep_value_exits_1_naming_it(tmp_path, capsys, source):
+    # the summary groups rows by value, so "0,0" printed the tau=0.0 line twice
+    args = ["noise-sweep", "--seeds", "2"]
+    if source == "flag":
+        args += ["--taus", "0,0"]
+    else:
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("taus = 0,0\n")
+        args += ["--config", cfg]
+    assert run(*args) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "cohpca: error: taus repeats the value 0.0\n"
+
+
 def test_help_exits_0(capsys):
     assert run("--help") == 0
     assert "cohpca" in capsys.readouterr().out
@@ -374,6 +390,14 @@ def test_saliency_round_trip(tmp_path, capsys):
     sal = read_pgm(dst)
     assert sal.shape == (100, 100)
     assert sal[45, 45] > sal[5, 5]  # the odd block stands out
+
+
+def test_saliency_of_a_black_image_is_white(tmp_path, capsys):
+    src, dst = tmp_path / "black.pgm", tmp_path / "map.pgm"
+    src.write_text("P2\n4 4\n255\n" + "0 0 0 0\n" * 4)
+    assert run("saliency", "--image", src, "--patch", 2, "--out", dst) == 0
+    assert "wrote 4x4 saliency map" in capsys.readouterr().out
+    np.testing.assert_array_equal(read_pgm(dst), np.full((4, 4), 255))
 
 
 def test_bench_runs_on_one_backend(tmp_path, capsys):
@@ -569,6 +593,75 @@ def test_bad_option_values_exit_1_with_the_reason(
     assert main(args) == 1
     assert f"argument --{key}: {message}" in capsys.readouterr().err
     assert parsed == []
+
+
+# ---- integers ----
+
+# a digit group, an Arabic-Indic three and a plus sign: int() reads each
+BAD_INTEGERS = ["1_0", "\u0663", "+5"]
+
+
+def _with_value(tmp_path, args, key, value, source):
+    """``args`` with ``--key value``, on the command line or in a config file."""
+    if source == "flag":
+        return args + ["--" + key, value]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+    return args + ["--config", str(cfg)]
+
+
+# a config value is stripped, so " 7" is 7 there
+_SOURCES_AND_BAD_INTEGERS = [("flag", v) for v in BAD_INTEGERS + [" 7"]] + [
+    ("config", v) for v in BAD_INTEGERS
+]
+
+
+@pytest.mark.parametrize("source, value", _SOURCES_AND_BAD_INTEGERS)
+@pytest.mark.parametrize("key", ["m", "r", "n1", "n2", "seed"])
+def test_gen_integers_follow_the_package_integer_rule(tmp_path, capsys, key, source, value):
+    out = tmp_path / "d.txt"
+    args = _with_value(tmp_path, ["gen", "--model", "unstructured", "--out", str(out)],
+                       key, value, source)
+    assert main(args) == 1
+    assert f"argument --{key}: expected an integer, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, value", _SOURCES_AND_BAD_INTEGERS)
+@pytest.mark.parametrize("args, key, text, what", [
+    (["gen", "--model", "union", "--sizes", "3,3", "--out", "OUT"], "dims", "2,{}",
+     "comma separated integers"),
+    (["bench", "--json", "OUT"], "cases", "{}x20", "MxN case syntax"),
+    (["cop", "--in", "IN", "--r", "2", "--strategy", "adaptive", "--basis-out", "OUT"],
+     "passes", "{}", "an integer"),
+    (["check-condition", *_MINIMAL["check-condition"][0], "--out", "OUT"], "validate-trials",
+     "{}", "an integer"),
+    (["phase", "--csv", "OUT"], "p", "{}", "an integer"),
+], ids=["list-item", "case", "passes", "validate-trials", "p"])
+def test_every_integer_option_follows_the_package_integer_rule(
+    tmp_path, capsys, args, key, text, what, source, value
+):
+    out, data = tmp_path / "out", tmp_path / "d.txt"
+    write_matrix(data, gen_unstructured(20, 2, 10, 10, seed=0).d)
+    args = [{"OUT": str(out), "IN": str(data)}.get(a, a) for a in args]
+    text = text.format(value)
+    assert main(_with_value(tmp_path, args, key, text, source)) == 1
+    assert f"argument --{key}: expected {what}, got {text!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_negative_seed_reaches_the_library_range_rule(tmp_path, capsys):
+    out = tmp_path / "d.txt"
+    assert run("gen", "--model", "unstructured", "--seed", "-1", "--out", out) == 1
+    assert capsys.readouterr().err == "cohpca: error: seed component=-1 must be >= 0\n"
+    assert not out.exists()
+
+
+def test_no_option_is_parsed_by_int():
+    # every integer option goes through the package's one integer rule
+    for command in _MINIMAL:
+        for action in _subparser(command)._actions:
+            assert action.type is not int, (command, action.dest)
 
 
 # ---- each option is declared once ----

@@ -1,6 +1,7 @@
 """Experiment runners: grids, sweeps, label correction, saliency, timing."""
 
 import json
+import re
 from collections import defaultdict
 
 import numpy as np
@@ -81,6 +82,19 @@ def test_phase_rejects_bad_trials():
         run_phase_transition(n1_over_r=())
     with pytest.raises(DataError, match="n2_over_m"):
         run_phase_transition(n2_over_m=())
+
+
+@pytest.mark.parametrize("run, name, values, shown", [
+    (run_phase_transition, "n1_over_r", (1, 2, 1), "1"),
+    (run_phase_transition, "n2_over_m", (0, 0.0), "0.0"),
+    (run_noise_sweep, "taus", (0.0, 0.5, 0), "0"),
+    (run_structured_sweep, "mus", (0.5, 0.2, 0.5), "0.5"),
+    (run_bench, "cases", ((40, 50), (60, 50), (40, 50)), "(40, 50)"),
+], ids=["n1_over_r", "n2_over_m", "taus", "mus", "cases"])
+def test_a_sweep_axis_may_not_repeat_a_value(run, name, values, shown):
+    # rows are grouped by value, so a repeated one would be reported twice
+    with pytest.raises(DataError, match=re.escape(f"{name} repeats the value {shown}")):
+        run(**{name: values})
 
 
 # ---- noise sweep ----
@@ -223,6 +237,12 @@ def test_saliency_zero_patch_is_maximally_salient():
     res = saliency(img, patch=10)
     assert res.values[0, 0] == 1.0
     assert res.values.max() == 1.0
+    # so are those of an image that is zero throughout
+    res = saliency(np.zeros((20, 20)), patch=10)
+    np.testing.assert_array_equal(res.values, np.ones((2, 2)))
+    np.testing.assert_array_equal(res.image, np.full((20, 20), 255))
+    with pytest.raises(DataError, match="power p must be 1 or 2, got 3"):
+        saliency(np.zeros((20, 20)), patch=10, p=3)
 
 
 def test_saliency_degenerate_images():

@@ -2,7 +2,6 @@
 
 import math
 import re
-import sys
 import tracemalloc
 
 import numpy as np
@@ -30,6 +29,15 @@ from oracles import mean_abs_dot
 def in_span(cols, basis, tol=1e-10):
     resid = cols - basis @ (basis.T @ cols)
     return float(np.abs(resid).max()) <= tol
+
+
+def replay(seed, m, r):
+    """The stream a generator with this seed draws from, and its first draw,
+    the basis.  A test draws the rest in the generator's order: the inliers
+    (t first when clustered), e and alpha, the outliers (q first when
+    structured), then the permutation."""
+    rng = stream(seed)
+    return rng, random_subspace(rng, m, r)
 
 
 # ---- pin the moment oracle on a hand case ----
@@ -146,21 +154,23 @@ def test_no_outliers_is_allowed(gen, shuffle):
     ds = gen(0, shuffle=shuffle, n2=0)
     assert ds.d.shape == (40, 20)
     assert np.all(ds.labels == INLIER)
-    assert ds.clean is None or ds.clean.shape == ds.d.shape
 
 
 # ---- model-specific structure ----
 
 
 def test_structured_outliers_share_one_center():
-    ds = gen_structured_outliers(30, 3, 10, 25, mu=0.4, seed=5)
-    q = ds.aux["outlier_center"]
-    dirs = ds.aux["outlier_dirs"]
-    b = ds.d[:, ds.labels == OUTLIER]
-    # invert the mixture: b * sqrt(1 + mu^2) - q == mu * dirs
-    lhs = b * math.sqrt(1 + 0.4**2) - q[:, None]
-    np.testing.assert_allclose(lhs, 0.4 * dirs, atol=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(dirs, axis=0), 1.0, atol=1e-12)
+    # shuffled, so the replay covers the whole draw order, permutation last
+    mu = 0.4
+    ds = gen_structured_outliers(30, 3, 10, 25, mu=mu, seed=5, shuffle=True)
+    rng, u = replay(5, 30, 3)
+    a = u @ unit_sphere(rng, 3, 10)
+    q = unit_sphere(rng, 30, 1)
+    b = (q + mu * unit_sphere(rng, 30, 25)) / np.sqrt(1.0 + mu**2)
+    perm = rng.permutation(35)
+    np.testing.assert_array_equal(ds.basis, u)
+    np.testing.assert_array_equal(ds.d, np.hstack([a, b])[:, perm])
+    np.testing.assert_array_equal(ds.labels, np.repeat([INLIER, OUTLIER], [10, 25])[perm])
 
 
 def test_structured_outliers_concentrate_for_small_mu():
@@ -175,17 +185,23 @@ def test_structured_outliers_concentrate_for_small_mu():
 
 
 def test_clustered_inliers_concentrate_inside_the_subspace():
-    ds = gen_clustered_inliers(40, 4, 30, 10, nu=0.2, seed=7)
-    a = ds.d[:, ds.labels == INLIER]
+    nu = 0.2
+    ds = gen_clustered_inliers(40, 4, 30, 10, nu=nu, seed=7)
+    rng, u = replay(7, 40, 4)
+    t = u @ unit_sphere(rng, 4, 1)
+    a = (t + nu * (u @ unit_sphere(rng, 4, 30))) / np.sqrt(1.0 + nu**2)
+    np.testing.assert_array_equal(ds.d, np.hstack([a, unit_sphere(rng, 40, 10)]))
     assert in_span(a, ds.basis)
-    center = ds.aux["inlier_center"]
-    cosines = np.abs(a.T @ center) / np.linalg.norm(a, axis=0)
+    cosines = np.abs(a.T @ t[:, 0]) / np.linalg.norm(a, axis=0)
     assert cosines.min() > 0.95  # all near the shared direction
 
 
 def test_noisy_sigma_zero_reproduces_clean_data():
     ds = gen_noisy(30, 3, 12, 8, sigma=0.0, seed=8)
-    np.testing.assert_array_equal(ds.d, ds.clean)
+    rng, u = replay(8, 30, 3)
+    a = u @ unit_sphere(rng, 3, 12)
+    unit_sphere(rng, 30, 12)  # e is drawn, but no alpha at sigma = 0
+    np.testing.assert_array_equal(ds.d, np.hstack([a, unit_sphere(rng, 30, 8)]))
     np.testing.assert_allclose(np.linalg.norm(ds.d, axis=0), 1.0, atol=1e-12)
 
 
@@ -213,44 +229,40 @@ def peak_over_d(gen):
     ids=["noisy", "unstructured"],
 )
 def test_a_generator_holds_at_most_two_dataset_sized_arrays(gen):
-    # gen_noisy returns d and clean, two arrays of d's size, so building
-    # them may hold no third one
+    # stacking holds the blocks beside d, two arrays of d's size, and the
+    # blocks are released before anything else of that size is made
     peak = peak_over_d(gen)
     assert peak <= 2.2, f"peak {peak:.2f}x of d"
 
 
-# gen_unstructured passes its draws straight to the dataset assembly, which
-# releases them once stacked; before 3.11 the caller holds a call's
-# arguments until it returns, so the draws stay beside the stacked matrix
-needs_moved_arguments = pytest.mark.skipif(
-    sys.version_info < (3, 11), reason="a call holds its arguments until it returns before 3.11"
-)
-
-
 @pytest.mark.parametrize(
-    "gen, bound",
+    "gen",
     [
-        (lambda: gen_noisy(200, 5, 400, 9600, sigma_for_tau(0.5), seed=1, shuffle=True), 3.2),
-        pytest.param(lambda: gen_unstructured(200, 5, 400, 9600, seed=1, shuffle=True), 2.2,
-                     marks=needs_moved_arguments),
+        lambda: gen_noisy(200, 5, 400, 9600, sigma_for_tau(0.5), seed=1, shuffle=True),
+        lambda: gen_unstructured(200, 5, 400, 9600, seed=1, shuffle=True),
     ],
     ids=["noisy", "unstructured"],
 )
-def test_a_shuffled_generator_holds_one_permuted_copy_at_a_time(gen, bound):
-    # each permuted copy replaces its unshuffled array before the next one
-    # is made; gen_noisy's clean is also held by its caller while permuted
+def test_a_shuffled_generator_holds_one_permuted_copy_at_a_time(gen):
+    # the blocks are released once stacked, also where the caller holds
+    # their list until the call returns (Python 3.10), and each permuted
+    # copy replaces its unshuffled array before the next one is made
     peak = peak_over_d(gen)
-    assert peak <= bound, f"peak {peak:.2f}x of d"
+    assert peak <= 2.2, f"peak {peak:.2f}x of d"
 
 
 def test_noisy_inliers_leave_the_subspace_but_keep_expected_norm():
-    ds = gen_noisy(50, 3, 2000, 1, sigma=0.5, seed=9)
+    sigma = 0.5
+    ds = gen_noisy(50, 3, 2000, 1, sigma=sigma, seed=9)
+    rng, u = replay(9, 50, 3)
+    clean = u @ unit_sphere(rng, 3, 2000)
+    e = unit_sphere(rng, 50, 2000)
+    alpha = rng.normal(0.0, sigma, 2000)
     a = ds.d[:, ds.labels == INLIER]
+    np.testing.assert_array_equal(a, (clean + alpha * e) / np.sqrt(1.0 + sigma**2))
+    np.testing.assert_array_equal(ds.d[:, ds.labels == OUTLIER], unit_sphere(rng, 50, 1))
+    assert in_span(clean, ds.basis)
     assert not in_span(a, ds.basis, tol=1e-6)
-    assert in_span(ds.clean[:, ds.labels == INLIER], ds.basis)
-    np.testing.assert_array_equal(
-        ds.clean[:, ds.labels == OUTLIER], ds.d[:, ds.labels == OUTLIER]
-    )
     # E||column||^2 = 1 by the 1/sqrt(1 + sigma^2) scaling
     sq = np.linalg.norm(a, axis=0) ** 2
     se = sq.std(ddof=1) / math.sqrt(len(sq))
@@ -264,6 +276,19 @@ def test_union_blocks_live_in_their_own_subspaces():
     assert in_span(ds.d[:, ds.labels == 0], ds.bases[0])
     assert in_span(ds.d[:, ds.labels == 1], ds.bases[1])
     assert not in_span(ds.d[:, ds.labels == 1], ds.bases[0], tol=1e-3)
+
+
+def test_union_is_its_replayed_draws():
+    # each cluster's basis then its points, the permutation last
+    ds = gen_union(20, (3, 4), (15, 25), seed=11, shuffle=True)
+    rng = stream(11)
+    blocks = []
+    for r, count, u in zip((3, 4), (15, 25), ds.bases):
+        np.testing.assert_array_equal(u, random_subspace(rng, 20, r))
+        blocks.append(u @ unit_sphere(rng, r, count))
+    perm = rng.permutation(40)
+    np.testing.assert_array_equal(ds.d, np.hstack(blocks)[:, perm])
+    np.testing.assert_array_equal(ds.labels, np.repeat([0, 1], [15, 25])[perm])
 
 
 def test_union_validation():
