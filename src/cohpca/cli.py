@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from . import guarantees, io, models
+from . import errors, guarantees, io, models
 from .errors import DataError, NumericalError, _integer
 from .experiments import (
     run_bench,
@@ -77,11 +77,17 @@ def _ints(text):
     return tuple(_integers(list(filter(None, text.split(","))), "comma separated integers", text))
 
 
-def _floats(text):
-    try:
-        return tuple(float(tok) for tok in text.split(",") if tok.strip())
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma separated numbers, got {text!r}")
+def _real(text, what="a real number"):
+    if not io._REAL.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return float(text)
+
+
+def _reals(text):
+    tokens = list(filter(None, text.split(",")))
+    if not all(map(io._REAL.fullmatch, tokens)):
+        raise argparse.ArgumentTypeError(f"expected comma separated real numbers, got {text!r}")
+    return tuple(map(float, tokens))
 
 
 def _cases(text):
@@ -97,12 +103,7 @@ def _cases(text):
 
 
 def _upsilon(text):
-    if text == "auto":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"upsilon must be a number or 'auto', got {text!r}")
+    return None if text == "auto" else _real(text, "a real number or 'auto'")
 
 
 _FLAG_WORDS = {"true": True, "yes": True, "1": True,
@@ -130,10 +131,10 @@ _OPTIONS = {
     "r": dict(type=_int, help="subspace dimension; cop: target rank"),
     "n1": dict(type=_int, help="inlier count"),
     "n2": dict(type=_int, help="outlier count"),
-    "mu": dict(type=float, help="outlier mixing weight"),
-    "sigma": dict(type=float, help="noise amplitude"),
-    "nu": dict(type=float, help="inlier mixing weight"),
-    "inlier_nu": dict(type=float, help="cluster the inliers of the structured model too"),
+    "mu": dict(type=_real, help="outlier mixing weight"),
+    "sigma": dict(type=_real, help="noise amplitude"),
+    "nu": dict(type=_real, help="inlier mixing weight"),
+    "inlier_nu": dict(type=_real, help="cluster the inliers of the structured model too"),
     "dims": dict(type=_ints, help="union ranks, e.g. 3,3"),
     "sizes": dict(type=_ints, help="union cluster sizes"),
     "shuffle": dict(type=_flag, nargs="?", const=True, help="shuffle column order"),
@@ -142,18 +143,18 @@ _OPTIONS = {
     "n1_over_r": dict(type=_ints),
     "n2_over_m": dict(type=_ints),
     "trials": dict(type=_int),
-    "success_tol": dict(type=float, help="recovery error that counts as exact"),
-    "taus": dict(type=_floats),
-    "mus": dict(type=_floats),
+    "success_tol": dict(type=_real, help="recovery error that counts as exact"),
+    "taus": dict(type=_reals),
+    "mus": dict(type=_reals),
     "seeds": dict(type=_int, help="trials per swept value"),
-    "corruption": dict(type=float),
+    "corruption": dict(type=_real),
     "iterations": dict(type=_int),
     "patch": dict(type=_int, help="patch edge in pixels"),
     "cases": dict(type=_cases, help="comma separated MxN sizes"),
     "runs": dict(type=_int),
-    "delta": dict(type=float, help="failure probability for the high probability kinds"),
-    "rank_tol": dict(type=float, help="residual tolerance for greedy"),
-    "q": dict(type=float, help="discard fraction for top-fraction and the per-cluster fit"),
+    "delta": dict(type=_real, help="failure probability for the high probability kinds"),
+    "rank_tol": dict(type=_real, help="residual tolerance for greedy"),
+    "q": dict(type=_real, help="discard fraction for top-fraction and the per-cluster fit"),
     "count": dict(type=_int, help="columns kept by fixed-count and per phase trial"),
     "k": dict(type=_int, help="sketch dimension factor for adaptive"),
     "upsilon": dict(type=_upsilon, help="adaptive retirement threshold, number or 'auto'"),
@@ -259,6 +260,7 @@ def cmd_noise_sweep(ns):
 
 
 def cmd_structured_sweep(ns):
+    errors._real(ns.success_tol, "success tolerance success_tol", 0)
     rows = _call(run_structured_sweep, ns)
     for mu in ns.mus:
         errs = [row["error"] for row in rows if row["mu"] == mu]
@@ -362,7 +364,7 @@ def build_parser():
     sub = _subcommand(subparsers, "gen", "generate a synthetic dataset", cmd_gen,
                       *generators, m=100)
     sub.add_argument("--model", required=True, choices=list(models._MODELS))
-    sub.add_argument("--tau", type=float,
+    sub.add_argument("--tau", type=_real,
                      help="noise-to-signal ratio, alternative to --sigma")
     sub.add_argument("--out", required=True, help="output matrix file")
     sub.add_argument("--labels-out", help="output labels file")

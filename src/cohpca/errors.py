@@ -5,10 +5,11 @@ Two failure families matter to callers: bad inputs (files, shapes, flag
 values) and numerical breakdowns discovered mid-computation (rank
 deficiency, exhausted candidate pools).  The CLI maps them to distinct
 exit codes, so library code should pick the right one.  Every matrix,
-image, label and power argument, and every integer size, is checked by
-one rule here, so each kind of bad input gets one message.
+image, label and power argument, every size and every real parameter is
+checked by one rule here, so each kind of bad input gets one message.
 """
 
+import numbers
 import operator
 
 import numpy as np
@@ -23,20 +24,28 @@ class NumericalError(RuntimeError):
 
 
 def _integer(value, name, low=None, high=None):
-    """``value`` as an int, at least ``low`` and at most ``high`` where given;
-    numpy integers pass, 2.0 does not.  ``high`` is a (label, int) pair, so
-    the message names it: ``rank r=11 must satisfy 1 <= r <= m=10``, with
-    the last word of ``name`` between the bounds."""
+    """``value`` as an int within ``_real``'s bounds; numpy integers pass, 2.0 does not."""
     try:
         value = operator.index(value)
     except TypeError:
         raise DataError(f"{name}={value!r} must be an integer") from None
-    if (low is not None and value < low) or (high is not None and value > high[1]):
-        if high is None:
-            raise DataError(f"{name}={value} must be >= {low}")
-        floor = "" if low is None else f"{low} <= "
-        raise DataError(f"{name}={value} must satisfy {floor}{name.split()[-1]} <= {high[0]}={high[1]}")
-    return value
+    return _real(value, name, low, high=high)
+
+
+def _real(value, name, low=None, *, above=None, high=None, below=None):
+    """``value`` as given if it is a real number (a Python or numpy int or float) at least ``low`` or
+    above ``above``, and at most ``high``, a (label, limit) pair, or below ``below``; NaN fails any bound.
+    The message puts the name's last word between the limits: ``fraction q=1.5 must satisfy 0 < q < 1``."""
+    if not isinstance(value, numbers.Real):
+        raise DataError(f"{name}={value!r} must be a real number")
+    lower, low = ("<=", low) if above is None else ("<", above)
+    upper, high, top = ("<", below, below) if high is None else ("<=", high[1], f"{high[0]}={high[1]}")
+    less = {"<": operator.lt, "<=": operator.le}
+    if (low is None or less[lower](low, value)) and (high is None or less[upper](value, high)):
+        return value
+    floor = "" if low is None else f"{low} {lower} "
+    rule = f"be {lower.replace('<', '>')} {low}" if high is None else f"satisfy {floor}{name.split()[-1]} {upper} {top}"
+    raise DataError(f"{name}={value} must {rule}")
 
 
 def _power(p):

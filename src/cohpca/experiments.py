@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import io
-from .errors import DataError, NumericalError, _as_matrix, _integer, _power
+from .errors import DataError, NumericalError, _as_matrix, _integer, _power, _real
 from .linalg import coherence, normalize_columns, recovery_error
 from .models import (
     INLIER,
@@ -113,6 +113,7 @@ def run_phase_transition(
     n1_over_r = _axis("n1_over_r", n1_over_r)
     n2_over_m = _axis("n2_over_m", n2_over_m)
     _integer(trials, "trials", 1)
+    _real(success_tol, "success tolerance success_tol", 0)
     cfg = CopConfig(r=r, p=p, strategy=FixedCount(count))
     fractions = np.zeros((len(n1_over_r), len(n2_over_m)))
     rows = []
@@ -265,8 +266,7 @@ def run_cluster_correction(
     dims = tuple(dims)
     if len(set(dims)) != 1:
         raise DataError("the correction loop fits one common rank; dims must be equal")
-    if not 0.0 <= corruption < 1.0:
-        raise DataError(f"corruption={corruption} must lie in [0, 1)")
+    _real(corruption, "corruption", 0, below=1)
     _integer(seeds, "seeds", 1)
     r = dims[0]
     n = int(sum(sizes))

@@ -19,8 +19,10 @@ worst-case bounds control.
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import models
-from .errors import DataError, _integer, _power
+from .errors import DataError, _integer, _power, _real
 from .linalg import coherence_gram
 from .models import _check_sizes, _squarable
 
@@ -103,23 +105,18 @@ def _base_checks(p, kind):
     _check_sizes(p.m, p.r, p.n1, p.n2)
     _integer(p.m, "ambient dimension m", 2)
     if kind.endswith("whp"):
-        _require(0.0 < p.delta < 1.0, f"delta={p.delta} must lie in (0, 1)")
+        _real(p.delta, "failure probability delta", above=0, below=1)
         _require(p.n2 >= 1, f"n2={p.n2} must be >= 1 for whp kinds")
 
 
-def _model_param(p, model):
-    """``model``'s parameter (mu, sigma or nu): given, finite, with 1 + its square finite."""
+def _model_param(p, model, label, **bounds):
+    """``model``'s parameter (mu, sigma or nu): given, real within ``_real``'s ``bounds``, squarable."""
     (name,) = models._MODELS[model][1]
     value = getattr(p, name)
     _require(value is not None, f"{model} kinds need {name}")
-    _squarable(value, f"{name}={value}")
+    _real(value, f"{label} {name}", **bounds)
+    _squarable(value, f"{label} {name}={value}")
     return value
-
-
-def _mu(p):
-    mu = _model_param(p, "structured")
-    _require(0 < mu < 1, f"the structured bounds need 0 < mu < 1, got {mu}")
-    return mu
 
 
 def _beta(n, delta):
@@ -176,7 +173,7 @@ def _unstructured_l2_whp(p):
 
 
 def _structured_l1_mean(p):
-    mu = _mu(p)
+    mu = _model_param(p, "structured", "mixing parameter", above=0, below=1)
     lhs = (p.n1 - 1) * math.sqrt(2 / (math.pi * p.r))
     rhs = 2 * p.n2 / (1 + mu**2) + (
         2 * mu**2 * p.n2
@@ -187,7 +184,7 @@ def _structured_l1_mean(p):
 
 
 def _structured_l1_whp(p):
-    mu = _mu(p)
+    mu = _model_param(p, "structured", "mixing parameter", above=0, below=1)
     beta = _beta(p.n2, p.delta)
     kappa = p.m / (p.m - 1)
     t_tail = t_delta(p.delta, p.m)
@@ -207,8 +204,7 @@ def _structured_l1_whp(p):
 
 
 def _noisy_l1_mean(p):
-    sigma = _model_param(p, "noisy")
-    _require(sigma >= 0, f"sigma={sigma} must be >= 0")
+    sigma = _model_param(p, "noisy", "noise level", low=0)
     s2 = sigma**2
     xi = math.sqrt(2 * s2 / (math.pi * p.m)) * (
         p.n1 / math.sqrt(1 + s2) * (1 + sigma * math.sqrt(math.pi / 2) + math.sqrt(p.r))
@@ -225,13 +221,12 @@ def _noisy_l1_mean(p):
 
 
 def _noisy_l1_whp(p):
-    sigma = _model_param(p, "noisy")
-    _require(sigma > 0, "the noisy whp bound needs sigma > 0")
+    sigma = _model_param(p, "noisy", "noise level", above=0)
     _require(p.r >= 2, "the noisy whp bound needs r >= 2")
     s2 = sigma**2
     n = p.n1 + p.n2
-    c_arg = n / (p.delta * math.sqrt(2 * math.pi) * sigma)
-    _require(c_arg > 1.0, f"amplitude bound undefined: n/(delta*sqrt(2*pi)*sigma) = {c_arg:.3g} <= 1")
+    c_arg = n / np.float64(p.delta * math.sqrt(2 * math.pi) * sigma)  # a product of 0 gives inf, not an error
+    _require(1.0 < c_arg < math.inf, f"amplitude bound undefined: n/(delta*sqrt(2*pi)*sigma) = {c_arg:.3g}")
     c = math.sqrt(2 * math.log(c_arg))
     beta = _beta(p.n2, p.delta)
     beta_in = _beta(p.n1, p.delta)
@@ -262,8 +257,7 @@ def _noisy_l1_whp(p):
 
 
 def _clustered_l1_mean(p):
-    nu = _model_param(p, "clustered")
-    _require(0 < nu < 1, f"the clustered bound needs 0 < nu < 1, got {nu}")
+    nu = _model_param(p, "clustered", "mixing parameter", above=0, below=1)
     lhs = p.n1 * (1 - (nu**2 + 2 * nu) / math.sqrt(p.r))
     rhs = (
         1
@@ -293,7 +287,8 @@ def check_condition(kind, params):
     if kind not in _CHECKS:
         raise DataError(f"unknown condition kind {kind!r}; choose from {KINDS}")
     _base_checks(params, kind)
-    lhs, rhs, inter = _CHECKS[kind](params)
+    with np.errstate(all="ignore"):  # numpy scalars overflow quietly, as floats do
+        lhs, rhs, inter = _CHECKS[kind](params)
     return ConditionReport(kind, params, float(lhs), float(rhs), bool(lhs > rhs), inter)
 
 
@@ -326,7 +321,7 @@ def tail_f(t, m):
     round to zero, and tail_f(0, m) is exactly 1.
     """
     m = _integer(m, "m", 3)
-    _require(t >= 0, f"threshold t={t} must be >= 0")
+    _real(t, "threshold t", 0)
     if t >= m:
         return 0.0
     from scipy.special import betaincc  # scipy loads on first use only
@@ -336,7 +331,7 @@ def tail_f(t, m):
 
 def t_delta(delta, m):
     """Smallest t with tail_f(t, m) below delta, by bisection to 1e-8."""
-    _require(0.0 < delta < 1.0, f"delta={delta} must lie in (0, 1)")
+    _real(delta, "failure probability delta", above=0, below=1)
     lo, hi = 0.0, float(_integer(m, "m", 3))
     while hi - lo > 1e-8:
         mid = 0.5 * (lo + hi)

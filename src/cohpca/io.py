@@ -71,6 +71,8 @@ def _is_npy(path):
 
 
 _INTEGER = re.compile(rb"-?[0-9]+")
+# a value of a matrix body as np.loadtxt reads it, which the command line's reals follow
+_REAL = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|(?ai:nan|inf|infinity))")
 
 
 def _integers(tokens, message):

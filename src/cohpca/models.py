@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, _integer
+from .errors import DataError, _integer, _real
 from .rng import stream
 
 __all__ = [
@@ -124,8 +124,7 @@ def _squarable(x, label):
 
 def _clustered(rng, u, n1, nu, name="nu"):
     """Inliers (t + nu * a_i) / sqrt(1 + nu^2) around one direction t of span(u)."""
-    if nu <= 0:
-        raise DataError(f"mixing parameter {name}={nu} must be > 0")
+    _real(nu, f"mixing parameter {name}", above=0)
     _squarable(nu, f"mixing parameter {name}={nu}")
     t = u @ unit_sphere(rng, u.shape[1], 1)
     return (t + nu * (u @ unit_sphere(rng, u.shape[1], n1))) / np.sqrt(1.0 + nu**2)
@@ -150,8 +149,7 @@ def gen_structured_outliers(m, r, n1, n2, mu, seed=0, inlier_nu=None, shuffle=Fa
     clustered with that mixing parameter (see gen_clustered_inliers).
     """
     _check_sizes(m, r, n1, n2)
-    if mu <= 0:
-        raise DataError(f"mixing parameter mu={mu} must be > 0")
+    _real(mu, "mixing parameter mu", above=0)
     _squarable(mu, f"mixing parameter mu={mu}")
     rng = _rng_of(seed)
     u = random_subspace(rng, m, r)
@@ -177,8 +175,7 @@ def gen_noisy(m, r, n1, n2, sigma, seed=0, shuffle=False):
     reproduces the clean inliers exactly.
     """
     _check_sizes(m, r, n1, n2)
-    if sigma < 0:
-        raise DataError(f"noise level sigma={sigma} must be >= 0")
+    _real(sigma, "noise level sigma", 0)
     _squarable(sigma, f"noise level sigma={sigma}")
     rng = _rng_of(seed)
     u = random_subspace(rng, m, r)
@@ -248,8 +245,7 @@ def sigma_for_tau(tau):
     signal component has norm 1.  Inverting gives sigma = tau *
     sqrt(pi/2).
     """
-    if tau < 0:
-        raise DataError(f"norm ratio tau={tau} must be >= 0")
+    _real(tau, "norm ratio tau", 0)
     with np.errstate(over="ignore"):
         sigma = float(tau) * np.sqrt(np.pi / 2.0)
     _squarable(sigma, f"norm ratio tau={tau}")

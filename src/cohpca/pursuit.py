@@ -36,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, NumericalError, _integer, _power
+from .errors import DataError, NumericalError, _integer, _power, _real
 from .linalg import (
     CoherenceProfile,
     _require_orthonormal,
@@ -83,9 +83,8 @@ class TopFraction:
 
     def select(self, x, profile, cfg):
         _check_selection(x, profile, cfg)
-        if not 0.0 < self.q < 1.0:
-            raise DataError(f"fraction q={self.q} must lie strictly between 0 and 1")
-        keep = int(np.ceil((1.0 - self.q) * x.shape[1]))
+        q = _real(self.q, "fraction q", above=0, below=1)
+        keep = int(np.ceil((1.0 - q) * x.shape[1]))
         return _finish(x, _top_k(profile, keep), cfg.r)
 
 
@@ -191,8 +190,7 @@ def greedy_rank_sampling(x, profile, r, rank_tol):
     norm.  Ties in coherence break toward the lower index.  Raises when
     the candidates are exhausted before r picks.
     """
-    if not rank_tol >= 0:
-        raise DataError(f"rank tolerance rank_tol={rank_tol} must be >= 0")
+    _real(rank_tol, "rank tolerance rank_tol", 0)
     values = np.asarray(profile.values, dtype=np.float64)
     order = np.argsort(-values, kind="stable")
     picked = []
@@ -254,8 +252,7 @@ def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None, pool=None):
     norms = np.linalg.norm(sketch, axis=0)
     if upsilon is None:
         upsilon = 0.2 * float(np.median(norms))
-    if not upsilon >= 0:
-        raise DataError(f"threshold upsilon={upsilon} must be >= 0")
+    _real(upsilon, "threshold upsilon", 0)
     picked = []
     for _ in range(r):
         values[norms <= upsilon] = 0.0
@@ -349,8 +346,7 @@ def residual_outliers(d, basis, threshold=0.2):
     drops, counts as an outlier.  ``basis`` must be orthonormal with one
     row per row of ``d``.
     """
-    if not 0.0 <= threshold:
-        raise DataError(f"threshold {threshold} must be >= 0")
+    _real(threshold, "threshold", 0)
     x, kept = normalize_columns(d)
     basis = _require_orthonormal(basis, "basis")
     if basis.shape[0] != x.shape[0]:

@@ -1,7 +1,9 @@
 """End-to-end command line behavior, including exit codes and config files."""
 
+import argparse
 import inspect
 import json
+import math
 import sys
 import tracemalloc
 
@@ -9,6 +11,7 @@ import numpy as np
 import pytest
 
 from cohpca import cli, experiments, guarantees, models, pursuit
+from cohpca.errors import DataError
 from cohpca.cli import main
 from cohpca.io import read_labels, read_matrix, read_pgm, write_matrix, write_pgm
 from cohpca.linalg import recovery_error
@@ -573,10 +576,11 @@ def test_config_lines_the_command_line_would_reject_exit_1(tmp_path, parsed, lin
 
 @pytest.mark.parametrize("command, key, value, message", [
     ("phase", "n1-over-r", "a", "expected comma separated integers, got 'a'"),
-    ("noise-sweep", "taus", "x", "expected comma separated numbers, got 'x'"),
+    ("noise-sweep", "taus", "x", "expected comma separated real numbers, got 'x'"),
+    ("noise-sweep", "taus", "0, 0.5", "expected comma separated real numbers, got '0, 0.5'"),
     ("bench", "cases", "3y4", "expected MxN case syntax, got '3y4'"),
     ("bench", "cases", "3xq", "expected MxN case syntax, got '3xq'"),
-    ("cop", "upsilon", "zz", "upsilon must be a number or 'auto', got 'zz'"),
+    ("cop", "upsilon", "zz", "expected a real number or 'auto', got 'zz'"),
     ("gen", "shuffle", "maybe", "expected true/false, yes/no or 1/0, got 'maybe'"),
 ])
 @pytest.mark.parametrize("source", ["flag", "config"])
@@ -657,11 +661,98 @@ def test_a_negative_seed_reaches_the_library_range_rule(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_no_option_is_parsed_by_int():
-    # every integer option goes through the package's one integer rule
+def test_no_option_is_parsed_by_int_or_float():
+    # every integer option goes through the package's one integer rule, and
+    # every real option through the grammar of a matrix body
     for command in _MINIMAL:
         for action in _subparser(command)._actions:
-            assert action.type is not int, (command, action.dest)
+            assert action.type not in (int, float), (command, action.dest)
+
+
+# ---- real numbers ----
+
+# numbers and non-finite words a matrix body reads, and tokens that float()
+# reads but a matrix body does not
+REAL_TOKENS = [
+    "7", "+7", "-7", "7.", ".5", "-.5", "0.1", "1E+05", "2.5e-3", "-0", "1e400", "1e-400", "5e-324",
+    "NaN", "+nan", "-Infinity", "inf", "INF", "infinity",
+    "1_0", "\u0663", "\u0660_5", "0x10", "1d5", "1,5", ".", "e5", "1e", "1e+", "--1", "+-1", "1.5.2",
+    " 7", "7 ", "7\u00a0", "7#1", "", "infinit", "nan(1)", "\u0131nf",
+]
+
+
+def _body_value(tmp_path, token):
+    """What read_matrix makes of a 1 x 1 file holding ``token``: its value,
+    "non-finite" when only the finite rule rejects it, else None.  A blank
+    separates the values of a file and a '#' starts a comment, so a token
+    holding either is no value."""
+    if token.split() != [token] or "#" in token:
+        return None
+    path = tmp_path / "t.txt"
+    path.write_text(f"1 1\n{token}\n", encoding="utf-8")
+    try:
+        return read_matrix(path)[0, 0]
+    except DataError as exc:
+        return "non-finite" if "contains NaN or Inf entries" in str(exc) else None
+
+
+@pytest.mark.parametrize("token", REAL_TOKENS)
+def test_a_real_option_reads_what_a_matrix_body_reads(tmp_path, token):
+    want = _body_value(tmp_path, token)
+    if want is None:
+        with pytest.raises(argparse.ArgumentTypeError, match="^expected a real number, got "):
+            cli._real(token)
+    elif isinstance(want, str):
+        assert not math.isfinite(cli._real(token))
+    else:
+        assert np.float64(cli._real(token)).tobytes() == want.tobytes()
+
+
+# a digit group, an Arabic-Indic three, both, and hexadecimal: float() reads
+# the first three
+BAD_REALS = ["1_0", "\u0663", "\u0660_5", "0x10"]
+_SOURCES_AND_BAD_REALS = [("flag", v) for v in BAD_REALS + [" 7"]] + [("config", v) for v in BAD_REALS]
+
+
+@pytest.mark.parametrize("source, value", _SOURCES_AND_BAD_REALS)
+@pytest.mark.parametrize("args, key, text, what", [
+    (["gen", "--model", "structured", "--m", "20", "--r", "2", "--n1", "5", "--n2", "5", "--out", "OUT"],
+     "mu", "{}", "a real number"),
+    (["gen", "--model", "noisy", "--out", "OUT"], "tau", "{}", "a real number"),
+    (["noise-sweep", "--seeds", "1", "--csv", "OUT"], "taus", "0,{}", "comma separated real numbers"),
+    (["cop", "--in", "IN", "--r", "2", "--strategy", "top-fraction", "--basis-out", "OUT"], "q", "{}",
+     "a real number"),
+    (["cop", "--in", "IN", "--r", "2", "--strategy", "adaptive", "--basis-out", "OUT"], "upsilon", "{}",
+     "a real number or 'auto'"),
+    (["structured-sweep", "--csv", "OUT"], "success-tol", "{}", "a real number"),
+    (["check-condition", *_MINIMAL["check-condition"][0], "--out", "OUT"], "delta", "{}", "a real number"),
+], ids=["mu", "tau", "taus-item", "q", "upsilon", "success-tol", "delta"])
+def test_every_real_option_follows_the_matrix_body_grammar(
+    tmp_path, capsys, args, key, text, what, source, value
+):
+    out, data = tmp_path / "out", tmp_path / "d.txt"
+    write_matrix(data, gen_unstructured(20, 2, 10, 10, seed=0).d)
+    args = [{"OUT": str(out), "IN": str(data)}.get(a, a) for a in args]
+    text = text.format(value)
+    assert main(_with_value(tmp_path, args, key, text, source)) == 1
+    assert f"argument --{key}: expected {what}, got {text!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-0.1", "nan"])
+@pytest.mark.parametrize("args", [
+    ["phase", "--m", "10", "--r", "2", "--n1-over-r", "3", "--n2-over-m", "1", "--trials", "1",
+     "--count", "4"],
+    ["structured-sweep", "--mus", "5", "--m", "20", "--r", "2", "--n1", "30", "--n2", "5", "--seeds", "1"],
+], ids=["phase", "structured-sweep"])
+def test_a_negative_or_nan_success_tol_exits_1_naming_it(tmp_path, capsys, args, value):
+    csv_path = tmp_path / "s.csv"
+    assert run(*args, "--success-tol", value, "--csv", csv_path) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"cohpca: error: success tolerance success_tol={float(value)} must be >= 0\n"
+    assert captured.out == ""
+    assert not csv_path.exists()
+    assert run(*args, "--success-tol", "0", "--csv", csv_path) == 0
 
 
 # ---- each option is declared once ----

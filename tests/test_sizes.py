@@ -4,16 +4,21 @@ integer within its bounds, or a DataError that names it.
 A bounded size reads ``rank r=11 must satisfy 1 <= r <= m=10``; a size
 with a lower bound alone reads ``... must be >= 1``.  A numpy integer is
 the int it holds.
+
+The real parameters have the sibling rule: a real number (a Python or
+numpy int or float) within bounds that may be strict, as in ``fraction
+q=1.5 must satisfy 0 < q < 1``.  NaN is outside every bound.
 """
 
+import math
 import re
 
 import numpy as np
 import pytest
 
 from cohpca.errors import DataError
-from cohpca.experiments import run_noise_sweep, saliency
-from cohpca.guarantees import ConditionParams, check_condition
+from cohpca.experiments import run_cluster_correction, run_noise_sweep, run_phase_transition, saliency
+from cohpca.guarantees import ConditionParams, check_condition, t_delta, tail_f
 from cohpca.linalg import random_projection, top_r_singular_subspace
 from cohpca.models import (
     gen_clustered_inliers,
@@ -22,12 +27,23 @@ from cohpca.models import (
     gen_union,
     gen_unstructured,
     random_subspace,
+    sigma_for_tau,
     unit_sphere,
 )
-from cohpca.pursuit import Adaptive, CopConfig, FixedCount, cop, spca
+from cohpca.pursuit import (
+    Adaptive,
+    CopConfig,
+    FixedCount,
+    GreedyRank,
+    TopFraction,
+    cop,
+    residual_outliers,
+    spca,
+)
 from cohpca.rng import stream
 
-D = gen_unstructured(10, 2, 20, 20, seed=0).d  # 10 x 40
+DS = gen_unstructured(10, 2, 20, 20, seed=0)
+D = DS.d  # 10 x 40
 IMAGE = np.arange(64.0).reshape(8, 8)
 
 GENERATORS = {
@@ -144,3 +160,144 @@ def test_every_size_is_an_integer_within_its_bounds_or_a_named_error(key):
 def test_unit_sphere_draws_no_columns_at_count_zero():
     # gen_unstructured(..., n2=0) draws its outliers this way
     assert unit_sphere(stream(3), 3, 0).shape == (3, 0)
+
+
+# ---- real parameters ----
+
+
+def at_least(low, message):
+    # an inclusive lower bound: low itself passes, the next float below fails
+    return low, np.nextafter(low, -np.inf), message
+
+
+def above(low, message):
+    # a strict lower bound: the next float above passes, low itself fails
+    return np.nextafter(low, np.inf), low, message
+
+
+def below(high, message):
+    return np.nextafter(high, -np.inf), high, message
+
+
+def strategy(make):
+    return lambda v: cop(D, CopConfig(r=1, strategy=make(v))).basis
+
+
+def condition(**given):
+    # sizes every kind takes, whp ones included (r >= 2, n2 >= 1)
+    return ConditionParams(100, 5, 10, 10, **{"mu": 0.5, "sigma": 0.5, "nu": 0.5, **given})
+
+
+Q = "fraction q={} must satisfy 0 < q < 1"
+DELTA = "failure probability delta={} must satisfy 0 < delta < 1"
+MU = "mixing parameter mu={} must satisfy 0 < mu < 1"
+NU = "mixing parameter nu={} must satisfy 0 < nu < 1"
+
+# id: (call of the value v, a valid v, the name the errors give, each
+# finite bound as (last value inside, first value outside, message of the
+# outside one[, message of another rule that rejects the inside one]), and
+# the message for None, which some parameters take)
+REALS = {
+    "TopFraction-q": (strategy(lambda v: TopFraction(q=v)), 0.5, "fraction q", [
+        above(0, Q), below(1, Q),
+    ], "fraction q=None must be a real number"),
+    "GreedyRank-rank_tol": (strategy(lambda v: GreedyRank(rank_tol=v)), 1e-10, "rank tolerance rank_tol", [
+        at_least(0, "rank tolerance rank_tol={} must be >= 0"),
+    ], "rank tolerance rank_tol=None must be a real number"),
+    "Adaptive-upsilon": (strategy(lambda v: Adaptive(upsilon=v)), 0.1, "threshold upsilon", [
+        at_least(0, "threshold upsilon={} must be >= 0"),
+    ], None),  # None takes 0.2 times the median sketched norm
+    "residual_outliers-threshold": (lambda v: residual_outliers(D, DS.basis, v), 0.2, "threshold", [
+        at_least(0, "threshold={} must be >= 0"),
+    ], "threshold=None must be a real number"),
+    "gen_structured_outliers-mu": (lambda v: gen_structured_outliers(10, 2, 5, 5, mu=v, seed=1).d, 0.5,
+                                   "mixing parameter mu", [
+        above(0, "mixing parameter mu={} must be > 0"),
+    ], "mixing parameter mu=None must be a real number"),
+    "gen_structured_outliers-inlier_nu": (
+        lambda v: gen_structured_outliers(10, 2, 5, 5, mu=0.5, inlier_nu=v, seed=1).d, 0.5,
+        "mixing parameter inlier_nu", [above(0, "mixing parameter inlier_nu={} must be > 0")],
+        None,  # None draws unclustered inliers
+    ),
+    "gen_clustered_inliers-nu": (lambda v: gen_clustered_inliers(10, 2, 5, 5, nu=v, seed=1).d, 0.5,
+                                 "mixing parameter nu", [
+        above(0, "mixing parameter nu={} must be > 0"),
+    ], "mixing parameter nu=None must be a real number"),
+    "gen_noisy-sigma": (lambda v: gen_noisy(10, 2, 5, 5, sigma=v, seed=1).d, 0.1, "noise level sigma", [
+        at_least(0, "noise level sigma={} must be >= 0"),
+    ], "noise level sigma=None must be a real number"),
+    "sigma_for_tau-tau": (sigma_for_tau, 0.5, "norm ratio tau", [
+        at_least(0, "norm ratio tau={} must be >= 0"),
+    ], "norm ratio tau=None must be a real number"),
+    "run_cluster_correction-corruption": (
+        lambda v: [row["error"] for row in run_cluster_correction(
+            m=10, dims=(2, 2), sizes=(10, 10), corruption=v, iterations=1, seeds=1)],
+        0.2, "corruption", [
+            at_least(0, "corruption={} must satisfy 0 <= corruption < 1"),
+            below(1, "corruption={} must satisfy 0 <= corruption < 1"),
+        ], "corruption=None must be a real number"),
+    "run_phase_transition-success_tol": (
+        lambda v: run_phase_transition(m=10, r=2, n1_over_r=(3,), n2_over_m=(1,), trials=1, count=4,
+                                       success_tol=v).fractions,
+        1e-5, "success tolerance success_tol", [
+            at_least(0, "success tolerance success_tol={} must be >= 0"),
+        ], "success tolerance success_tol=None must be a real number"),
+    "check_condition-delta": (lambda v: check_condition("unstructured-l2-whp", condition(delta=v)).lhs,
+                              0.05, "failure probability delta", [
+        above(0, DELTA), below(1, DELTA),
+    ], "failure probability delta=None must be a real number"),
+    "t_delta-delta": (lambda v: t_delta(v, 10), 0.05, "failure probability delta", [
+        above(0, DELTA), below(1, DELTA),
+    ], "failure probability delta=None must be a real number"),
+    "check_condition-mu": (lambda v: check_condition("structured-l1-mean", condition(mu=v)).lhs, 0.5,
+                           "mixing parameter mu", [above(0, MU), below(1, MU)], "structured kinds need mu"),
+    "check_condition-nu": (lambda v: check_condition("clustered-l1-mean", condition(nu=v)).lhs, 0.5,
+                           "mixing parameter nu", [above(0, NU), below(1, NU)], "clustered kinds need nu"),
+    "check_condition-sigma-mean": (lambda v: check_condition("noisy-l1-mean", condition(sigma=v)).lhs, 0.5,
+                                   "noise level sigma", [
+        at_least(0, "noise level sigma={} must be >= 0"),
+    ], "noisy kinds need sigma"),
+    # sigma next to 0 makes n/(delta*sqrt(2*pi)*sigma) infinite, which the
+    # bound's own rule names
+    "check_condition-sigma-whp": (lambda v: check_condition("noisy-l1-whp", condition(sigma=v)).lhs, 0.5,
+                                  "noise level sigma", [
+        (*above(0, "noise level sigma={} must be > 0"),
+         "amplitude bound undefined: n/(delta*sqrt(2*pi)*sigma) = inf"),
+    ], "noisy kinds need sigma"),
+    "tail_f-t": (lambda v: tail_f(v, 10), 2.0, "threshold t", [
+        at_least(0, "threshold t={} must be >= 0"),
+    ], "threshold t=None must be a real number"),
+}
+
+
+@pytest.mark.parametrize("key", REALS)
+def test_every_real_parameter_is_a_real_number_within_its_bounds_or_a_named_error(key):
+    call, good, name, bounds, none = REALS[key]
+    for value in ("0.5", 1j):
+        with pytest.raises(DataError, match=f"^{re.escape(f'{name}={value!r} must be a real number')}$"):
+            call(value)
+    if none is not None:
+        with pytest.raises(DataError, match=f"^{re.escape(none)}$"):
+            call(None)
+    with pytest.raises(DataError, match=f"^{re.escape(name)}=nan must "):
+        call(math.nan)
+    for inside, outside, message, *other in bounds:
+        for given in (inside, float(inside)):
+            if other:
+                with pytest.raises(DataError, match=f"^{re.escape(other[0])}$"):
+                    call(given)
+            else:
+                call(given)
+        for given in (outside, np.float64(outside)):
+            with pytest.raises(DataError, match=f"^{re.escape(message.format(given))}$"):
+                call(given)
+    # a numpy float is the float it holds
+    assert np.array_equal(call(np.float64(good)), call(good))
+
+
+def test_an_infinity_passes_where_no_bound_excludes_it():
+    d = D.copy()
+    d[:, 3] = 0.0
+    # an infinite threshold leaves only the all-zero column an outlier
+    assert residual_outliers(d, DS.basis, math.inf).tolist() == [int(j == 3) for j in range(d.shape[1])]
+    assert tail_f(math.inf, 10) == 0.0
