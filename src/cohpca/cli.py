@@ -220,7 +220,6 @@ def cmd_cop(ns):
             shown = "auto" if value is None else value  # only --upsilon auto parses to None
             raise DataError(f"--{opt.replace('_', '-')} {shown} requires the {_OWNERS[opt]} strategy")
     config = _call(CopConfig, ns, strategy=_STRATEGIES[ns.strategy](**given))
-    # passed straight in, so cop can release the raw matrix once normalized
     res = cop(io.read_matrix(getattr(ns, "in")), config)
     io.write_matrix(ns.basis_out, res.basis)
     if ns.profile_out:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import io
 from .errors import DataError, NumericalError, _as_matrix, _integer, _power, _real
-from .linalg import coherence, normalize_columns, recovery_error
+from .linalg import coherence, recovery_error
 from .models import (
     INLIER,
     OUTLIER,
@@ -168,7 +168,7 @@ def run_noise_sweep(
     ``taus`` are noise-to-signal norm ratios (0 means clean data); each
     is converted to the matching amplitude sigma.  For every (tau, seed)
     the row records the smallest inlier and largest outlier coherence of
-    the normalized data and their gap; a positive gap means coherence
+    the columns at unit length and their gap; a positive gap means coherence
     ranking still separates the classes perfectly.
     """
     _integer(n2, "outlier count n2", 1)
@@ -179,9 +179,9 @@ def run_noise_sweep(
         sigma = sigma_for_tau(tau)
         for s in range(seeds):
             ds = gen_noisy(m, r, n1, n2, sigma, seed=(seed, ti, s))
-            x, kept = normalize_columns(ds.d)
-            prof = coherence(x, p).values
-            labels = ds.labels[kept]
+            # the profile cop computes: the columns at unit length
+            prof = coherence(ds.d, p).values
+            labels = ds.labels
             min_inlier = float(prof[labels == INLIER].min())
             max_outlier = float(prof[labels == OUTLIER].max())
             vmax = float(prof.max())
@@ -335,9 +335,9 @@ def saliency(image, patch=10, p=2):
         .T
     )
     sal = np.ones(gh * gw)  # all-zero tiles, absent from kept
-    if tiles.any():  # else every tile is zero, and normalize_columns keeps none
-        x, kept = normalize_columns(tiles)
-        values = coherence(x, p).values
+    kept = np.flatnonzero(tiles.any(axis=0))
+    if kept.size:  # else every tile is zero
+        values = coherence(tiles[:, kept], p).values
         vmax = values.max()
         sal[kept] = 1.0 - values / vmax if vmax > 0 else 0.0
     grid = sal.reshape(gh, gw)

@@ -5,15 +5,23 @@ The hot loop of the whole package is the column-coherence sum
     s(i) = sum_{k != i} |x_i' x_k|^p,   p in {1, 2},
 
 which would need an n-by-n Gram matrix if done naively.  The self term
-k = i is left out here.  The path follows from the shape of the m-by-n x:
+k = i is left out here.  The kernel takes raw columns d_k and one weight
+per column w_k, and sums over the weighted columns x_k = w_k d_k without
+forming them: every Gram entry d_i' d_k is made raw, and the weights
+enter afterwards, as w_i^p w_k^p |d_i' d_k|^p.  With w_k = 1 / ||d_k||
+that is the profile of the columns at unit length; without weights it is
+the profile of the raw columns.  The path follows from the shape of the
+m-by-n d:
 
-* covariance form, for p = 2 with m < n: x_i' (X X') x_i minus ||x_i||^4,
-  clamped at zero; it is the one path that subtracts.  m^2 n flops for
-  C = X X' (BLAS computes one triangle) and 2 m^2 n for C X, so O(m^2 n)
-  time.  C X is taken ``COV_BLOCK`` columns at a time through one reused
-  m-by-``COV_BLOCK`` buffer, each block reduced to its x_i' C x_i before
-  the next, so the extra memory is O(m^2 + m COV_BLOCK + n), with no
-  m-by-n product.
+* covariance form, for p = 2 with m < n: w_i^2 d_i' C d_i minus the self
+  term (w_i^2 ||d_i||^2)^2, clamped at zero; it is the one path that
+  subtracts.  C = sum_k x_k x_k' is built ``COV_BLOCK`` weighted columns
+  at a time, each block x_k = w_k d_k written into one reused
+  m-by-``COV_BLOCK`` buffer (BLAS computes one triangle of each block's
+  product), and C d is taken ``COV_BLOCK`` columns at a time through the
+  same buffer, each block reduced to its d_i' C d_i before the next.
+  m^2 n + 2 m^2 n flops, so O(m^2 n) time, and the extra memory is
+  O(m^2 + m COV_BLOCK + n), with no m-by-n product or weighted copy.
 * half-Gram walk (``walk_power_sums``), for p = 1 and for p = 2 with
   m >= n: slabs of columns lo:hi, each multiplied only against itself and
   the columns after it with its diagonal zeroed, so every symmetric entry
@@ -24,8 +32,11 @@ k = i is left out here.  The path follows from the shape of the m-by-n x:
   n = 10000, which takes 41 slabs of 128 to 821 columns).  The walk
   computes at most n^2 / 2 + ``BLOCK`` n (1 + ln(n / ``BLOCK``) / 2)
   entries, 2 m flops each: m n (n + 350) flops at n = 10000.  Each slab's
-  row and column sums are two BLAS matrix-vector products with a ones
-  vector, written into one length-n vector that every slab reuses.
+  row and column sums are two BLAS matrix-vector products with the
+  vector w^p, written into one length-n vector that every slab reuses;
+  each finished sum is then scaled by its own column's w^p.
+
+Neither path copies d, whatever its memory order.
 """
 
 import numpy as np
@@ -38,24 +49,45 @@ BLOCK = 128
 COV_BLOCK = 1024
 
 
-def block_power_sums(x, p):
-    """Per-column sums sum_{k != i} |x_i' x_k|^p; ``p`` must be 1 or 2."""
-    x = np.ascontiguousarray(_as_2d(x))
+def _weights(w, n):
+    return np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
+
+
+def block_power_sums(x, p, w=None):
+    """Per-column sums w_i^p sum_{k != i} w_k^p |x_i' x_k|^p; ``p`` must be
+    1 or 2, and ``w``, one weight per column, defaults to all ones."""
+    x = _as_2d(x)
     m, n = x.shape
-    if p == 2 and m < n:
-        c = x @ x.T
-        sums = np.empty(n)
-        buf = np.empty(m * min(COV_BLOCK, n))
-        for lo in range(0, n, COV_BLOCK):
-            hi = min(lo + COV_BLOCK, n)
-            # C times one block of columns, written into the front of the
-            # one buffer, then each column's x_i' (C x_i) straight into sums
-            cx = buf[: m * (hi - lo)].reshape(m, hi - lo)
-            np.matmul(c, x[:, lo:hi], out=cx)
-            np.einsum("ij,ij->j", x[:, lo:hi], cx, out=sums[lo:hi])
-        sums -= np.einsum("ij,ij->j", x, x) ** 2
-        return np.maximum(sums, 0.0, out=sums)
-    return walk_power_sums(x, p)
+    if not (p == 2 and m < n):
+        return walk_power_sums(x, p, w)
+    w = _weights(w, n)
+    blocks = [(lo, min(lo + COV_BLOCK, n)) for lo in range(0, n, COV_BLOCK)]
+    buf = np.empty(m * min(COV_BLOCK, n))
+    c = np.empty((m, m))
+    part = np.empty((m, m)) if len(blocks) > 1 else None
+    # the self terms (w_i^2 ||x_i||^2)^2 wait in sums until the second pass
+    sums = np.empty(n)
+    for lo, hi in blocks:
+        # one block of weighted columns, written into the front of the one
+        # buffer (einsum, where np.multiply's broadcast would allocate
+        # 128 KiB of buffers); C gets its product, and its squared norms
+        # the self terms
+        xw = buf[: m * (hi - lo)].reshape(m, hi - lo)
+        np.einsum("ij,j->ij", x[:, lo:hi], w[lo:hi], out=xw)
+        np.einsum("ij,ij->j", xw, xw, out=sums[lo:hi])
+        np.matmul(xw, xw.T, out=c if lo == 0 else part)
+        if lo:
+            c += part
+    np.square(sums, out=sums)
+    for lo, hi in blocks:
+        # C times one block of raw columns, then each column's d_i' (C d_i)
+        cx = buf[: m * (hi - lo)].reshape(m, hi - lo)
+        np.matmul(c, x[:, lo:hi], out=cx)
+        quad = np.einsum("ij,ij->j", x[:, lo:hi], cx)
+        quad *= w[lo:hi]
+        quad *= w[lo:hi]
+        np.subtract(quad, sums[lo:hi], out=sums[lo:hi])
+    return np.maximum(sums, 0.0, out=sums)
 
 
 def _slabs(n):
@@ -68,19 +100,21 @@ def _slabs(n):
         lo = hi
 
 
-def walk_power_sums(x, p):
+def walk_power_sums(x, p, w=None):
     """``block_power_sums`` by the half-Gram walk; a lone column sums to 0."""
     _power(p)
-    x = np.ascontiguousarray(_as_2d(x))
+    x = _as_2d(x)
     n = x.shape[1]
+    wp = _weights(w, n)
+    if p == 2:
+        wp = np.square(wp)
     out = np.zeros(n)
     buf = np.empty(min(BLOCK, n) * n)
-    ones = np.ones(n)
     part = np.empty(n)
     for lo, hi in _slabs(n):
         # rows lo:hi of the Gram from column lo on, written into the front
         # of the one buffer; the transposed view and the column slice both
-        # go to BLAS without a copy
+        # go to BLAS without a copy, in either memory order
         g = buf[: (hi - lo) * (n - lo)].reshape(hi - lo, n - lo)
         np.matmul(x[:, lo:hi].T, x[:, lo:], out=g)
         # the own block's diagonal, zeroed in place through a strided view
@@ -90,11 +124,12 @@ def walk_power_sums(x, p):
             np.abs(g, out=g)
         else:
             np.square(g, out=g)
-        # row sums, then column sums, as matrix-vector products with ones:
+        # row sums, then column sums, as matrix-vector products with w^p:
         # BLAS spreads them over its threads and writes them into ``part``,
         # so no slab allocates
-        out[lo:hi] += np.matmul(g, ones[: n - lo], out=part[: hi - lo])
+        out[lo:hi] += np.matmul(g, wp[lo:], out=part[: hi - lo])
         # the entries right of the diagonal block also belong to the
         # later columns' sums
-        out[hi:] += np.matmul(ones[: hi - lo], g[:, hi - lo :], out=part[: n - hi])
+        out[hi:] += np.matmul(wp[lo:hi], g[:, hi - lo :], out=part[: n - hi])
+    out *= wp
     return out

@@ -31,8 +31,10 @@ __all__ = [
     "recovery_error",
 ]
 
-UNIT_COLUMN_TOL = 1e-8
 SIGMA_GAP_TOL = 1e-12
+# the kernel runs on raw columns whose largest magnitudes lie within
+# 2^(+-BAND / p); ``_unit_scale`` derives it
+BAND = 480
 
 
 @dataclass(frozen=True)
@@ -100,24 +102,89 @@ def normalize_columns(d):
     return Normalized(x, kept)
 
 
-def coherence(x, p=2):
-    """Coherence profile of a matrix with unit columns.
+def _tops(d):
+    """Each column's largest magnitude; a NaN or Inf is named by its column."""
+    top = d.max(axis=0)
+    low = d.min(axis=0)
+    np.negative(low, out=low)
+    # maximum propagates a NaN, and an Inf makes its column's top infinite
+    np.maximum(top, low, out=top)
+    bad = np.flatnonzero(~np.isfinite(top))
+    if bad.size:
+        raise DataError(f"matrix contains NaN or Inf entries in column {bad[0]}")
+    return top
 
-    ``x`` must already have unit columns (within 1e-8); use
-    ``normalize_columns`` first.  The kernel, ``kernels.block_power_sums``,
-    leaves out the self term, so a lone column scores exactly 0.
+
+def _unit_scale(d, p):
+    """``(x, w)``: column k of ``d`` at unit length is ``x[:, k] * w[k]``.
+
+    ``w[k]`` is 1 / ||d_k||, found as ``normalize_columns`` finds it: the
+    column times the power of two 2^-e_k that brings its largest magnitude
+    into [0.5, 1), which is exact, has a norm that neither overflows nor
+    underflows.  The squares are summed a tile of min(``BLOCK``, m) rows by
+    min(``COV_BLOCK``, n) columns at a time, so no m-by-n array is made, and
+    in the same order whatever the memory order of ``d``.
+
+    ``x`` is ``d`` itself, with w[k] = 2^-e_k / ||d_k 2^-e_k||, when every
+    e_k lies in the band |e_k| <= ``BAND`` // p; otherwise it is the exact
+    copy ``np.ldexp(d, -e)``, with w[k] = 1 / ||d_k 2^-e_k||.  The kernel's
+    arithmetic on the two differs only by exact powers of two as long as
+    nothing in it leaves the normal float64 range, so both give the same
+    bits.  The band keeps the raw arithmetic inside that range: with every
+    largest magnitude M_k in [2^(-B-1), 2^B), B = ``BAND`` // p,
+
+    * the largest raw value the p=1 walk makes is a Gram entry, at most
+      m 2^(2B) = m 2^960; the p=2 walk squares it, at most m^2 2^(4B) =
+      m^2 2^960; both stay below 2^1023 for any m < 2^31.  The covariance
+      form's C is built from weighted columns, of unit length, and its
+      d_i' C d_i is at most n m 2^(2B);
+    * an underflowing product or square loses at most 2^-1075, which is
+      at most 2^(2p(B+1) - 1075), 2^-113 at p=1 and 2^-111 at p=2, at
+      unit length, far below the 2^-53 rounding of a unit-scale sum.
+
+    p=2's walk squares the raw Gram entries, so its band is half of p=1's.
+    A zero, NaN or Inf column is a ``DataError`` that names it.
     """
-    x = _as_2d(x)
-    norms = np.sqrt(np.einsum("ij,ij->j", x, x))
-    off = np.abs(norms - 1.0)
-    # a NaN or Inf entry makes its column's norm fail this test too
-    if not np.all(off <= UNIT_COLUMN_TOL):
-        _as_matrix(x)  # a NaN or Inf entry is named first
-        bad = int(np.argmax(off))
-        raise DataError(
-            f"column {bad} has norm {norms[bad]:.12f}; coherence requires unit columns"
-        )
-    return CoherenceProfile(kernels.block_power_sums(x, p), p)
+    d = _as_2d(d)
+    m, n = d.shape
+    top = _tops(d)
+    zero = np.flatnonzero(top == 0.0)
+    if zero.size:
+        raise DataError(f"column {zero[0]} is zero; a coherence profile needs nonzero columns")
+    # shift[k] = -e_k, where 2^e_k brings column k's top into [0.5, 1)
+    shift = np.frexp(top, out=(top, None))[1]
+    del top
+    np.negative(shift, out=shift)
+    w = np.zeros(n)
+    rows, cols = min(kernels.BLOCK, m), min(kernels.COV_BLOCK, n)
+    tile = np.empty(rows * cols)
+    for lo in range(0, n, cols):
+        hi = min(lo + cols, n)
+        for top_row in range(0, m, rows):
+            bottom = min(top_row + rows, m)
+            t = tile[: (bottom - top_row) * (hi - lo)].reshape(bottom - top_row, hi - lo)
+            np.ldexp(d[top_row:bottom, lo:hi], shift[lo:hi], out=t)
+            w[lo:hi] += np.einsum("ij,ij->j", t, t)
+    del tile
+    np.sqrt(w, out=w)
+    np.divide(1.0, w, out=w)
+    if np.abs(shift).max() <= BAND // p:
+        return d, np.ldexp(w, shift, out=w)
+    return np.ldexp(d, shift), w
+
+
+def coherence(d, p=2):
+    """Coherence profile of the columns of ``d`` at unit length.
+
+    ``d`` is any finite matrix with no zero column: the kernel,
+    ``kernels.block_power_sums``, sums the raw columns' products weighted by
+    1 / ||d_k|| (``_unit_scale``), so no normalized copy is made, and a
+    power-of-two scale of a column leaves the profile bit for bit as it
+    is.  The self term is left out, so a lone column scores exactly 0.
+    """
+    _power(p)
+    x, w = _unit_scale(d, p)
+    return CoherenceProfile(kernels.block_power_sums(x, p, w), p)
 
 
 def coherence_gram(d, p=2):
@@ -127,17 +194,21 @@ def coherence_gram(d, p=2):
     half-Gram walk, ``kernels.walk_power_sums``, which never adds the self
     term ||d_i||^(2p); the covariance form subtracts it, which leaves only
     rounding of the cross terms of a column whose norm dwarfs the others.
-    The walk sees ``d`` times the power of two 2^-e that brings its
-    largest magnitude into [0.5, 1), and the sums are scaled back by
-    2^(2pe), both exactly, so a value in the normal float64 range does
-    not depend on the scale of ``d``.  A value above that range is a
+    Let 2^e be the power of two that brings the largest magnitude of ``d``
+    into [0.5, 1).  Inside the band |e| <= ``BAND`` // p of ``_unit_scale``
+    the walk runs on ``d`` itself; outside it the walk sees the exact copy
+    ``d`` times 2^-e and the sums are scaled back by 2^(2pe).  Both routes
+    give the same bits, so a value in the normal float64 range does not
+    depend on the scale of ``d``.  A value above that range is a
     ``NumericalError`` naming overflow; a positive value below it, which
     would lose bits or become zero, is one naming underflow.
     """
     d = _as_matrix(d)
+    _power(p)
     e = int(np.frexp(max(d.max(), -d.min()))[1])
-    x = np.ldexp(d, -e)
-    sums = kernels.walk_power_sums(x, p)
+    if abs(e) <= BAND // p:
+        e = 0
+    sums = kernels.walk_power_sums(np.ldexp(d, -e) if e else d, p)
     with np.errstate(over="ignore"):
         values = np.ldexp(sums, 2 * p * e)
     if np.any(np.isinf(values)):
@@ -170,7 +241,12 @@ def random_projection(x, d, seed, phi=None):
     stream for ``seed``; pass ``phi`` to substitute a specific sketch
     (tests use the identity).
     """
-    x = _as_matrix(x)
+    return _sketch(_as_matrix(x), d, seed, phi)
+
+
+def _sketch(x, d, seed, phi=None):
+    """``random_projection`` of an ``x`` already known to be finite, as
+    ``_unit_scale`` leaves it: no pass over ``x`` checks it again."""
     m = x.shape[0]
     d = _integer(d, "projection dimension d", 1, ("m", m))
     if phi is None:

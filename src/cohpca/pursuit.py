@@ -1,15 +1,16 @@
 """Outlier-robust subspace recovery by coherence ranking.
 
-The pipeline is: normalize columns to the unit sphere, score every
-column by its summed coherence with all other columns, then keep a
-small set of high-coherence columns and take their span as the
-recovered subspace.  Outliers score low because they correlate with
-nothing; inliers score high because they correlate with each other.
+The pipeline is: score every column by its summed coherence with all
+other columns, each taken at unit length, then keep a small set of
+high-coherence columns and take the span of those columns, normalized,
+as the recovered subspace.  Outliers score low because they correlate
+with nothing; inliers score high because they correlate with each other.
 
 Each strategy holds its own defaults and has one method,
 ``select(x, profile, cfg) -> (picked, basis, unique)``: the picked columns
-of the normalized ``x``, their orthonormal span, and whether the picks
-alone determined it.  Every ``select`` first checks that the profile has
+of ``x``, whose columns are nonzero and of any scale, the orthonormal
+span of those columns at unit length, and whether the picks alone
+determined it.  Every ``select`` first checks that the profile has
 one value per column and that r <= m; ``CopConfig`` checks that r is an
 integer >= 1 and p is 1 or 2.  The four strategies:
 
@@ -24,11 +25,13 @@ integer >= 1 and p is 1 or 2.  The four strategies:
                     (the noisy-data variant).
 
 Every strategy ends in the same finish: the top-r left singular
-subspace of its picks, flagged not unique when sigma_r - sigma_{r+1}
-(sigma_{r+1} = 0 past the last one) is at most 1e-12 * sigma_1, so picks
-that span fewer than r dimensions come back with ``unique=False``.
-``cop`` is the one entry point: it normalizes, profiles and hands both
-to the strategy; its ``seconds`` are the stage times ``cohpca bench`` reports.
+subspace of its picks, normalized by ``normalize_columns``, flagged not
+unique when sigma_r - sigma_{r+1} (sigma_{r+1} = 0 past the last one) is
+at most 1e-12 * sigma_1, so picks that span fewer than r dimensions come
+back with ``unique=False``.
+``cop`` is the one entry point: it drops the all-zero columns, profiles
+the rest and hands both to the strategy, and no stage copies the data;
+its ``seconds`` are the stage times ``cohpca bench`` reports.
 """
 
 import time
@@ -36,13 +39,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import DataError, NumericalError, _integer, _power, _real
+from .errors import DataError, NumericalError, _as_2d, _integer, _power, _real
 from .linalg import (
     CoherenceProfile,
     _require_orthonormal,
+    _sketch,
+    _tops,
+    _unit_scale,
     coherence,
     normalize_columns,
-    random_projection,
     top_r_singular_subspace,
 )
 
@@ -124,14 +129,16 @@ class Adaptive:
             raise NumericalError(
                 f"{x.shape[1]} usable columns cannot supply h*r = {h * cfg.r} picks"
             )
+        # the weights every round's sketch is scaled by, found once
+        y, w = _unit_scale(x, 1)
         if h == 1:
-            picked = adaptive_sampling(x, profile, cfg.r, self.k, self.upsilon, cfg.seed)
+            picked = adaptive_sampling(y, profile, cfg.r, self.k, self.upsilon, cfg.seed, w=w)
             return _finish(x, picked, cfg.r)
         pool = np.arange(x.shape[1])
         picked = []
         for i in range(h):
             local = adaptive_sampling(
-                x, profile, cfg.r, self.k, self.upsilon, (cfg.seed, i), pool=pool
+                y, profile, cfg.r, self.k, self.upsilon, (cfg.seed, i), pool=pool, w=w
             )
             picked.extend(pool[local])
             pool = np.delete(pool, local)
@@ -167,7 +174,9 @@ class CopResult:
     subspace was not determined by the sampled columns alone.
     seconds: the seconds cop's stages took, {"normalize": s, "coherence":
     s, "select": s} in that order, which ``cohpca bench`` reports; ``==``
-    ignores them, as they are read off the clock."""
+    ignores them, as they are read off the clock.  "normalize" times the
+    scan for all-zero columns and their removal; the column weights are
+    found inside ``coherence`` and timed with it."""
 
     basis: np.ndarray
     sampled: np.ndarray
@@ -185,10 +194,11 @@ def greedy_rank_sampling(x, profile, r, rank_tol):
     """Indices of the first r columns, by decreasing coherence, that are
     pairwise linearly independent.
 
-    A candidate is kept only if its residual after projection onto the
-    span of the already-kept columns exceeds ``rank_tol`` times its
-    norm.  Ties in coherence break toward the lower index.  Raises when
-    the candidates are exhausted before r picks.
+    Each candidate is normalized by ``normalize_columns`` on its own, and
+    kept only if its residual after projection onto the span of the
+    already-kept columns exceeds ``rank_tol`` times its norm.  Ties in
+    coherence break toward the lower index.  Raises when the candidates
+    are exhausted before r picks.
     """
     _real(rank_tol, "rank tolerance rank_tol", 0)
     values = np.asarray(profile.values, dtype=np.float64)
@@ -196,7 +206,7 @@ def greedy_rank_sampling(x, profile, r, rank_tol):
     picked = []
     q = np.empty((x.shape[0], r))
     for idx in order:
-        col = x[:, idx]
+        col = normalize_columns(x[:, idx : idx + 1]).x[:, 0]
         resid = col - q[:, : len(picked)] @ (q[:, : len(picked)].T @ col)
         norm = np.linalg.norm(resid)
         if norm > rank_tol * np.linalg.norm(col):
@@ -223,11 +233,17 @@ def _top_k(profile, k):
     return np.argsort(neg, kind="stable")[:k]
 
 
-def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None, pool=None):
+def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None, pool=None, w=None):
     """Sketch-and-deflate selection of r independent columns.
 
     The data is sketched to k*r <= m dimensions (Gaussian, seeded; pass
-    ``phi`` to pin the sketch, e.g. the identity in tests).  Then r
+    ``phi`` to pin the sketch, e.g. the identity in tests), and each
+    sketched column is multiplied by its weight 1 / ||x_k||, so the
+    sketch is that of the columns at unit length.  ``x`` and ``w`` are
+    the pair ``linalg._unit_scale(x, 1)`` returns, which ``Adaptive``
+    makes once for all its rounds; ``w=None`` makes it here.  (The sketch
+    is linear in the columns, so the band of the p=1 walk, which
+    multiplies them in pairs, covers it.)  Then r
     times: columns whose current sketched norm is at most ``upsilon``
     are retired, the highest-coherence live column is picked (ties to
     the lower index), and its direction is deflated out of the sketch.
@@ -243,7 +259,10 @@ def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None, pool=None):
     _integer(k, "sketch factor k", 1)
     _integer(k * r, "sketch dimension k*r", high=("m", x.shape[0]))
     values = np.array(profile.values, dtype=np.float64, copy=True)
-    sketch = random_projection(x, k * r, seed, phi=phi)
+    if w is None:
+        x, w = _unit_scale(x, 1)
+    sketch = _sketch(x, k * r, seed, phi=phi)
+    sketch *= w
     if pool is not None:
         # np.take keeps the sketch C-ordered, the layout whose norms and
         # products give the same bits as sketching the pool's columns alone
@@ -274,7 +293,9 @@ def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None, pool=None):
 
 
 def _finish(x, picked, r):
-    y = x[:, picked]
+    # normalization is per column, so the picks get the bits they would
+    # have as columns of normalize_columns(x)
+    y = normalize_columns(x[:, picked]).x
     if min(y.shape) < r:
         raise NumericalError(f"sampled set of {y.shape[1]} columns cannot span r={r}")
     top = top_r_singular_subspace(y, r)
@@ -284,27 +305,32 @@ def _finish(x, picked, r):
 def cop(d, cfg):
     """Recover an r-dimensional subspace from outlier-ridden columns.
 
-    Normalizes columns (dropping only all-zero ones), computes the
-    coherence profile, selects columns per ``cfg.strategy``, and returns
-    the span of the selection.  Indices in the result refer to columns
-    of ``d`` as given.  Fewer than r usable columns raise
+    Drops only all-zero columns, computes the coherence profile of the
+    rest at unit length, selects columns per ``cfg.strategy``, and returns
+    the span of the selection, normalized.  Indices in the result refer
+    to columns of ``d`` as given.  Fewer than r usable columns raise
     ``NumericalError`` before the kernel runs.
 
-    ``d`` is not referenced once normalized: on Python 3.11 and later,
-    ``cop(read_matrix(path), cfg)`` frees the raw matrix before the kernel.
+    No normalized copy of ``d`` is made: the kernel weights the raw
+    columns, and the strategy normalizes only the columns it reads.  A
+    matrix with an all-zero column costs one copy of its other columns.
     """
     if not hasattr(cfg.strategy, "select"):
         raise DataError(f"unknown sampling strategy {cfg.strategy!r}")
     t0 = time.perf_counter()
-    x, kept = normalize_columns(d)
-    dropped = np.delete(np.arange(np.asarray(d).shape[1]), kept)
-    del d
-    if x.shape[1] < cfg.r:
-        raise NumericalError(f"only {x.shape[1]} usable columns for target rank r={cfg.r}")
+    d = _as_2d(d)
+    kept = np.flatnonzero(_tops(d))
+    if kept.size == 0:
+        raise DataError("all columns are zero")
+    dropped = np.delete(np.arange(d.shape[1]), kept)
+    if dropped.size:
+        d = np.take(d, kept, axis=1)
+    if kept.size < cfg.r:
+        raise NumericalError(f"only {kept.size} usable columns for target rank r={cfg.r}")
     t1 = time.perf_counter()
-    prof = coherence(x, cfg.p)
+    prof = coherence(d, cfg.p)
     t2 = time.perf_counter()
-    picked, basis, unique = cfg.strategy.select(x, prof, cfg)
+    picked, basis, unique = cfg.strategy.select(d, prof, cfg)
     seconds = {"normalize": t1 - t0, "coherence": t2 - t1, "select": time.perf_counter() - t2}
     return CopResult(basis, kept[picked], prof, dropped, unique, seconds)
 
@@ -318,10 +344,7 @@ def cop_multipass(d, cfg, h):
     """
     if not isinstance(cfg.strategy, Adaptive):
         raise DataError("cop_multipass requires an Adaptive strategy")
-    # d goes to cop with no reference left here, so cop can free it
-    box = [d]
-    del d
-    return cop(box.pop(), replace(cfg, strategy=replace(cfg.strategy, passes=h)))
+    return cop(d, replace(cfg, strategy=replace(cfg.strategy, passes=h)))
 
 
 def spca(d, r):

@@ -215,9 +215,47 @@ def test_entry_points_name_the_matrix_they_reject(tmp_path, call, d, cause):
 # ---- coherence, two implementations vs the oracle ----
 
 
-def test_coherence_requires_unit_columns():
-    with pytest.raises(DataError, match="unit columns"):
-        coherence(np.array([[2.0, 0.0], [0.0, 1.0]]))
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize("shape", [(40, 300), (300, 40)], ids=["m<n", "m>n"])
+def test_coherence_of_raw_columns_is_that_of_the_normalized_ones(p, shape):
+    # bound stated before the first run: each route rounds a term
+    # |x_i' x_k|^p by at most about (m + 2) p eps relative and its sum by
+    # n eps, so the two routes agree within 4 (m + n) eps < 1e-12
+    # relative for m + n < 1000; the covariance form (p=2, m < n)
+    # subtracts a self term of 1 from sums of n / m, which costs at most
+    # another factor of two
+    m, n = shape
+    d = gen_noisy(m, 3, n // 4, n - n // 4, sigma_for_tau(0.5), seed=(5, m)).d
+    d *= 10.0 ** np.random.default_rng(m).uniform(-6.0, 6.0, n)
+    got = coherence(d, p).values
+    want = coherence(normalize_columns(d).x, p).values
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("p", [1, 2])
+@pytest.mark.parametrize(
+    "column, value, cause",
+    [(2, 0.0, "column 2 is zero"), (3, np.nan, "NaN or Inf entries in column 3"),
+     (0, np.inf, "NaN or Inf entries in column 0"), (3, -np.inf, "NaN or Inf entries in column 3")],
+    ids=["zero", "nan", "inf", "-inf"],
+)
+def test_coherence_names_a_zero_nan_or_inf_column(p, column, value, cause):
+    d = random_matrix(5, 4, seed=0)
+    if value == 0.0:
+        d[:, column] = 0.0
+    else:
+        d[1, column] = value
+    with pytest.raises(DataError, match=cause):
+        coherence(d, p)
+
+
+def test_cop_names_a_nan_column_by_its_index_in_the_input():
+    # column 3 of d is column 2 of what is left once column 0 is dropped
+    d = random_matrix(5, 6, seed=1)
+    d[:, 0] = 0.0
+    d[4, 3] = np.nan
+    with pytest.raises(DataError, match="NaN or Inf entries in column 3"):
+        cop(d, CopConfig(r=1))
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -243,9 +281,8 @@ def test_a_lone_column_scores_exactly_0(p):
         d = random_matrix(16, 1, seed)
         x, _ = normalize_columns(d)
         assert coherence(x, p).values.tolist() == [0.0], seed
+        assert coherence(d, p).values.tolist() == [0.0], seed
         assert coherence_gram(d, p).values.tolist() == [0.0], seed
-    with pytest.raises(DataError, match="unit columns"):
-        coherence(np.full((4, 1), 2.0), p)
 
 
 def test_coherence_gram_accepts_unnormalized_columns():
@@ -301,6 +338,36 @@ def traced_peak(fn, *args, **kwargs):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_coherence_gram_walks_in_band_data_without_a_copy(p):
+    # the scaled copy the walk used to see was m n = 20 n floats, a third
+    # of the slab buffer; in the band the walk reads d itself
+    n = 5000
+    d = random_matrix(20, n, seed=4) * 2.0**-100
+    slab = 8 * kernels.BLOCK * n
+    peak = traced_peak(coherence_gram, d, p)
+    assert peak <= 1.1 * slab, f"peak {peak} B, one slab is {slab} B"
+
+
+@pytest.mark.parametrize("strategy", [None, Adaptive(k=2, upsilon=None, passes=3)],
+                         ids=["greedy", "adaptive-3"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_p1_cop_makes_no_m_by_n_array(order, strategy):
+    m, n = 40, 5000
+    d = gen_noisy(m, 2, n // 5, n - n // 5, sigma_for_tau(0.5), seed=6).d
+    d = np.asarray(d, order=order)
+    cfg = CopConfig(r=2, p=1, seed=6, **({} if strategy is None else {"strategy": strategy}))
+    peak = min(traced_peak(cop, d, cfg) for _ in range(2))
+    # the walk's one slab buffer of BLOCK n floats is the peak, with
+    # c = 4 length-n vectors live beside it: cop's kept indices,
+    # coherence's weights, and the walk's sums and its matrix-vector
+    # product.  An m x n float array would add 40 n floats against a 10%
+    # margin of 13.2 n; each Adaptive round sketches d itself, so no
+    # round copies the columns still in play
+    bound = 1.1 * 8 * (kernels.BLOCK * n + 4 * n)
+    assert peak <= bound, f"peak {peak} B, bound {bound:.0f} B"
 
 
 @pytest.mark.parametrize("n", [5000, 600])
@@ -362,8 +429,8 @@ def test_multipass_holds_one_normalized_copy_plus_one_slab(m, n):
 
 
 def test_cop_multipass_frees_the_raw_matrix_as_cop_does(tmp_path):
-    # the noisy-l1 benchmark's dataset: cop_multipass keeps no reference
-    # to d, so the loaded matrix is freed before the p=1 walk, as in cop
+    # the noisy-l1 benchmark's dataset: the alias holds no more than cop,
+    # which makes no copy of d
     path = tmp_path / "d.npy"
     np.save(path, gen_noisy(200, 5, 400, 9600, sigma_for_tau(0.5), seed=3).d)
     cfg = CopConfig(r=5, p=1, strategy=Adaptive(k=2, upsilon=None), seed=3)

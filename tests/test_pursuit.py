@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohpca import kernels, pursuit
+from cohpca import kernels, linalg, pursuit
 from cohpca.errors import DataError, NumericalError
 from cohpca.guarantees import expected_coherence
 from cohpca.linalg import (
@@ -399,12 +399,13 @@ def test_every_strategy_flags_picks_that_span_fewer_than_r(strategy, p):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_greedy_basis_is_the_orthonormal_basis_of_its_picks(seed):
-    # on full-rank picks the SVD finish is the picks' orthonormal basis, bit for bit
+    # on full-rank picks the SVD finish is the orthonormal basis of the
+    # picks, normalized, bit for bit
     ds = gen_unstructured(30, 4, 20, 60, seed=seed)
     x, _ = normalize_columns(ds.d)
     picked, basis, unique = GreedyRank().select(x, coherence(x, 2), CopConfig(r=4))
     assert unique is True
-    assert basis.tobytes() == orthonormal_basis(x[:, picked]).tobytes()
+    assert basis.tobytes() == orthonormal_basis(normalize_columns(x[:, picked]).x).tobytes()
 
 
 def test_cop_profile_matches_direct_computation():
@@ -438,6 +439,49 @@ def test_cop_ignores_column_scale_over_the_float64_range(strategy, p, flip):
     assert got.profile.values.tobytes() == want.profile.values.tobytes()
     if not flip:
         assert got.basis.tobytes() == want.basis.tobytes()
+
+
+def exponents_to(d, targets):
+    """``d`` with column k times the power of two that gives its largest
+    magnitude the frexp exponent ``targets[k]``; the scale is exact."""
+    k = targets - np.frexp(np.abs(d).max(axis=0))[1]
+    moved = np.ldexp(d, k)
+    assert np.array_equal(np.ldexp(moved, -k), d)
+    return moved
+
+
+# (p, m, n): the p=1 walk, the p=2 covariance form (m < n) and the p=2 walk
+BAND_PATHS = [(1, 40, 230), (2, 40, 230), (2, 60, 50)]
+
+
+@pytest.mark.parametrize("strategy", [GreedyRank(), FixedCount(), Adaptive(passes=2)], ids=repr)
+@pytest.mark.parametrize("p, m, n", BAND_PATHS)
+def test_the_raw_and_prescaled_paths_give_the_same_bytes(p, m, n, strategy):
+    # columns whose largest magnitudes reach both edges of p's band run
+    # raw; one column a binade past either edge sends the whole matrix
+    # through the exact prescaled copy.  Both must give the bytes of the
+    # data at unit scale.
+    d = gen_unstructured(m, 3, n // 5, n - n // 5, seed=(p, m)).d
+    band = linalg.BAND // p
+    rng = np.random.default_rng((p, m))
+    inside = rng.integers(-band, band + 1, n)
+    inside[:2] = -band, band
+    cases = {"inside": inside}
+    for edge in (-band - 1, band + 1):
+        outside = inside.copy()
+        outside[n // 2] = edge
+        cases[f"outside at {edge}"] = outside
+    cfg = CopConfig(r=3, p=p, strategy=strategy, seed=2)
+    want = cop(d, cfg)
+    for name, targets in cases.items():
+        moved = exponents_to(d, targets)
+        raw = linalg._unit_scale(moved, p)[0] is moved
+        assert raw == (name == "inside"), name
+        got = cop(moved, cfg)
+        assert got.profile.values.tobytes() == want.profile.values.tobytes(), name
+        np.testing.assert_array_equal(got.sampled, want.sampled)
+        assert got.basis.tobytes() == want.basis.tobytes(), name
+        assert got.unique == want.unique
 
 
 @settings(max_examples=15, deadline=None)
