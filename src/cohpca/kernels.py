@@ -36,7 +36,8 @@ m-by-n d:
   vector w^p, written into one length-n vector that every slab reuses;
   each finished sum is then scaled by its own column's w^p.
 
-Neither path copies d, whatever its memory order.
+Neither path copies a C- or F-ordered d; any other layout, which BLAS
+cannot read in place, is copied once into C order.
 """
 
 import numpy as np
@@ -49,6 +50,14 @@ BLOCK = 128
 COV_BLOCK = 1024
 
 
+def _in_place(x):
+    """``x`` as a 2-d float64 array BLAS reads without a copy."""
+    x = _as_2d(x)
+    if x.flags.c_contiguous or x.flags.f_contiguous:
+        return x
+    return np.ascontiguousarray(x)
+
+
 def _weights(w, n):
     return np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
 
@@ -56,7 +65,7 @@ def _weights(w, n):
 def block_power_sums(x, p, w=None):
     """Per-column sums w_i^p sum_{k != i} w_k^p |x_i' x_k|^p; ``p`` must be
     1 or 2, and ``w``, one weight per column, defaults to all ones."""
-    x = _as_2d(x)
+    x = _in_place(x)
     m, n = x.shape
     if not (p == 2 and m < n):
         return walk_power_sums(x, p, w)
@@ -103,7 +112,7 @@ def _slabs(n):
 def walk_power_sums(x, p, w=None):
     """``block_power_sums`` by the half-Gram walk; a lone column sums to 0."""
     _power(p)
-    x = _as_2d(x)
+    x = _in_place(x)
     n = x.shape[1]
     wp = _weights(w, n)
     if p == 2:

@@ -115,38 +115,54 @@ def _tops(d):
     return top
 
 
+def _tiles(d):
+    """``(lo, hi, part, t)`` over ``d`` a tile at a time: ``part`` is the view
+    of min(``BLOCK``, m) rows of columns lo:hi, at most ``COV_BLOCK`` of
+    them, and ``t`` a buffer of its shape that every tile reuses, so no
+    m-by-n array is made."""
+    m, n = d.shape
+    rows, cols = min(kernels.BLOCK, m), min(kernels.COV_BLOCK, n)
+    tile = np.empty(rows * cols)
+    for lo in range(0, n, cols):
+        hi = min(lo + cols, n)
+        for top in range(0, m, rows):
+            part = d[top : top + rows, lo:hi]
+            yield lo, hi, part, tile[: part.size].reshape(part.shape)
+
+
 def _unit_scale(d, p):
     """``(x, w)``: column k of ``d`` at unit length is ``x[:, k] * w[k]``.
 
     ``w[k]`` is 1 / ||d_k||, found as ``normalize_columns`` finds it: the
     column times the power of two 2^-e_k that brings its largest magnitude
     into [0.5, 1), which is exact, has a norm that neither overflows nor
-    underflows.  The squares are summed a tile of min(``BLOCK``, m) rows by
-    min(``COV_BLOCK``, n) columns at a time, so no m-by-n array is made, and
-    in the same order whatever the memory order of ``d``.
+    underflows.  The squares are summed a tile at a time (``_tiles``), in
+    the same order whatever the memory order of ``d``.
 
-    ``x`` is ``d`` itself, with w[k] = 2^-e_k / ||d_k 2^-e_k||, when every
-    e_k lies in the band |e_k| <= ``BAND`` // p; otherwise it is the exact
-    copy ``np.ldexp(d, -e)``, with w[k] = 1 / ||d_k 2^-e_k||.  The kernel's
-    arithmetic on the two differs only by exact powers of two as long as
-    nothing in it leaves the normal float64 range, so both give the same
-    bits.  The band keeps the raw arithmetic inside that range: with every
-    largest magnitude M_k in [2^(-B-1), 2^B), B = ``BAND`` // p,
+    ``x`` is ``d`` itself, with w[k] = 2^-e_k / ||d_k 2^-e_k||, when ``d``
+    is C- or F-ordered, which BLAS reads in place, and every e_k lies in
+    the band |e_k| <= ``BAND`` // p; otherwise it is the exact, compact
+    copy ``np.ldexp(d, -e)``, with w[k] = 1 / ||d_k 2^-e_k||.  The
+    kernel's arithmetic on the two differs only by exact powers of two
+    wherever it stays in the normal float64 range, and there both give
+    the same bits.  With every largest magnitude M_k in
+    [2^(-B-1), 2^B), B = ``BAND`` // p, the band bounds what can leave it:
 
     * the largest raw value the p=1 walk makes is a Gram entry, at most
       m 2^(2B) = m 2^960; the p=2 walk squares it, at most m^2 2^(4B) =
-      m^2 2^960; both stay below 2^1023 for any m < 2^31.  The covariance
-      form's C is built from weighted columns, of unit length, and its
-      d_i' C d_i is at most n m 2^(2B);
-    * an underflowing product or square loses at most 2^-1075, which is
-      at most 2^(2p(B+1) - 1075), 2^-113 at p=1 and 2^-111 at p=2, at
-      unit length, far below the 2^-53 rounding of a unit-scale sum.
+      m^2 2^960; both stay below 2^1023 for any m < 2^31, so nothing
+      overflows.  The covariance form's C is built from weighted columns,
+      of unit length, and its d_i' C d_i is at most n m 2^(2B);
+    * only a product or square too small for the normal range can differ:
+      it loses at most 2^-1075, which is at most 2^(2p(B+1) - 1075),
+      2^-113 at p=1 and 2^-111 at p=2, at unit length, far below the
+      2^-53 rounding of a unit-scale sum.  Where none is that small in
+      either route, the bits are the same.
 
     p=2's walk squares the raw Gram entries, so its band is half of p=1's.
     A zero, NaN or Inf column is a ``DataError`` that names it.
     """
     d = _as_2d(d)
-    m, n = d.shape
     top = _tops(d)
     zero = np.flatnonzero(top == 0.0)
     if zero.size:
@@ -155,20 +171,14 @@ def _unit_scale(d, p):
     shift = np.frexp(top, out=(top, None))[1]
     del top
     np.negative(shift, out=shift)
-    w = np.zeros(n)
-    rows, cols = min(kernels.BLOCK, m), min(kernels.COV_BLOCK, n)
-    tile = np.empty(rows * cols)
-    for lo in range(0, n, cols):
-        hi = min(lo + cols, n)
-        for top_row in range(0, m, rows):
-            bottom = min(top_row + rows, m)
-            t = tile[: (bottom - top_row) * (hi - lo)].reshape(bottom - top_row, hi - lo)
-            np.ldexp(d[top_row:bottom, lo:hi], shift[lo:hi], out=t)
-            w[lo:hi] += np.einsum("ij,ij->j", t, t)
-    del tile
+    w = np.zeros(d.shape[1])
+    for lo, hi, part, t in _tiles(d):
+        np.ldexp(part, shift[lo:hi], out=t)
+        w[lo:hi] += np.einsum("ij,ij->j", t, t)
     np.sqrt(w, out=w)
     np.divide(1.0, w, out=w)
-    if np.abs(shift).max() <= BAND // p:
+    in_place = d.flags.c_contiguous or d.flags.f_contiguous
+    if in_place and np.abs(shift).max() <= BAND // p:
         return d, np.ldexp(w, shift, out=w)
     return np.ldexp(d, shift), w
 
@@ -195,18 +205,35 @@ def coherence_gram(d, p=2):
     term ||d_i||^(2p); the covariance form subtracts it, which leaves only
     rounding of the cross terms of a column whose norm dwarfs the others.
     Let 2^e be the power of two that brings the largest magnitude of ``d``
-    into [0.5, 1).  Inside the band |e| <= ``BAND`` // p of ``_unit_scale``
-    the walk runs on ``d`` itself; outside it the walk sees the exact copy
-    ``d`` times 2^-e and the sums are scaled back by 2^(2pe).  Both routes
-    give the same bits, so a value in the normal float64 range does not
-    depend on the scale of ``d``.  A value above that range is a
-    ``NumericalError`` naming overflow; a positive value below it, which
-    would lose bits or become zero, is one naming underflow.
+    into [0.5, 1).  The walk sees ``d`` times 2^-e, and the sums are
+    scaled back by 2^(2pe), both exactly, so a value in the normal float64
+    range does not depend on the scale of ``d``.  A value above that
+    range is a ``NumericalError`` naming overflow; a positive value below
+    it, which would lose bits or become zero, is one naming underflow.
+
+    The walk reads ``d`` itself, with no copy, when that gives the same
+    bits, that is when neither walk leaves the normal range.  Let
+    2^(l-1) <= a < 2^l for the least nonzero magnitude a of ``d``,
+    E = max(e, 0) and q = l - 53 - E.  In either walk every entry is below
+    2^E and a multiple of 2^q, so every product, Gram entry and sum is a
+    multiple of 2^(2q), and at p=2 every square and sum of squares one of
+    2^(4q): a rounded multiple stays one, so each is zero or at least
+    that.  Every sum is below 2^(bits(n) + p (bits(m) + 2E)), bits(n) the
+    bit length of n.  So with 2pq >= -1022 and bits(n) + p (bits(m) + 2E)
+    <= 1023 every value of both walks is zero or normal, and a value of
+    the walk on ``d`` is that of the walk on the copy times 2^(ke)
+    exactly, k its degree in the entries.
     """
     d = _as_matrix(d)
     _power(p)
+    m, n = d.shape
     e = int(np.frexp(max(d.max(), -d.min()))[1])
-    if abs(e) <= BAND // p:
+    least = np.inf  # stays inf for an all-zero d, whose l is then 0
+    for _, _, part, t in _tiles(d):
+        np.abs(part, out=t)
+        least = min(least, t.min(initial=np.inf, where=t > 0.0))
+    q = int(np.frexp(least)[1]) - 53 - max(e, 0)
+    if 2 * p * q >= -1022 and n.bit_length() + p * (m.bit_length() + 2 * max(e, 0)) <= 1023:
         e = 0
     sums = kernels.walk_power_sums(np.ldexp(d, -e) if e else d, p)
     with np.errstate(over="ignore"):

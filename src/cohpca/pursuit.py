@@ -233,7 +233,7 @@ def _top_k(profile, k):
     return np.argsort(neg, kind="stable")[:k]
 
 
-def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None, pool=None, w=None):
+def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None, pool=None, *, w):
     """Sketch-and-deflate selection of r independent columns.
 
     The data is sketched to k*r <= m dimensions (Gaussian, seeded; pass
@@ -241,12 +241,12 @@ def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None, pool=None, w=No
     sketched column is multiplied by its weight 1 / ||x_k||, so the
     sketch is that of the columns at unit length.  ``x`` and ``w`` are
     the pair ``linalg._unit_scale(x, 1)`` returns, which ``Adaptive``
-    makes once for all its rounds; ``w=None`` makes it here.  (The sketch
-    is linear in the columns, so the band of the p=1 walk, which
-    multiplies them in pairs, covers it.)  Then r
-    times: columns whose current sketched norm is at most ``upsilon``
-    are retired, the highest-coherence live column is picked (ties to
-    the lower index), and its direction is deflated out of the sketch.
+    makes once for all its rounds.  (The sketch is linear in the
+    columns, so the band of the p=1 walk, which multiplies them in
+    pairs, covers it.)  Then r times: columns whose current sketched
+    norm is at most ``upsilon`` are retired, the highest-coherence live
+    column is picked (ties to the lower index), and its direction is
+    deflated out of the sketch.
     ``upsilon=None`` uses 0.2 times the median initial sketched norm.
     Raises when every column is retired before r picks.
 
@@ -259,8 +259,6 @@ def adaptive_sampling(x, profile, r, k, upsilon, seed, phi=None, pool=None, w=No
     _integer(k, "sketch factor k", 1)
     _integer(k * r, "sketch dimension k*r", high=("m", x.shape[0]))
     values = np.array(profile.values, dtype=np.float64, copy=True)
-    if w is None:
-        x, w = _unit_scale(x, 1)
     sketch = _sketch(x, k * r, seed, phi=phi)
     sketch *= w
     if pool is not None:

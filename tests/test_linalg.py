@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cohpca import kernels
+from cohpca import kernels, linalg
 from cohpca.errors import DataError, NumericalError
 from cohpca.experiments import saliency
 from cohpca.io import read_matrix, write_matrix, write_pgm
@@ -301,13 +301,71 @@ def test_coherence_gram_names_power_sums_beyond_float64(p, scale):
         coherence_gram(d, p)
 
 
-@pytest.mark.parametrize("p, scale", [(2, 1e-80), (1, 1e-160), (2, 2.0**-260)])
-def test_coherence_gram_names_power_sums_below_the_normal_range(p, scale):
-    # these used to come back without an error, off by up to 1.1e-3,
-    # 1.5e-3 and 1.3e-10 relative; smaller scales gave zeros
-    d = gen_unstructured(20, 2, 10, 30, seed=1).d * scale
+# per p, two columns whose largest magnitude lies inside p's band of
+# _unit_scale, but whose products fall below the normal range unless the
+# matrix is scaled up first
+TWO_COLUMNS = {
+    2: np.array([[0.75 * 2.0**-240, 2.0**-330], [0.0, 2.0**-330]]),
+    1: np.array([[0.75 * 2.0**-400, 2.0**-700], [0.0, 2.0**-700]]),
+}
+
+
+@pytest.mark.parametrize(
+    "p, d",
+    [(p, gen_unstructured(20, 2, 10, 30, seed=1).d * scale)
+     for p, scale in [(2, 1e-80), (1, 1e-160), (2, 2.0**-260)]]
+    + [(p, TWO_COLUMNS[p]) for p in (2, 1)],
+    ids=["2-1e-80", "1-1e-160", f"2-{2.0**-260}", "2-two-columns", "1-two-columns"],
+)
+def test_coherence_gram_names_power_sums_below_the_normal_range(p, d):
+    # the first three used to come back without an error, off by up to
+    # 1.1e-3, 1.5e-3 and 1.3e-10 relative; smaller scales gave zeros
     with pytest.raises(NumericalError, match=f"p={p} underflow"):
         coherence_gram(d, p)
+
+
+def always_scaled_gram(d, p):
+    """``coherence_gram`` as the walk on the C-ordered copy d 2^-e, with
+    no route that skips the copy: its values, or its error's message."""
+    e = int(np.frexp(max(d.max(), -d.min()))[1])
+    sums = kernels.walk_power_sums(np.ascontiguousarray(np.ldexp(d, -e)), p)
+    with np.errstate(over="ignore"):
+        values = np.ldexp(sums, 2 * p * e)
+    if np.any(np.isinf(values)):
+        return f"power sums at p={p} overflow float64; rescale the columns"
+    if np.any((values < np.finfo(np.float64).tiny) & (sums > 0.0)):
+        return f"power sums at p={p} underflow float64; rescale the columns"
+    return values.tobytes()
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_coherence_gram_gives_the_bits_and_errors_of_the_scaled_copy(p):
+    small = gen_unstructured(20, 2, 10, 30, seed=1).d
+    # at m = 200 the largest magnitude is below 0.5, so e < 0
+    tall = gen_unstructured(200, 5, 40, 60, seed=2).d
+    cases = {
+        "unit": small,
+        "m=200": tall,
+        "F-ordered": np.asfortranarray(tall),
+        "strided": tall[:, ::2],
+        "two columns, p=2": TWO_COLUMNS[2],
+        "two columns, p=1": TWO_COLUMNS[1],
+        # e > 0: the copy loses the small entries that d itself keeps
+        "large beside subnormal": np.array([[2.0**9, 2.0**-1070]]),
+        "large beside small": np.array([[0.75 * 2.0**200, 0.0], [2.0**-400, 2.0**-400]]),
+        # products that overflow on d itself before they cancel
+        "cancelling": 0.75 * 2.0**512 * np.array([[1.0, 1.0], [1.0, 1.0], [1.0, -1.0]]),
+        "zeros": np.zeros((3, 4)),
+    }
+    for k in (-500, -300, -100, 100, 200, 500):
+        cases[f"2^{k}"] = np.ldexp(tall, k)
+    for name, d in cases.items():
+        want = always_scaled_gram(d, p)
+        try:
+            got = coherence_gram(d, p).values.tobytes()
+        except NumericalError as err:
+            got = str(err)
+        assert got == want, name
 
 
 @pytest.mark.parametrize("p", [1, 2])
@@ -342,8 +400,9 @@ def traced_peak(fn, *args, **kwargs):
 
 @pytest.mark.parametrize("p", [1, 2])
 def test_coherence_gram_walks_in_band_data_without_a_copy(p):
-    # the scaled copy the walk used to see was m n = 20 n floats, a third
-    # of the slab buffer; in the band the walk reads d itself
+    # the scaled copy the walk used to see was m n = 20 n floats, a sixth
+    # of the slab buffer; neither walk on this d leaves the normal range,
+    # so the walk reads d itself
     n = 5000
     d = random_matrix(20, n, seed=4) * 2.0**-100
     slab = 8 * kernels.BLOCK * n
@@ -460,6 +519,27 @@ def test_cop_gives_f_ordered_data_the_same_bytes_in_no_more_memory(p):
     # allocations, so each layout keeps the lower of two peaks
     peak_f, peak_c = (min(traced_peak(cop, a, cfg) for _ in range(2)) for a in (f, d))
     assert peak_f <= peak_c, f"F-ordered peak {peak_f} B, C-ordered {peak_c} B"
+
+
+@pytest.mark.parametrize("p", [1, 2])
+def test_a_strided_view_gives_the_bytes_of_its_contiguous_copy(p):
+    # a view BLAS cannot read in place reaches the kernels, and Adaptive's
+    # sketch, as one compact copy, never as the view itself
+    d = gen_unstructured(40, 3, 600, 2400, seed=8).d
+    view = d[:, ::2]
+    copy = np.ascontiguousarray(view)
+    y = linalg._unit_scale(view, p)[0]
+    assert y.flags.c_contiguous or y.flags.f_contiguous
+    assert coherence(view, p).values.tobytes() == coherence(copy, p).values.tobytes()
+    want = kernels.block_power_sums(copy, p).tobytes()
+    assert kernels.block_power_sums(view, p).tobytes() == want
+    for strategy in (None, Adaptive(k=2, upsilon=None, passes=2)):
+        cfg = CopConfig(r=3, p=p, **({} if strategy is None else {"strategy": strategy}))
+        got, want = cop(view, cfg), cop(copy, cfg)
+        for field in dataclasses.fields(CopResult):
+            if field.compare:
+                a, b = (pickle.dumps(getattr(res, field.name)) for res in (got, want))
+                assert a == b, (strategy, field.name)
 
 
 def test_coherence_values_are_non_negative_and_profile_checks_p():

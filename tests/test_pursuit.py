@@ -219,9 +219,9 @@ def test_adaptive_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
 
 
 def test_adaptive_retires_deflated_duplicates():
-    x = np.column_stack([E[:, 0], E[:, 0], E[:, 1]])
+    x, w = linalg._unit_scale(np.column_stack([E[:, 0], E[:, 0], E[:, 1]]), 1)
     # k=2, upsilon=1e-8, seed 0, with the identity in place of the sketch
-    got = pursuit.adaptive_sampling(x, profile([3.0, 2.0, 1.0]), 2, 2, 1e-8, 0, phi=np.eye(4))
+    got = pursuit.adaptive_sampling(x, profile([3.0, 2.0, 1.0]), 2, 2, 1e-8, 0, phi=np.eye(4), w=w)
     assert got.tolist() == [0, 2]
 
 
@@ -238,9 +238,9 @@ def test_adaptive_spans_the_subspace_like_greedy():
 
 
 def test_adaptive_exhausts_when_threshold_eats_everything():
-    x = np.column_stack([E[:, 0], E[:, 1]])
+    x, w = linalg._unit_scale(np.column_stack([E[:, 0], E[:, 1]]), 1)
     with pytest.raises(NumericalError, match="exhausted after 0 of 1"):
-        pursuit.adaptive_sampling(x, profile([2.0, 1.0]), 1, 2, 100.0, 0, phi=np.eye(4)[:2])
+        pursuit.adaptive_sampling(x, profile([2.0, 1.0]), 1, 2, 100.0, 0, phi=np.eye(4)[:2], w=w)
 
 
 def test_adaptive_auto_threshold_and_validation():
@@ -256,9 +256,9 @@ def test_adaptive_auto_threshold_and_validation():
 
 
 def test_adaptive_rejects_a_nan_upsilon():
-    x = np.column_stack([E[:, 0], E[:, 1]])
+    x, w = linalg._unit_scale(np.column_stack([E[:, 0], E[:, 1]]), 1)
     with pytest.raises(DataError, match="upsilon"):
-        pursuit.adaptive_sampling(x, profile([2.0, 1.0]), 2, 2, np.nan, 0, phi=np.eye(4))
+        pursuit.adaptive_sampling(x, profile([2.0, 1.0]), 2, 2, np.nan, 0, phi=np.eye(4), w=w)
 
 
 def test_adaptive_sketch_larger_than_m_is_rejected():
@@ -538,7 +538,8 @@ def test_multipass_single_round_recovers_clean_data():
     res = cop(ds.d, cfg)
     assert recovery_error(ds.basis, res.basis) < 1e-9
     x, kept = normalize_columns(ds.d)
-    picked = pursuit.adaptive_sampling(x, coherence(x, 2), 4, 2, 0.0, 3)
+    y, w = linalg._unit_scale(x, 1)
+    picked = pursuit.adaptive_sampling(y, coherence(x, 2), 4, 2, 0.0, 3, w=w)
     np.testing.assert_array_equal(res.sampled, kept[picked])
     assert res.unique
 
@@ -573,8 +574,9 @@ def multipass_with_round_copies(d, cfg, h):
     for round_idx in range(h):
         sub = x if round_idx == 0 else x[:, pool]
         sub_prof = prof if round_idx == 0 else CoherenceProfile(prof.values[pool], prof.p)
+        y, w = linalg._unit_scale(sub, 1)
         local = pursuit.adaptive_sampling(
-            sub, sub_prof, cfg.r, cfg.strategy.k, cfg.strategy.upsilon, (cfg.seed, round_idx)
+            y, sub_prof, cfg.r, cfg.strategy.k, cfg.strategy.upsilon, (cfg.seed, round_idx), w=w
         )
         picked.extend(pool[local])
         pool = np.delete(pool, local)
